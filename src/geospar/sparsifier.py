@@ -316,13 +316,14 @@ class DynamicGeoSpar:
     def _resample_pair(self, key, entry: PairSample, delta, a_node, b_node,
                        pid: int, report: UpdateReport):
         new_a, new_b = delta.new
-        nx, ny = new_a.count, new_b.count
+        nx, in_a = new_a
+        ny, in_b = new_b
         total = nx * ny
         s_new = self.sample_size(nx, ny)
         # symmetric difference of the old and new bicliques (id sets change
         # only by the moved point, so the intersection is a size formula)
-        ia = nx - (1 if new_a.has_moved_point else 0)
-        ib = ny - (1 if new_b.has_moved_point else 0)
+        ia = nx - (1 if in_a else 0)
+        ib = ny - (1 if in_b else 0)
         inter = ia * ib
         sym = entry.nx * entry.ny + total - 2 * inter
         fast_ok = (total > 4 * s_new
@@ -337,12 +338,13 @@ class DynamicGeoSpar:
 
     def _rematerialize(self, key, entry, a_node, b_node, new_a, new_b,
                        pid, s_new):
-        nx, ny = new_a.count, new_b.count
+        nx, in_a = new_a
+        ny, in_b = new_b
         if entry.materialized:
             # incremental: the departed point's edges are already evicted;
             # only the arriving point's slab is new
-            if new_a.has_moved_point or new_b.has_moved_point:
-                if new_a.has_moved_point:
+            if in_a or in_b:
+                if in_a:
                     others = self.tree.subtree_ids(b_node)
                     edges = [(pid, j) for j in others]
                 else:
@@ -367,14 +369,15 @@ class DynamicGeoSpar:
                 return leaf.pid
 
     def _fast_resample(self, entry, a_node, b_node, new_a, new_b, pid, s_new):
-        nx, ny = new_a.count, new_b.count
+        nx, in_a = new_a
+        ny, in_b = new_b
         total = nx * ny
         s_out = min(s_new, total)
         scale_new = total / s_out
         # the departed point's edges were evicted in the release phase
-        if new_a.has_moved_point:
+        if in_a:
             fresh_count = ny
-        elif new_b.has_moved_point:
+        elif in_b:
             fresh_count = nx
         else:
             fresh_count = 0
@@ -385,7 +388,7 @@ class DynamicGeoSpar:
         fresh = []
         seen = set()
         while len(fresh) < x:
-            if new_a.has_moved_point:
+            if in_a:
                 edge = (pid, self._draw_leaf(b_node))
             else:
                 edge = (self._draw_leaf(a_node), pid)
@@ -396,8 +399,8 @@ class DynamicGeoSpar:
         while len(entry) > keep:
             edge = entry.pop_random(self.rng)
             self._set_edge(edge[0], edge[1], 0.0)
-        ex_a = pid if new_a.has_moved_point else None
-        ex_b = pid if new_b.has_moved_point else None
+        ex_a = pid if in_a else None
+        ex_b = pid if in_b else None
         while len(entry) < keep:  # old sample short: extend in the intersection
             edge = (self._draw_leaf(a_node, ex_a), self._draw_leaf(b_node, ex_b))
             if edge not in entry and edge not in seen:

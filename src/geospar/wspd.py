@@ -2,14 +2,25 @@
 
 The greedy recursion from (root, root) — emit a pair when well separated,
 otherwise split the node with larger cell side — decomposes exactly into
-independent runs over unordered pairs of sibling children, one set of runs
-per internal node: a run's output depends only on the two subtrees below
-its sibling pair.  The pair list is therefore stored grouped by generating
-sibling pair, and a point move only re-runs generators whose sides gained,
-lost, or moved a point (plus sibling pairs created or dissolved by the
-tree mutation).  The maintained list stays *set-equal* to a from-scratch
-recomputation on the mutated tree; that equality is the master oracle in
-the test suite.
+independent runs over unordered pairs of sibling children (generators),
+one set of runs per internal node: a run's output depends only on the two
+subtrees below its sibling pair.  The pair list is therefore stored grouped
+by generator.
+
+A point move marks dirty the nodes on the old and new root paths of the
+moved point and of the cells it leaves and enters (the nodes whose subtree
+changed) plus every created or re-parented node.  A call with no dirty
+side has the same two subtrees before and after, and it is entered with
+its sides in the same order, which the sides' parents fix; the order
+matters because the separation test rounds differently on exact ties.
+Dissolved generators are dropped and new ones are run in full.  A
+surviving generator with a dirty side is re-walked only through its dirty
+calls (calls with a dirty side), once on the tree as it was and once as it
+is.  The first clean calls below them form the frontier: a frontier call
+emits what it emitted before, so only the frontier calls that one walk
+reaches and the other does not are run.  The maintained list stays
+*set-equal* to a from-scratch recomputation on the mutated tree; that
+equality is the master oracle in the test suite.
 
 Hot-path keys are packed ints built from per-tree node tokens; canonical
 (level, origin) identities are used for split tie-breaking and for
@@ -19,8 +30,7 @@ comparing pair lists across different tree instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DuplicatePoint, EmptyInput, UnknownPoint
 from .quadtree import CompressedQuadTree, Node, grid_key
@@ -51,33 +61,45 @@ def well_separated(u: Node, v: Node, s: float = SEPARATION) -> bool:
     return gap >= s * max(u.radius, v.radius)
 
 
-def _run_generator(a: Node, b: Node, s: float) -> set:
-    """All pairs the greedy recursion emits below the sibling call (a, b).
+def _walk(a: Node, b: Node, s: float, out: set, dirty=None, kids=None,
+          frontier=None):
+    """Run the greedy recursion below the sibling call (a, b) into `out`.
 
-    The emitted set is a pure function of the two subtrees; visitation
-    order does not matter.
+    Without `dirty` this is a full run: `out` gets every pair the call
+    emits, a function of the two subtrees and of their order.  With `dirty` (a set of
+    node tokens) it is a dirty walk: only calls with a side in `dirty` are
+    entered, and each first clean call is a frontier call, recorded as
+    frontier[key] = (u, v) without being entered.  `kids` maps a token to
+    the children its node had before a move, so that the walk can follow
+    the old tree.
+
+    The recursion is a tree, so the output of a call is the disjoint union
+    of its own emission and the outputs of its sub-calls.
     """
-    out = set()
-    visited = set()  # guards recursing calls; emissions dedupe through `out`
     stack = [(a, b)]
+    pop = stack.pop
+    push = stack.append
+    emit = out.add
     dist = math.dist
     while stack:
-        u, v = stack.pop()
+        call = pop()
+        u, v = call
         tu = u.tok
         tv = v.tok
         key = (tu << _SHIFT) | tv if tu < tv else (tv << _SHIFT) | tu
+        if dirty is not None and tu not in dirty and tv not in dirty:
+            frontier[key] = call
+            continue
         ru = u.radius
         rv = v.radius
         if ru == 0.0 and rv == 0.0:
-            out.add(key)  # two distinct points are always well separated
+            emit(key)  # two distinct points are always well separated
             continue
         mx = ru if ru >= rv else rv
         if dist(u.center, v.center) - ru - rv >= s * mx:
-            out.add(key)
+            emit(key)
             continue
-        if key in visited:
-            continue
-        visited.add(key)
+        # no call is reached twice: disjoint sibling sides, deterministic split
         # split the node with larger cell side; tie -> canonically first
         lu = u.lmax
         lv = v.lmax
@@ -85,35 +107,43 @@ def _run_generator(a: Node, b: Node, s: float) -> set:
             spl, keep = u, v
         else:
             spl, keep = v, u
-        if spl.children is None:  # leaf-leaf calls are always separated
+        children = spl.children
+        if children is None:  # leaf-leaf calls are always separated
             continue
-        for child in spl.children.values():
-            stack.append((child, keep))
+        if kids is not None:
+            children = kids.get(spl.tok, children)
+        for child in children.values():
+            push((child, keep))
+
+
+def _run_generator(a: Node, b: Node, s: float) -> set:
+    """All pairs the greedy recursion emits below the sibling call (a, b)."""
+    out = set()
+    _walk(a, b, s, out)
     return out
 
 
-@dataclass(frozen=True)
-class SideInfo:
-    tok: int
-    count: int
-    has_moved_point: bool  # p on the old side / p_new on the new side
+class PairDelta(NamedTuple):
+    """One WSPD pair affected by a point move: its state before and after.
 
-
-@dataclass(frozen=True)
-class PairDelta:
-    """One WSPD pair affected by a point move: its state before and after."""
+    Both states list the pair's two sides in key token order.  `old` is
+    None for an added pair, else (moved_a, moved_b): whether each side held
+    the moved point before the move.  `new` is None for a removed pair,
+    else ((count_a, moved_a), (count_b, moved_b)): each side's point count
+    and whether it holds the moved point after the move.
+    """
 
     key: int
-    old: Optional[tuple]  # (SideInfo, SideInfo) in key token order, or None
+    old: Optional[tuple]
     new: Optional[tuple]
 
     @property
     def unchanged_ids(self) -> bool:
         """True when the pair survived with identical point-id sets."""
-        if self.old is None or self.new is None:
+        old, new = self.old, self.new
+        if old is None or new is None:
             return False
-        return all(o.has_moved_point == n.has_moved_point
-                   for o, n in zip(self.old, self.new))
+        return old[0] == new[0][1] and old[1] == new[1][1]
 
 
 class WspdPairList:
@@ -134,17 +164,8 @@ class WspdPairList:
     def set_gen(self, gen: int, keys: set):
         if gen in self.by_gen:
             raise AssertionError(f"generator {gen} already present")
-        self.by_gen[gen] = keys
-        index = self.node_index
-        for side in unpack(gen):
-            self.gens_by_node.setdefault(side, set()).add(gen)
-        pairs = self.pairs
-        for key in keys:
-            pairs.add(key)
-            a = key >> _SHIFT
-            b = key & _MASK
-            index.setdefault(a, set()).add(key)
-            index.setdefault(b, set()).add(key)
+        self.stage_gen(gen, keys)
+        self.commit_gains(keys)
 
     def pop_gen(self, gen: int) -> set:
         keys = self.by_gen.pop(gen)
@@ -153,46 +174,28 @@ class WspdPairList:
             bucket.discard(gen)
             if not bucket:
                 del self.gens_by_node[side]
-        pairs = self.pairs
-        index = self.node_index
-        for key in keys:
-            pairs.discard(key)
-            for side in (key >> _SHIFT, key & _MASK):
-                bucket = index.get(side)
-                if bucket is not None:
-                    bucket.discard(key)
-                    if not bucket:
-                        del index[side]
+        self._discard(keys)
         return keys
 
-    def stage_gen(self, gen: int, new_keys: set):
-        """Install a generator's new output and apply its *drops* only.
+    def stage_gen(self, gen: int, keys: set):
+        """Install a generator that did not exist before the move.
 
-        Returns (dropped, gained); the caller must feed every gained key to
+        Its keys are gains: the caller must feed every gained key to
         commit_gains after all drops across generators are staged — a pair
-        can migrate between two re-run generators, and its drop from the
-        old owner must never undo the new owner's gain.
+        can migrate between two generators, and its drop from the old owner
+        must never undo the new owner's gain.
         """
-        old_keys = self.by_gen.get(gen)
-        if old_keys is None:
-            for side in unpack(gen):
-                self.gens_by_node.setdefault(side, set()).add(gen)
-            self.by_gen[gen] = new_keys
-            return set(), set(new_keys)
-        dropped = old_keys - new_keys
-        gained = new_keys - old_keys
-        self.by_gen[gen] = new_keys
-        pairs = self.pairs
-        index = self.node_index
-        for key in dropped:
-            pairs.discard(key)
-            for side in (key >> _SHIFT, key & _MASK):
-                bucket = index.get(side)
-                if bucket is not None:
-                    bucket.discard(key)
-                    if not bucket:
-                        del index[side]
-        return dropped, gained
+        for side in unpack(gen):
+            self.gens_by_node.setdefault(side, set()).add(gen)
+        self.by_gen[gen] = keys
+
+    def edit_gen(self, gen: int, dropped: set, gained: set):
+        """Edit a surviving generator's output in place and apply its drops;
+        its gains go to commit_gains as for stage_gen."""
+        keys = self.by_gen[gen]
+        keys -= dropped
+        keys |= gained
+        self._discard(dropped)
 
     def commit_gains(self, keys):
         pairs = self.pairs
@@ -202,8 +205,17 @@ class WspdPairList:
             index.setdefault(key >> _SHIFT, set()).add(key)
             index.setdefault(key & _MASK, set()).add(key)
 
-    def pairs_of_node(self, tok: int) -> set:
-        return set(self.node_index.get(tok, ()))
+    def _discard(self, keys):
+        pairs = self.pairs
+        index = self.node_index
+        for key in keys:
+            pairs.discard(key)
+            for side in (key >> _SHIFT, key & _MASK):
+                bucket = index.get(side)
+                if bucket is not None:
+                    bucket.discard(key)
+                    if not bucket:
+                        del index[side]
 
     def canonical_pairs(self, tree: CompressedQuadTree) -> set:
         """Pairs as unordered (level, origin)/(-1, pid) identity pairs,
@@ -215,11 +227,6 @@ class WspdPairList:
             wb = by_tok[key & _MASK].wsid
             out.add((wa, wb) if wa <= wb else (wb, wa))
         return out
-
-    def debug_dump(self, tree: CompressedQuadTree) -> str:
-        lines = sorted(f"{a} -- {b}" for a, b in
-                       ((str(p[0]), str(p[1])) for p in self.canonical_pairs(tree)))
-        return "\n".join(lines)
 
 
 def compute_wspd(tree: CompressedQuadTree, s: float = SEPARATION) -> WspdPairList:
@@ -239,6 +246,34 @@ def compute_wspd(tree: CompressedQuadTree, s: float = SEPARATION) -> WspdPairLis
                 gen = _pk(kids[i].tok, kids[j].tok)
                 pl.set_gen(gen, _run_generator(kids[i], kids[j], s))
     return pl
+
+
+def _rewalk(a_old: Node, b_old: Node, a: Node, b: Node, s: float,
+            dirty: set, old_kids: dict):
+    """(dropped, gained) of a surviving generator across a point move.
+
+    The generator's dirty calls are walked on the old tree (a_old, b_old,
+    old_kids) and on the new one (a, b).  A frontier call is clean, so it
+    emits the same pairs before and after the move; only the frontier
+    calls that one walk reaches and the other does not are run.  Keys
+    emitted at dirty calls have a dirty side and frontier output has none,
+    so the two never mix.
+    """
+    e_old = set()
+    f_old = {}
+    _walk(a_old, b_old, s, e_old, dirty, old_kids, f_old)
+    e_new = set()
+    f_new = {}
+    _walk(a, b, s, e_new, dirty, None, f_new)
+    lost = set()
+    for call in f_old.keys() - f_new.keys():
+        u, v = f_old[call]
+        _walk(u, v, s, lost)
+    won = set()
+    for call in f_new.keys() - f_old.keys():
+        u, v = f_new[call]
+        _walk(u, v, s, won)
+    return (e_old - e_new) | (lost - won), (e_new - e_old) | (won - lost)
 
 
 def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
@@ -265,9 +300,10 @@ def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
     old_nodes = {n.tok: n for n in chain_p}
     old_nodes.update((n.tok, n) for n in chain_q)
     chain_p_toks = {n.tok for n in chain_p}
-    old_counts = {t: nd.count for t, nd in old_nodes.items()}
-    old_children = {nd.wsid: [c.tok for c in nd.children.values()]
-                    for nd in old_nodes.values() if not nd.is_leaf}
+    # every node whose children the mutation can change lies on these chains
+    old_kids = {t: dict(nd.children) for t, nd in old_nodes.items()
+                if not nd.is_leaf}
+    old_tok = {nd.wsid: t for t, nd in old_nodes.items()}
 
     old_affected = set()
     gens_by_node = pl.gens_by_node
@@ -283,9 +319,9 @@ def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
         if old_par is None:
             continue
         c_tok = tree.nodes[c_id].tok
-        for sib in old_children.get(old_par, ()):
-            if sib != c_tok:
-                gen = _pk(c_tok, sib)
+        for sib in old_kids.get(old_tok.get(old_par), {}).values():
+            if sib.tok != c_tok:
+                gen = _pk(c_tok, sib.tok)
                 if gen in pl.by_gen:
                     old_affected.add(gen)
 
@@ -310,36 +346,48 @@ def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
         for sib in node.parent.children.values():
             if sib.tok != t:
                 new_needed.add(_pk(t, sib.tok))
+    reparented_toks = set()
     for c_id, _old_par in reparented:
         node = tree.nodes.get(c_id)
-        if node is None or node.parent is None:
+        if node is None:
+            continue
+        reparented_toks.add(node.tok)
+        if node.parent is None:
             continue
         for sib in node.parent.children.values():
             if sib.tok != node.tok:
                 new_needed.add(_pk(node.tok, sib.tok))
+    # every node whose subtree or parent the move changed; below any other
+    # node the recursion runs the same before and after
+    dirty = dirty_new | old_nodes.keys() | reparented_toks
 
     removed_keys = set()
     added_keys = set()
     s = pl.s
+    by_gen = pl.by_gen
     for gen in old_affected - new_needed:  # dissolved sibling pairs
         removed_keys |= pl.pop_gen(gen)
     # stage all drops before committing any gains: pairs may migrate
     # between two re-run generators under the same key
     for gen in new_needed:
-        keys = _run_generator(by_tok[gen >> _SHIFT], by_tok[gen & _MASK], s)
-        dropped, gained = pl.stage_gen(gen, keys)
+        ta = gen >> _SHIFT
+        tb = gen & _MASK
+        a = by_tok[ta]
+        b = by_tok[tb]
+        if gen not in by_gen:
+            keys = _run_generator(a, b, s)
+            pl.stage_gen(gen, keys)
+            added_keys |= keys
+            continue
+        dropped, gained = _rewalk(old_nodes.get(ta, a), old_nodes.get(tb, b),
+                                  a, b, s, dirty, old_kids)
+        pl.edit_gen(gen, dropped, gained)
         removed_keys |= dropped
         added_keys |= gained
     pl.commit_gains(added_keys)
 
-    def old_side(tok) -> SideInfo:
-        count = old_counts.get(tok)
-        if count is None:
-            count = by_tok[tok].count  # clean side: count unchanged
-        return SideInfo(tok, count, tok in chain_p_toks)
-
-    def new_side(tok) -> SideInfo:
-        return SideInfo(tok, by_tok[tok].count, tok in chain_pn_toks)
+    def new_side(tok):
+        return by_tok[tok].count, tok in chain_pn_toks
 
     # survivors whose point content changed (pair kept, p left or p_new joined)
     moved = chain_p_toks | chain_pn_toks
@@ -352,10 +400,11 @@ def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
 
     deltas = []
     for key in removed_keys:
-        in_added = key in added_keys
-        old = (old_side(key >> _SHIFT), old_side(key & _MASK))
-        new = (new_side(key >> _SHIFT), new_side(key & _MASK)) if in_added else None
-        deltas.append(PairDelta(key, old, new))
+        a = key >> _SHIFT
+        b = key & _MASK
+        new = (new_side(a), new_side(b)) if key in added_keys else None
+        deltas.append(PairDelta(key, (a in chain_p_toks, b in chain_p_toks),
+                                new))
     for key in added_keys:
         if key not in removed_keys:
             deltas.append(PairDelta(
@@ -363,7 +412,7 @@ def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
     for key in touched:
         a = key >> _SHIFT
         b = key & _MASK
-        deltas.append(PairDelta(key, (old_side(a), old_side(b)),
+        deltas.append(PairDelta(key, (a in chain_p_toks, b in chain_p_toks),
                                 (new_side(a), new_side(b))))
     deltas.sort(key=lambda d: d.key)
     return deltas

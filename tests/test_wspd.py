@@ -6,8 +6,10 @@ import pytest
 
 from geospar.errors import DuplicatePoint, UnknownPoint
 from geospar.kernels import aspect_ratio
-from geospar.quadtree import build
+from geospar.quadtree import CompressedQuadTree, build
 from geospar.wspd import (
+    _pk,
+    _run_generator,
     compute_wspd,
     find_modified_pairs,
     unpack,
@@ -202,3 +204,152 @@ class TestFindModifiedPairs:
             deltas = find_modified_pairs(tree, pl, pid, z)
             pts[pid] = z
             assert len(deltas) <= bound
+
+
+def sibling_gens(tree):
+    gens = set()
+    for node in tree.by_tok.values():
+        if not node.is_leaf:
+            kids = node.child_list()
+            for i, a in enumerate(kids):
+                for b in kids[i + 1:]:
+                    gens.add(_pk(a.tok, b.tok))
+    return gens
+
+
+def assert_pair_list_matches_full_runs(tree, pl):
+    """Every generator equals a full run on the current tree, and the
+    indexes equal versions rebuilt from by_gen."""
+    assert set(pl.by_gen) == sibling_gens(tree)
+    pairs = set()
+    gens_by_node = {}
+    node_index = {}
+    for gen, keys in pl.by_gen.items():
+        ta, tb = unpack(gen)
+        assert keys == _run_generator(tree.by_tok[ta], tree.by_tok[tb], pl.s)
+        for t in (ta, tb):
+            gens_by_node.setdefault(t, set()).add(gen)
+        for key in keys:
+            pairs.add(key)
+            for t in unpack(key):
+                node_index.setdefault(t, set()).add(key)
+    assert pl.pairs == pairs
+    assert pl.gens_by_node == gens_by_node
+    assert pl.node_index == node_index
+
+
+@pytest.fixture
+def mutation_cases(monkeypatch):
+    """Record the MutationReport case of every tree insert and delete."""
+    seen = set()
+    insert = CompressedQuadTree.insert
+    delete = CompressedQuadTree.delete
+
+    def record(report):
+        case = report.case
+        if case == "SplitCompressedEdge":
+            new_top = report.reparented[0][1] is None
+            case += " (new top)" if new_top else " (inner edge)"
+        seen.add(case)
+        return report
+
+    monkeypatch.setattr(CompressedQuadTree, "insert",
+                        lambda tree, pid, vec: record(insert(tree, pid, vec)))
+    monkeypatch.setattr(CompressedQuadTree, "delete",
+                        lambda tree, pid: record(delete(tree, pid)))
+    return seen
+
+
+def move_target(rng, pts, pid, k, center):
+    """A uniform target, one within 1e-9 of some point, or one near the
+    input's center."""
+    r = rng.random()
+    if r < 1 / 3:
+        return rng.random(k)
+    if r < 2 / 3:
+        other = pts[int(rng.integers(0, len(pts)))]
+        offset = rng.choice([-1.0, 1.0], k) * rng.uniform(1e-12, 1e-9, k)
+        return np.clip(other + offset, 0.0, 1.0 - 1e-12)
+    return np.clip(center + rng.normal(0.0, 1e-3, k), 0.0, 1.0 - 1e-12)
+
+
+def test_dirty_rewalk_matches_full_runs(mutation_cases):
+    n = 40
+    for k in (1, 2, 3):
+        for clustered in (False, True):
+            rng = np.random.default_rng(20 + 2 * k + clustered)
+            center = rng.uniform(0.25, 0.75, k)
+            if clustered:
+                pts = {i: center + rng.normal(0.0, 1e-3, k) for i in range(n)}
+            else:
+                pts = {i: rng.random(k) for i in range(n)}
+            tree = build(dict(pts), k)
+            pl = compute_wspd(tree)
+            for step in range(80):
+                pid = int(rng.integers(0, n))
+                z = move_target(rng, pts, pid, k, center)
+                old_path = {nd.tok for nd in
+                            tree.path_to_root(tree.point_index[pid])}
+                before = set(pl.pairs)
+                deltas = find_modified_pairs(tree, pl, pid, z)
+                pts[pid] = z
+                after = pl.pairs
+                ctx = (k, clustered, step)
+                assert_pair_list_matches_full_runs(tree, pl)
+                removed = {d.key for d in deltas if d.new is None}
+                added = {d.key for d in deltas if d.old is None}
+                assert removed == before - after, ctx
+                assert added == after - before, ctx
+                # each reported side says whether it holds the moved point
+                new_path = {nd.tok for nd in
+                            tree.path_to_root(tree.point_index[pid])}
+                touched = set()
+                for key in before & after:
+                    if any(t in old_path or t in new_path
+                           for t in unpack(key)):
+                        touched.add(key)
+                reported = {d.key for d in deltas}
+                assert (before ^ after) | touched <= reported, ctx
+                assert reported <= before | after, ctx
+                for d in deltas:
+                    sides = unpack(d.key)
+                    if d.old is not None:
+                        assert d.old == tuple(t in old_path for t in sides)
+                    if d.new is not None:
+                        assert d.new == tuple(
+                            (tree.by_tok[t].count, t in new_path)
+                            for t in sides)
+    assert mutation_cases >= {
+        "RemoveLeaf", "RemoveAndSplice", "ChildOfExisting",
+        "SplitCompressedEdge (inner edge)", "SplitCompressedEdge (new top)",
+    }, mutation_cases
+
+
+def test_rewalk_exact_on_a_separation_tie():
+    # Cells y (level 4) and c (level 6) are exactly 2-separated in real
+    # arithmetic, and the separation test rounds to different answers for
+    # the two argument orders: (c, y) is split, (y, c) is emitted.  Moving
+    # point 6 from next to c to next to y inserts a cell between y and its
+    # parent, so the recursion reaches the pair from y's side instead of
+    # from c's.  The re-walk must follow y although y's subtree did not
+    # change, and must drop the leaf pairs that (c, y) emitted below it.
+    pts = {
+        0: [0.03, 0.03, 0.03],
+        1: [3.25 / 16, 3.25 / 16, 2.25 / 16],   # y = cell (4, (3, 3, 2))
+        2: [3.75 / 16, 3.75 / 16, 2.75 / 16],
+        3: [10.25 / 64, 7.25 / 64, 18.25 / 64],  # c = cell (6, (10, 7, 18))
+        4: [10.75 / 64, 7.75 / 64, 18.75 / 64],
+        5: [0.03, 0.2, 0.45],
+        6: [0.2, 0.2, 0.45],
+    }
+    tree = build(pts, 3)
+    pl = compute_wspd(tree)
+    y = tree.nodes[(4, (3, 3, 2))]
+    c = tree.nodes[(6, (10, 7, 18))]
+    leaf_pairs = {_pk(tree.point_index[i].tok, c.tok) for i in (1, 2)}
+    assert leaf_pairs <= pl.pairs
+    find_modified_pairs(tree, pl, 6, [2.5 / 16, 2.5 / 16, 2.5 / 16])
+    assert y.parent.wsid == (3, (1, 1, 1))
+    assert _pk(y.tok, c.tok) in pl.pairs
+    assert not leaf_pairs & pl.pairs
+    assert_pair_list_matches_full_runs(tree, pl)
