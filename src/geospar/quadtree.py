@@ -411,6 +411,8 @@ class CompressedQuadTree:
                     stack.append(cur.children[q])
 
     def subtree_ids(self, node: Node) -> list:
+        if node.is_leaf:
+            return [node.pid]
         return [leaf.pid for leaf in self.iter_leaves(node)]
 
     def kth_leaf(self, node: Node, idx: int) -> Node:

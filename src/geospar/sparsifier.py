@@ -12,6 +12,14 @@ Edges are stored with raw kernel weights per pair; the graph H maps an
 unordered id pair to raw * scale.  Every H mutation is logged into a diff
 buffer as exact remove/add entries, so replaying the buffer onto an older
 Laplacian reconstructs the current one exactly.
+
+Materialized edges (whole small bicliques, and the arriving point's slab
+of a materialized pair) are queued and weighed with one batched kernel
+evaluation at the end of set-up and of each move, then inserted in queue
+order.  Kernel values do not depend on the batch they are computed in,
+and no other pair touches a queued key, so every weight and each key's
+diff entries are the same as if each slab were built on the spot.
+Sampled builds and resamples still evaluate as they draw.
 """
 
 from __future__ import annotations
@@ -154,6 +162,7 @@ class DynamicGeoSpar:
         self._diff = []
         self._store = {}
         self._touched = set()
+        self._slabs = ([], [], [])   # owner sample, a-side id, b-side id
         proj = {i: self._project_unit(pset.points[i]) for i in range(self.n)}
         self.tree = CompressedQuadTree.build(proj, k)
         self.pairs = wspd.compute_wspd(self.tree, separation)
@@ -161,6 +170,7 @@ class DynamicGeoSpar:
             a = self.tree.by_tok[key >> _SHIFT]
             b = self.tree.by_tok[key & _MASK]
             self._store[key] = self._build_pair(key, a, b, at_init=True)
+        self._flush_slabs()
         self.sparsity_budget = sum(
             min(e.s_target, e.nx * e.ny) for e in self._store.values())
         self._diff.clear()
@@ -204,6 +214,34 @@ class DynamicGeoSpar:
         d2 = np.sum((pts[ids_a] - pts[ids_b]) ** 2, axis=1)
         return self.kernel.eval_sqdist(d2)
 
+    def _queue_slab(self, entry: PairSample, a_ids: list, b_ids: list):
+        """Queue the edges a_ids x b_ids of a materialized sample, row by
+        row.  Ids and owner references only: the queue allocates no
+        objects for the garbage collector to track."""
+        owners, ids_a, ids_b = self._slabs
+        owners.extend([entry] * (len(a_ids) * len(b_ids)))
+        for i in a_ids:
+            ids_a.extend([i] * len(b_ids))
+        ids_b.extend(b_ids * len(a_ids))
+
+    def _flush_slabs(self):
+        """Weigh every queued materialized edge with one kernel evaluation,
+        then add them to their samples and to H in queue order.
+
+        Runs once at the end of set-up and of each move.  A queued key is
+        claimed by no other pair of the operation, so deferring its
+        insertion changes neither its weight nor the order of its own diff
+        entries.
+        """
+        owners, ids_a, ids_b = self._slabs
+        if not owners:
+            return
+        self._slabs = ([], [], [])
+        ws = self._weights(ids_a, ids_b)
+        for entry, i, j, w in zip(owners, ids_a, ids_b, ws.tolist()):
+            entry.add((i, j), w)
+            self._set_edge(i, j, w)
+
     def _build_pair(self, key, a_node, b_node, at_init: bool) -> PairSample:
         nx, ny = a_node.count, b_node.count
         s = self.sample_size(nx, ny)
@@ -213,12 +251,7 @@ class DynamicGeoSpar:
             a_ids = self.tree.subtree_ids(a_node)
             b_ids = self.tree.subtree_ids(b_node)
             entry = PairSample(s, nx, ny, 1.0, True)
-            ii = np.repeat(a_ids, ny)
-            jj = np.tile(b_ids, nx)
-            ws = self._weights(ii, jj)
-            for i, j, w in zip(ii.tolist(), jj.tolist(), ws.tolist()):
-                entry.add((i, j), w)
-                self._set_edge(i, j, w)
+            self._queue_slab(entry, a_ids, b_ids)
             return entry
         scale = total / s
         entry = PairSample(s, nx, ny, scale, False)
@@ -286,6 +319,7 @@ class DynamicGeoSpar:
             later.append(delta)
         for delta in later:
             self._apply_delta(delta, i, report)
+        self._flush_slabs()
         report.edges_changed = len(self._diff) - diff_mark
         report.churn = len(self._touched)
         self.update_count += 1
@@ -343,18 +377,10 @@ class DynamicGeoSpar:
         if entry.materialized:
             # incremental: the departed point's edges are already evicted;
             # only the arriving point's slab is new
-            if in_a or in_b:
-                if in_a:
-                    others = self.tree.subtree_ids(b_node)
-                    edges = [(pid, j) for j in others]
-                else:
-                    others = self.tree.subtree_ids(a_node)
-                    edges = [(i, pid) for i in others]
-                ws = self._weights([e[0] for e in edges],
-                                   [e[1] for e in edges])
-                for edge, w in zip(edges, ws.tolist()):
-                    entry.add(edge, w)
-                    self._set_edge(edge[0], edge[1], w)
+            if in_a:
+                self._queue_slab(entry, [pid], self.tree.subtree_ids(b_node))
+            elif in_b:
+                self._queue_slab(entry, self.tree.subtree_ids(a_node), [pid])
             entry.nx, entry.ny, entry.s_target = nx, ny, s_new
             return
         self._drop_pair(key)

@@ -7,6 +7,7 @@ from geospar import quadtree, wspd
 from geospar.config import RunConfig
 from geospar.errors import IndexOutOfRange, OutOfRegion
 from geospar.kernels import (
+    KernelFunction,
     cauchy_kernel,
     gaussian_kernel,
     kernel_weight,
@@ -221,6 +222,114 @@ class TestResamplingInVivo:
                 assert g.fold_store() == g.edge_map()
         assert resamples > 0
         assert g.spectral_check().passed
+
+
+def _clustered_moves(seed, n, count):
+    """Two tight clusters, and moves that alternate jitters inside a
+    cluster with hops out of the larger one (balanced sizes keep hops on
+    the fast-resample path)."""
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    centers = (0.3, 5.0)
+    raw = np.vstack([rng.normal(0, 0.02, (half, 4)) + centers[0],
+                     rng.normal(0, 0.02, (n - half, 4)) + centers[1]])
+    ps = normalize_points(raw)
+    cluster = np.array([0] * half + [1] * (n - half))
+    moves = []
+    for step in range(count):
+        if step % 2:
+            src = int(np.argmax(np.bincount(cluster, minlength=2)))
+            i = int(rng.choice(np.flatnonzero(cluster == src)))
+            cluster[i] = 1 - src
+        else:
+            i = int(rng.integers(0, n))
+        while True:
+            z = ps.transform_raw(rng.normal(0, 0.02, 4) + centers[cluster[i]])
+            if np.all((z >= 0) & (z < 1)):
+                break
+        moves.append((i, z))
+    return ps, moves
+
+
+class TestBatchedSlabs:
+    """Materialized slabs are weighed in one batched kernel call per
+    operation; every weight must equal the edge evaluated on its own."""
+
+    @staticmethod
+    def _assert_raw_weights_exact(g, checked):
+        """Every materialized sample is whole, and every raw weight equals
+        its edge evaluated alone.  `checked` maps an edge to the raw weight
+        already found exact; the caller drops the moved point's edges from
+        it after a move."""
+        pts = g.pset.points
+        for entry in g._store.values():
+            if entry.materialized:
+                assert len(entry) == entry.nx * entry.ny
+            for (i, j), w in entry.raw.items():
+                if checked.get((i, j)) == w:
+                    continue
+                alone = g.kernel.eval_sqdist(
+                    np.array([np.sum((pts[i] - pts[j]) ** 2)]))[0]
+                assert w.hex() == float(alone).hex(), (i, j)
+                checked[(i, j)] = w
+
+    @pytest.mark.parametrize("inputs", ["uniform", "clustered"])
+    def test_weights_fold_and_diff_exact_every_move(self, inputs):
+        if inputs == "uniform":
+            g, rng = make_dgs(seed=31)
+            moves = [(int(rng.integers(0, g.n)), random_unit_move(rng))
+                     for _ in range(100)]
+        else:
+            # big enough that the cluster-pair biclique stays sampled
+            ps, moves = _clustered_moves(32, 200, 100)
+            g = DynamicGeoSpar.initialize(ps, cauchy_kernel(), 0.5, 0.05, 3,
+                                          5, allow_large_eps=True, c_s=0.1)
+        checked = {}
+        self._assert_raw_weights_exact(g, checked)
+        assert g.fold_store() == g.edge_map()
+        resampled = 0
+        for i, z in moves:
+            before = g.edge_map()
+            rep = g.update(i, z)
+            resampled += rep.pairs_resampled
+            checked = {e: w for e, w in checked.items() if i not in e}
+            self._assert_raw_weights_exact(g, checked)
+            assert g.fold_store() == g.edge_map()
+            assert apply_diff(before, g.get_diff()) == g.edge_map()
+        if inputs == "clustered":
+            assert resampled > 0
+
+    @staticmethod
+    def _counting_kernel():
+        calls = []
+
+        def f(t):
+            if np.ndim(t):  # eval_sqdist passes arrays, eval a float
+                calls.append(np.size(t))
+            return np.exp(-t)
+
+        return KernelFunction("counted-gaussian", f, 2.0, 2.0), calls
+
+    def test_initialize_makes_one_vectorized_call(self):
+        kernel, calls = self._counting_kernel()
+        g, _ = make_dgs(seed=33, kernel=kernel)
+        assert all(e.materialized for e in g._store.values())
+        assert calls == [g.n * (g.n - 1) // 2]
+
+    def test_update_makes_at_most_one_call_beyond_sampled_builds(self):
+        kernel, calls = self._counting_kernel()
+        g, rng = make_dgs(seed=34, kernel=kernel)
+        batched = 0
+        for _ in range(60):
+            entries = dict(g._store)
+            del calls[:]
+            rep = g.update(int(rng.integers(0, g.n)), random_unit_move(rng))
+            sampled_builds = rep.pairs_resampled + sum(
+                1 for key, e in g._store.items()
+                if not e.materialized and entries.get(key) is not e)
+            assert len(calls) <= 1 + sampled_builds
+            batched += len(calls) == 1 + sampled_builds
+        assert batched > 0
 
 
 class TestFullyDynamicWrapper:
