@@ -23,12 +23,15 @@ def ultra_k(n: int) -> int:
 
 
 class UltraJlStore:
-    """Points plus their cached ultra-low-dimensional projections."""
+    """Points plus their cached ultra-low-dimensional projections.
+
+    ``eps`` is accepted to match ``ujl_init`` and is not used: the
+    estimate's distortion is a calibrated constant, not a function of eps.
+    """
 
     def __init__(self, points: np.ndarray, eps: float, jl: UltraJlMap):
         self.points = np.array(points, dtype=np.float64)
         self.n, self.d = self.points.shape
-        self.eps = eps  # accepted for interface fidelity; never read
         self.jl = jl
         self.k = jl.k
         self.scale = self.n ** (1.0 / self.k) * math.sqrt(self.d / self.k)

@@ -32,12 +32,6 @@ class UltraJlMap:
             raise DimensionMismatch(f"expected dimension {self.d}, got {x.shape}")
         return self.matrix @ x
 
-    def project_many(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != self.d:
-            raise DimensionMismatch(f"expected (*, {self.d}) array, got {pts.shape}")
-        return pts @ self.matrix.T
-
 
 def make_ultra_jl(d: int, k: int, seed: int) -> UltraJlMap:
     """Draw the k x d projection.  Requires 1 <= k < d."""

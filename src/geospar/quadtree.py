@@ -146,9 +146,7 @@ class MutationReport:
 
     case: str
     created: list = field(default_factory=list)      # wsids now present
-    removed: list = field(default_factory=list)      # wsids now gone
     reparented: list = field(default_factory=list)   # (wsid, old parent wsid) pairs
-    anchor: Optional[tuple] = None                   # deepest pre-existing node touched
 
 
 @dataclass(frozen=True)
@@ -310,8 +308,7 @@ class CompressedQuadTree:
             if child is None:
                 self._attach(u, leaf)
                 self._bump_counts(u, +1)
-                report = MutationReport("ChildOfExisting", created=[leaf.wsid],
-                                        anchor=u.wsid)
+                report = MutationReport("ChildOfExisting", created=[leaf.wsid])
             else:
                 report = self._split_edge(u, child, leaf)
         self.point_index[pid] = leaf
@@ -334,7 +331,7 @@ class CompressedQuadTree:
         top.count = old.count + 1
         return MutationReport("SplitCompressedEdge",
                               created=[leaf.wsid, top.wsid],
-                              reparented=[(old.wsid, None)], anchor=None)
+                              reparented=[(old.wsid, None)])
 
     def _split_edge(self, u: Node, child: Node, leaf: Node) -> MutationReport:
         """New internal node w between u and child; w = smallest cell holding
@@ -356,7 +353,7 @@ class CompressedQuadTree:
         self._bump_counts(u, +1)
         return MutationReport("SplitCompressedEdge",
                               created=[leaf.wsid, w.wsid],
-                              reparented=[(child.wsid, u.wsid)], anchor=u.wsid)
+                              reparented=[(child.wsid, u.wsid)])
 
     def delete(self, pid: int) -> MutationReport:
         leaf = self.point_index.get(pid)
@@ -367,12 +364,11 @@ class CompressedQuadTree:
         g = leaf.parent
         if g is None:
             self.root = None
-            return MutationReport("RemoveRoot", removed=[leaf.wsid])
+            return MutationReport("RemoveRoot")
         del g.children[leaf.q_in_parent]
         self._bump_counts(g, -1)
         if len(g.children) >= 2:
-            return MutationReport("RemoveLeaf", removed=[leaf.wsid],
-                                  anchor=g.wsid)
+            return MutationReport("RemoveLeaf")
         # degree-1 chain: splice g out, lift the surviving child
         (survivor,) = g.children.values()
         self._unregister(g)
@@ -381,14 +377,11 @@ class CompressedQuadTree:
             self.root = survivor
             survivor.parent = None
             survivor.q_in_parent = None
-            anchor = None
         else:
             del gp.children[g.q_in_parent]
             self._attach(gp, survivor)
-            anchor = gp.wsid
         return MutationReport("RemoveAndSplice",
-                              removed=[leaf.wsid, g.wsid],
-                              reparented=[(survivor.wsid, g.wsid)], anchor=anchor)
+                              reparented=[(survivor.wsid, g.wsid)])
 
     def _bump_counts(self, node: Node, delta: int):
         while node is not None:

@@ -2,11 +2,17 @@
 
 Both structures keep an m x m sketch L~ = Phi * L_H * Psi^T of the
 sparsifier's Laplacian plus a sketched vector, and refresh them from the
-sparsifier's sparse diff after every graph update.  The incremental state
-must match a from-scratch recompute exactly up to float accumulation;
-accuracy against the *exact* graph is audited unsketched with dense
-oracles, because the eps guarantees are statements about L_H, not about
-the sketched image.
+sparsifier's sparse diff after every graph update.  The diff log is first
+summed per edge, so an edge that a move drops and re-adds at the same
+weight (owner migration between WSPD pairs) costs nothing; only edges
+whose weight really changed become rank-1 terms.  The solve side keeps
+L~^-1 explicitly, from one LU factorization per update, and falls back to
+an SVD pseudoinverse when L~ is singular or ill-conditioned (always so
+once m >= n, since rank L_H <= n - 1).  The incremental state must match
+a from-scratch recompute exactly up to float accumulation; accuracy
+against the *exact* graph is audited unsketched with dense oracles,
+because the eps guarantees are statements about L_H, not about the
+sketched image.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, NumericalFailure, SingularMatrix
 from .kernels import KernelFunction, PointSet, dense_laplacian
@@ -22,16 +29,40 @@ from .projection import DEFAULT_C_SK, SketchMatrix, make_sketch_pair
 from .sparsifier import DynamicGeoSpar
 
 PINV_RCOND = 1e-10
+# L~ is inverted by LU only while LAPACK's 1-norm reciprocal condition
+# estimate (gecon) is at least this.  The estimate of ||L~^-1||_1 is a
+# lower bound that is rarely low by more than a factor of 10, so above the
+# constant cond_1 < 1e7 and cond_2 <= m * cond_1 < 1e10 for any m < 1000:
+# pinv(rcond=PINV_RCOND) then cuts no singular value and is the exact
+# inverse too.  Each computed inverse is within about cond_1 * 1.1e-16 <
+# 1e-8 of it (relative), two orders inside the 1e-6 sketch audit.
+# Sketches with m < n sit near cond_1 ~ 1e4, far above the cut.
+LU_MIN_RCOND = 1e-6
 
 
-def _diff_sketch(phi: SketchMatrix, psi: SketchMatrix, diff: list) -> np.ndarray:
-    """Phi * (sum of signed edge updates) * Psi^T as a sum of rank-1 terms."""
-    m = phi.m
-    if not diff:
-        return np.zeros((m, m))
+def _net_edges(diff: list, n: int):
+    """The diff log summed per edge: (i, j, net weight) arrays, zeros dropped.
+
+    A -w, +w pair on one key sums to exactly 0.0 in IEEE arithmetic, so
+    an edge that only changed owner contributes no term.
+    """
     ii = np.fromiter((e[0] for e in diff), dtype=np.int64, count=len(diff))
     jj = np.fromiter((e[1] for e in diff), dtype=np.int64, count=len(diff))
     ww = np.fromiter((e[2] for e in diff), dtype=np.float64, count=len(diff))
+    keys, inverse = np.unique(ii * n + jj, return_inverse=True)
+    net = np.bincount(inverse, weights=ww)
+    live = net != 0.0
+    ii, jj = np.divmod(keys[live], n)
+    return ii, jj, net[live]
+
+
+def _diff_sketch(phi: SketchMatrix, psi: SketchMatrix, diff: list) -> np.ndarray:
+    """Phi * (sum of signed edge updates) * Psi^T as a sum of rank-1 terms,
+    one per edge whose net weight changed."""
+    m = phi.m
+    if not diff:
+        return np.zeros((m, m))
+    ii, jj, ww = _net_edges(diff, phi.matrix.shape[1])
     u = (phi.matrix[:, ii] - phi.matrix[:, jj]) * ww
     v = psi.matrix[:, ii] - psi.matrix[:, jj]
     return u @ v.T
@@ -99,7 +130,15 @@ class MultiplyState:
 
 
 class SolveState:
-    """Maintains z~ = pinv(L~) b~, a sketch of L_H^+ b."""
+    """Maintains z~ = pinv(L~) b~, a sketch of L_H^+ b.
+
+    ``lt_pinv`` holds pinv(L~) explicitly, so a right-hand-side update is
+    one matvec.  Every graph update folds its diff into L~ and inverts L~
+    again from one LU factorization (LAPACK getrf + getri); when L~ is
+    singular or its condition estimate is below ``LU_MIN_RCOND`` the SVD
+    pseudoinverse is used instead.  ``scratch_recompute`` always takes
+    the SVD pseudoinverse, so it stays an independent check.
+    """
 
     def __init__(self, dgs: DynamicGeoSpar, phi, psi, b):
         self.dgs = dgs
@@ -107,7 +146,7 @@ class SolveState:
         self.psi = psi
         self.b = np.array(b, dtype=np.float64)
         self.lt = phi.matrix @ dgs.get_laplacian() @ psi.matrix.T
-        self.lt_pinv = _pinv(self.lt)
+        self.lt_pinv = _inverse(self.lt)
         self.bt = phi.apply(self.b)
         self.zt = self.lt_pinv @ self.bt
 
@@ -121,7 +160,7 @@ class SolveState:
 
     def apply_graph_diff(self, diff: list):
         self.lt = self.lt + _diff_sketch(self.phi, self.psi, diff)
-        self.lt_pinv = _pinv(self.lt)
+        self.lt_pinv = _inverse(self.lt)
         self.zt = self.lt_pinv @ self.bt
 
     def update_b(self, delta):
@@ -136,10 +175,18 @@ class SolveState:
     def scratch_recompute(self):
         lt = self.phi.matrix @ self.dgs.get_laplacian() @ self.psi.matrix.T
         bt = self.phi.apply(self.b)
-        return lt, bt, _pinv(lt) @ bt
+        return lt, bt, np.linalg.pinv(lt, rcond=PINV_RCOND) @ bt
 
 
-def _pinv(mat: np.ndarray) -> np.ndarray:
+def _inverse(mat: np.ndarray) -> np.ndarray:
+    """pinv(mat): the LU inverse when mat is well conditioned, else the SVD
+    pseudoinverse with cutoff ``PINV_RCOND``."""
+    lu, piv, info = lapack.dgetrf(mat)
+    if info == 0:  # info > 0: a zero pivot, mat is singular
+        anorm = np.abs(mat).sum(axis=0).max()
+        rcond, _ = lapack.dgecon(lu, anorm, norm="1")
+        if rcond >= LU_MIN_RCOND:  # False for a NaN estimate too
+            return lapack.dgetri(lu, piv)[0]
     try:
         return np.linalg.pinv(mat, rcond=PINV_RCOND)
     except np.linalg.LinAlgError as exc:

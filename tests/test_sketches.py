@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from geospar.kernels import dense_laplacian, gaussian_kernel, normalize_points
-from geospar.sketches import approximation_audit, multiply_init, solve_init
+from geospar import sketches
+from geospar.kernels import (dense_laplacian, gaussian_kernel,
+                             laplacian_from_edges, normalize_points)
+from geospar.sketches import (PINV_RCOND, _diff_sketch, _inverse, _net_edges,
+                              approximation_audit, multiply_init, solve_init)
 
 
 def make_pset(n=48, d=4, seed=0):
@@ -164,6 +167,122 @@ class TestSolve:
         st.update_b([(5, 2.5)])
         st.update_b([(5, -2.5)])
         assert np.allclose(st.query(), before, atol=1e-10)
+
+
+def random_move(rng, d=4):
+    return rng.random(d) * 0.5 + 0.25
+
+
+def dense_diff_sketch(st, diff):
+    lap = laplacian_from_edges(st.dgs.n, diff)
+    return st.phi.matrix @ lap @ st.psi.matrix.T
+
+
+class TestPerEdgeFold:
+    def test_cancelled_pair_adds_no_term(self):
+        ps, rng = make_pset(seed=17)
+        v = rng.standard_normal(48)
+        noisy = multiply_init(ps, gaussian_kernel(), v, 0.5, 0.05, 3, 17,
+                              allow_large_eps=True)
+        net = multiply_init(ps, gaussian_kernel(), v, 0.5, 0.05, 3, 17,
+                            allow_large_eps=True)
+        w = noisy.dgs.edge_map()[(2, 9)]
+        real = (4, 30, 0.125)
+        # owner migration: the edge leaves one pair and another claims it
+        diff = [(2, 9, -w), real, (2, 9, w)]
+        ii, jj, ww = _net_edges(diff, 48)
+        assert (ii.tolist(), jj.tolist(), ww.tolist()) == ([4], [30], [0.125])
+        assert relerr(_diff_sketch(noisy.phi, noisy.psi, diff),
+                      dense_diff_sketch(noisy, diff)) < 1e-12
+        noisy.apply_graph_diff(diff)
+        net.apply_graph_diff([real])
+        assert np.array_equal(noisy.lt, net.lt)
+        assert np.array_equal(noisy.query(), net.query())
+
+    @pytest.mark.parametrize("init", [multiply_init, solve_init])
+    def test_concatenated_moves_fold_as_one(self, init):
+        ps, rng = make_pset(seed=18)
+        vec = rng.standard_normal(48)
+        stepwise = init(ps, gaussian_kernel(), vec, 0.5, 0.05, 3, 18,
+                        allow_large_eps=True)
+        batched = init(ps, gaussian_kernel(), vec, 0.5, 0.05, 3, 18,
+                       allow_large_eps=True)
+        concat = []
+        for _ in range(5):
+            i, z = int(rng.integers(0, 48)), random_move(rng)
+            stepwise.update_g(i, z)
+            batched.dgs.update(i, z)
+            concat += batched.dgs.get_diff()
+        assert relerr(_diff_sketch(batched.phi, batched.psi, concat),
+                      dense_diff_sketch(batched, concat)) < 1e-12
+        batched.apply_graph_diff(concat)
+        assert relerr(batched.lt, stepwise.lt) < 1e-12
+        assert relerr(batched.query(), stepwise.query()) < 1e-12
+        lt, _, zt = batched.scratch_recompute()
+        assert relerr(batched.lt, lt) < 1e-9
+        assert relerr(batched.query(), zt) < 1e-7
+
+
+class TestInverse:
+    def test_invertible_sketch_takes_lu_and_tracks_scratch(self, monkeypatch):
+        ps, rng = make_pset(n=256, seed=19)
+        st = solve_init(ps, gaussian_kernel(), rng.standard_normal(256),
+                        0.5, 0.05, 3, 19, allow_large_eps=True)
+        assert st.m == 137  # m < n: L~ has full rank
+        svd_calls = []
+        real_pinv = np.linalg.pinv
+
+        def spy(a, *args, **kwargs):
+            svd_calls.append(a.shape)
+            return real_pinv(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", spy)
+        for step in range(50):
+            if step % 2 == 0:
+                st.update_b([(int(rng.integers(0, 256)),
+                              float(rng.standard_normal()))])
+            else:
+                st.update_g(int(rng.integers(0, 256)), random_move(rng))
+            if step % 10 == 9:
+                assert svd_calls == []  # every refresh was an LU inverse
+                _, _, zt = st.scratch_recompute()
+                svd_calls.clear()
+                assert relerr(st.query(), zt) < 1e-6
+        a, x = st.lt, st.lt_pinv
+        na, nx = np.linalg.norm(a), np.linalg.norm(x)
+        assert np.linalg.norm(a @ x @ a - a) <= 1e-10 * na
+        assert np.linalg.norm(x @ a @ x - x) <= 1e-10 * nx
+        assert np.linalg.norm(a @ x - (a @ x).T) <= 1e-10 * na * nx
+        assert np.linalg.norm(x @ a - (x @ a).T) <= 1e-10 * na * nx
+
+    def test_rank_deficient_sketch_falls_back_to_pinv(self):
+        ps, rng = make_pset(seed=20)
+        st = solve_init(ps, gaussian_kernel(), rng.standard_normal(48),
+                        0.5, 0.05, 3, 20, allow_large_eps=True)
+        assert st.m == 110  # m > n: rank L~ <= n - 1
+        expect = np.linalg.pinv(st.lt, rcond=PINV_RCOND)
+        assert np.array_equal(_inverse(st.lt), expect)
+        assert np.array_equal(st.lt_pinv, expect)
+
+    def test_scratch_recompute_is_an_independent_svd(self, monkeypatch):
+        ps, rng = make_pset(n=256, seed=21)
+        st = solve_init(ps, gaussian_kernel(), rng.standard_normal(256),
+                        0.5, 0.05, 3, 21, allow_large_eps=True)
+        seen = []
+        real_pinv = np.linalg.pinv
+
+        def spy(a, *args, **kwargs):
+            seen.append(kwargs)
+            return real_pinv(a, *args, **kwargs)
+
+        def forbidden(_):
+            raise AssertionError("the oracle must not use the LU helper")
+
+        monkeypatch.setattr(np.linalg, "pinv", spy)
+        monkeypatch.setattr(sketches, "_inverse", forbidden)
+        lt, bt, zt = st.scratch_recompute()
+        assert seen == [{"rcond": PINV_RCOND}]
+        assert np.array_equal(zt, real_pinv(lt, rcond=PINV_RCOND) @ bt)
 
 
 class TestAudit:
