@@ -10,17 +10,28 @@ and converts each touched pair's old sample into a fresh uniform one with
 point), so the sparsifier changes by few edges.  All draws go through
 `sampling`; this module weighs the drawn edges and logs them.
 
+A pair's state has hysteresis, so moves near a threshold do not flip it:
+a new pair (at set-up or on a move) is materialized iff |X||Y| <= s, a
+sampled pair stays sampled while |X||Y| > s, and a materialized pair stays
+whole while |X||Y| <= 4s.  A sampled pair keeps its scale while that is
+within SCALE_BAND * eps (theta * eps) of the exact |X||Y|/s, relative;
+only when the band is left is the whole sample rewritten at the exact
+scale.  Each pair's Laplacian is then its exactly scaled sample's times a
+factor in [1 - theta*eps, 1 + theta*eps], so an eps-sparsifier at exact
+scales stays a ((1 + eps)(1 + theta*eps) - 1)-sparsifier.
+
 Edges are stored with raw kernel weights per pair; the graph H maps an
 unordered id pair to raw * scale.  Every H mutation is logged into a diff
 buffer as exact remove/add entries, so replaying the buffer onto an older
 Laplacian reconstructs the current one exactly.
 
 Materialized edges (whole small bicliques, and the arriving point's slab
-of a materialized pair) are queued and weighed with one batched kernel
-evaluation at the end of set-up and of each move, then inserted in queue
+of a materialized pair) and the moved point's edges in pairs whose ids did
+not change (reweights) are queued and weighed with one batched kernel
+evaluation at the end of set-up and of each move, then written in queue
 order.  Kernel values do not depend on the batch they are computed in,
 and no other pair touches a queued key, so every weight and each key's
-diff entries are the same as if each slab were built on the spot.
+diff entries are the same as if each edge were weighed on the spot.
 Each sampled build and each resample weighs the edges it draws in one
 kernel evaluation of its own, on the spot.
 """
@@ -55,6 +66,9 @@ from .sampling import PairSample
 
 _SHIFT = 32
 _MASK = (1 << _SHIFT) - 1
+# theta: a sampled pair keeps its scale while that is within SCALE_BAND * eps
+# of the exact |X||Y|/s, relative
+SCALE_BAND = 0.1
 
 
 @dataclass
@@ -112,15 +126,15 @@ class DynamicGeoSpar:
         self._diff = []
         self._store = {}
         self._touched = set()
-        self._slabs = ([], [], [])   # owner sample, a-side id, b-side id
+        self._queued = ([], [], [])   # owner sample, a-side id, b-side id
         proj = {i: self._project_unit(pset.points[i]) for i in range(self.n)}
         self.tree = CompressedQuadTree.build(proj, k)
         self.pairs = wspd.compute_wspd(self.tree, separation)
         for key in sorted(self.pairs.pairs):
             a = self.tree.by_tok[key >> _SHIFT]
             b = self.tree.by_tok[key & _MASK]
-            self._store[key] = self._build_pair(key, a, b, at_init=True)
-        self._flush_slabs()
+            self._store[key] = self._build_pair(a, b)
+        self._flush_queued()
         self.sparsity_budget = sum(
             min(e.s_target, e.nx * e.ny) for e in self._store.values())
         self._diff.clear()
@@ -169,36 +183,41 @@ class DynamicGeoSpar:
         """Queue the edges a_ids x b_ids of a materialized sample, row by
         row.  Ids and owner references only: the queue allocates no
         objects for the garbage collector to track."""
-        owners, ids_a, ids_b = self._slabs
+        owners, ids_a, ids_b = self._queued
         owners.extend([entry] * (len(a_ids) * len(b_ids)))
         for i in a_ids:
             ids_a.extend([i] * len(b_ids))
         ids_b.extend(b_ids * len(a_ids))
 
-    def _flush_slabs(self):
-        """Weigh every queued materialized edge with one kernel evaluation,
-        then add them to their samples and to H in queue order.
+    def _flush_queued(self):
+        """Weigh every queued edge with one kernel evaluation, then write
+        them to their samples and to H in queue order.
 
-        Runs once at the end of set-up and of each move.  A queued key is
-        claimed by no other pair of the operation, so deferring its
-        insertion changes neither its weight nor the order of its own diff
-        entries.
+        The queue holds materialized slabs, which are added, and the moved
+        point's edges in pairs whose ids did not change, which are
+        reweighed in place.  Runs once at the end of set-up and of each
+        move.  A queued key is claimed by no other pair of the operation,
+        so deferring its write changes neither its weight nor the order of
+        its own diff entries.
         """
-        owners, ids_a, ids_b = self._slabs
+        owners, ids_a, ids_b = self._queued
         if not owners:
             return
-        self._slabs = ([], [], [])
+        self._queued = ([], [], [])
         ws = self._weights(ids_a, ids_b)
         for entry, i, j, w in zip(owners, ids_a, ids_b, ws.tolist()):
-            entry.add((i, j), w)
-            self._set_edge(i, j, w)
+            edge = (i, j)
+            if edge in entry.raw:    # reweighted: the sample keeps its order
+                entry.raw[edge] = w
+            else:
+                entry.add(edge, w)
+            self._set_edge(i, j, w * entry.scale)
 
-    def _build_pair(self, key, a_node, b_node, at_init: bool) -> PairSample:
+    def _build_pair(self, a_node, b_node) -> PairSample:
         nx, ny = a_node.count, b_node.count
         s = self.sample_size(nx, ny)
         total = nx * ny
-        materialize = (total <= s) if at_init else (total <= 4 * s)
-        if materialize:
+        if total <= s:
             a_ids = self.tree.subtree_ids(a_node)
             b_ids = self.tree.subtree_ids(b_node)
             entry = PairSample(s, nx, ny, 1.0, True)
@@ -263,7 +282,7 @@ class DynamicGeoSpar:
             later.append(delta)
         for delta in later:
             self._apply_delta(delta, i, report)
-        self._flush_slabs()
+        self._flush_queued()
         report.edges_changed = len(self._diff) - diff_mark
         report.churn = len(self._touched)
         self.update_count += 1
@@ -275,18 +294,18 @@ class DynamicGeoSpar:
         a_node = self.tree.by_tok[key >> _SHIFT]
         b_node = self.tree.by_tok[key & _MASK]
         if delta.old is None:
-            self._store[key] = self._build_pair(key, a_node, b_node,
-                                                at_init=False)
+            self._store[key] = self._build_pair(a_node, b_node)
             report.pairs_added += 1
             return
         entry = self._store[key]
         if delta.unchanged_ids:
-            # same id universe, the moved point changed position: reweight
-            for edge in entry.point_edges(pid):
-                w = self.kernel.eval(self.pset.points[edge[0]],
-                                     self.pset.points[edge[1]])
-                entry.raw[edge] = w
-                self._set_edge(edge[0], edge[1], w * entry.scale)
+            # same id universe, the moved point changed position: queue its
+            # edges for the move's batched evaluation, which reweighs them
+            owners, ids_a, ids_b = self._queued
+            for i, j in entry.point_edges(pid):
+                owners.append(entry)
+                ids_a.append(i)
+                ids_b.append(j)
             report.pairs_reweighted += 1
             return
         self._resample_pair(key, entry, delta, a_node, b_node, pid, report)
@@ -294,19 +313,11 @@ class DynamicGeoSpar:
     def _resample_pair(self, key, entry: PairSample, delta, a_node, b_node,
                        pid: int, report: UpdateReport):
         new_a, new_b = delta.new
-        nx, in_a = new_a
-        ny, in_b = new_b
-        total = nx * ny
+        nx, ny = new_a[0], new_b[0]
         s_new = self.sample_size(nx, ny)
-        # symmetric difference of the old and new bicliques (id sets change
-        # only by the moved point, so the intersection is a size formula)
-        ia = nx - (1 if in_a else 0)
-        ib = ny - (1 if in_b else 0)
-        inter = ia * ib
-        sym = entry.nx * entry.ny + total - 2 * inter
-        fast_ok = (total > 4 * s_new
-                   and sym * (nx + ny) <= 4 * total)
-        if not fast_ok:
+        # hysteresis: a whole pair stays whole up to 4 * s, a sampled pair
+        # stays sampled down to s
+        if nx * ny <= (4 * s_new if entry.materialized else s_new):
             self._rematerialize(key, entry, a_node, b_node,
                                 new_a, new_b, pid, s_new)
             report.pairs_rematerialized += 1
@@ -328,8 +339,7 @@ class DynamicGeoSpar:
             entry.nx, entry.ny, entry.s_target = nx, ny, s_new
             return
         self._drop_pair(key)
-        self._store[key] = self._build_pair(key, a_node, b_node,
-                                            at_init=False)
+        self._store[key] = self._build_pair(a_node, b_node)
 
     def _side(self, node):
         kth = self.tree.kth_leaf
@@ -338,20 +348,21 @@ class DynamicGeoSpar:
     def _fast_resample(self, entry, a_node, b_node, new_a, new_b, pid, s_new):
         nx, in_a = new_a
         ny, in_b = new_b
-        total = nx * ny
-        s_out = min(s_new, total)
-        scale_new = total / s_out
+        total = nx * ny   # > s_new, or the pair would have been made whole
         # the departed point's edges were evicted in the release phase
         evicted, added = sampling.resample(
             entry, self._side(a_node), self._side(b_node), pid, in_a, in_b,
-            s_out, self.rng)
+            s_new, self.rng)
         for edge in evicted:
             self._set_edge(edge[0], edge[1], 0.0)
-        self._add_drawn(entry, added, scale_new)
-        if scale_new != entry.scale:
+        scale = entry.scale
+        if abs(scale * s_new / total - 1.0) > SCALE_BAND * self.eps:
+            scale = total / s_new
+        self._add_drawn(entry, added, scale)
+        if scale != entry.scale:
             for edge in entry.edges:
-                self._set_edge(edge[0], edge[1], entry.raw[edge] * scale_new)
-        entry.scale = scale_new
+                self._set_edge(edge[0], edge[1], entry.raw[edge] * scale)
+        entry.scale = scale
         entry.s_target = s_new
         entry.nx, entry.ny = nx, ny
         entry.materialized = False

@@ -19,6 +19,7 @@ from geospar.kernels import (
     normalize_points,
 )
 from geospar.sparsifier import (
+    SCALE_BAND,
     DynamicGeoSpar,
     FullyDynamicSparsifier,
     adversarial_mode,
@@ -210,8 +211,8 @@ class TestUpdate:
 
 class TestResamplingInVivo:
     """Clustered instance with an L=1 kernel: the big cluster-pair biclique
-    is genuinely sampled, and cross-cluster hops take the fast-resample
-    route while the spectral invariant keeps holding."""
+    is genuinely sampled, and cross-cluster hops in either direction take
+    the fast-resample route while the spectral invariant keeps holding."""
 
     def _clustered(self, seed=0, n=400, c_s=0.1):
         rng = np.random.default_rng(seed)
@@ -246,10 +247,18 @@ class TestResamplingInVivo:
         assert g.spectral_check().passed
 
 
+def _near(rng, ps, center):
+    """A unit-frame point drawn around a raw-frame center (sigma 0.02)."""
+    while True:
+        z = ps.transform_raw(rng.normal(0, 0.02, 4) + center)
+        if np.all((z >= 0) & (z < 1)):
+            return z
+
+
 def _clustered_moves(seed, n, count):
     """Two tight clusters, and moves that alternate jitters inside a
-    cluster with hops out of the larger one (balanced sizes keep hops on
-    the fast-resample path)."""
+    cluster (odd steps) with hops out of the larger one, which keep the
+    sizes within one of each other."""
     rng = np.random.default_rng(seed)
     half = n // 2
     centers = (0.3, 5.0)
@@ -265,12 +274,78 @@ def _clustered_moves(seed, n, count):
             cluster[i] = 1 - src
         else:
             i = int(rng.integers(0, n))
-        while True:
-            z = ps.transform_raw(rng.normal(0, 0.02, 4) + centers[cluster[i]])
-            if np.all((z >= 0) & (z < 1)):
-                break
-        moves.append((i, z))
+        moves.append((i, _near(rng, ps, centers[cluster[i]])))
     return ps, moves
+
+
+def _assert_scales_in_band(g):
+    for entry in g._store.values():
+        if not entry.materialized:
+            assert len(entry) == entry.s_target < entry.nx * entry.ny
+            assert (abs(entry.scale * len(entry) / (entry.nx * entry.ny) - 1)
+                    <= SCALE_BAND * g.eps)
+
+
+class TestHysteresis:
+    """A moved pair keeps its state: a sampled pair stays sampled while
+    |X||Y| > s and keeps its scale while that is within SCALE_BAND * eps of
+    |X||Y|/s; a whole pair stays whole while |X||Y| <= 4s.  So hops neither
+    densify H nor rewrite a whole sample."""
+
+    def test_hops_between_clusters_keep_h_sparse(self):
+        rng = np.random.default_rng(0)
+        centers = rng.random((4, 4)) * 10
+        raw = centers[np.arange(256) % 4] + rng.normal(0, 0.02, (256, 4))
+        ps = normalize_points(raw)
+        g = DynamicGeoSpar.initialize(ps, cauchy_kernel(), 0.5, 0.05, 3,
+                                      12345, allow_large_eps=True, c_s=0.1)
+        base = g.edge_count
+        assert base < g.n * (g.n - 1) // 2
+        smallest = min(len(e) for e in g._store.values() if not e.materialized)
+        churn = []
+        for _ in range(40):
+            i = int(rng.integers(0, g.n))
+            rep = g.update(i, _near(rng, ps, centers[rng.integers(0, 4)]))
+            churn.append(rep.churn)
+            assert abs(g.edge_count - base) <= 0.02 * base
+            assert g.fold_store() == g.edge_map()
+            _assert_scales_in_band(g)
+        # a hop redraws no sample whole, except when its scale leaves the band
+        assert np.median(churn) < smallest
+        assert g.spectral_check().passed
+
+    def test_imbalanced_pair_keeps_resampling(self):
+        rng = np.random.default_rng(3)
+        raw = np.vstack([rng.normal(0, 0.02, (240, 4)) + 0.3,
+                         rng.normal(0, 0.02, (160, 4)) + 5.0])
+        ps = normalize_points(raw)
+        g = DynamicGeoSpar.initialize(ps, cauchy_kernel(), 0.5, 0.05, 3, 12345,
+                                      allow_large_eps=True, c_s=0.1)
+        key, big = max(g._store.items(), key=lambda kv: kv[1].nx * kv[1].ny)
+        assert (big.nx, big.ny) in ((240, 160), (160, 240))
+        for i in rng.choice(240, 10, replace=False):
+            rep = g.update(int(i), _near(rng, ps, 5.0))
+            assert rep.pairs_resampled >= 1
+            assert g._store[key] is big and not big.materialized
+            assert rep.churn < len(big) // 4
+            _assert_scales_in_band(g)
+        assert g.fold_store() == g.edge_map()
+        assert g.spectral_check().passed
+
+    def test_hops_append_fewer_entries_than_the_sample(self):
+        ps, moves = _clustered_moves(32, 200, 60)
+        g = DynamicGeoSpar.initialize(ps, cauchy_kernel(), 0.5, 0.05, 3, 5,
+                                      allow_large_eps=True, c_s=0.1)
+        big = max(g._store.values(), key=lambda e: e.nx * e.ny)
+        assert not big.materialized
+        hop_entries = []
+        for step, (i, z) in enumerate(moves):
+            rep = g.update(i, z)
+            g.get_diff()
+            _assert_scales_in_band(g)
+            if step % 2:
+                hop_entries.append(rep.edges_changed)
+        assert sum(e < len(big) for e in hop_entries) > len(hop_entries) / 2
 
 
 class TestBatchedSlabs:
