@@ -15,21 +15,31 @@ import numpy as np
 
 
 class PairSample:
-    """Edge sample of one biclique, indexed for O(churn) edits."""
+    """Edge sample of one biclique, indexed for O(churn) edits.
+
+    Only a sampled pair keeps `by_point`, the index from an id to its
+    edges.  A materialized pair holds its whole biclique, so a point's
+    edges there are its slab against the other side, which the caller
+    lists from the quad tree; its `by_point` is None.
+    """
 
     __slots__ = ("edges", "pos", "raw", "by_point", "s_target",
-                 "nx", "ny", "scale", "materialized")
+                 "nx", "ny", "scale")
 
     def __init__(self, s_target, nx, ny, scale, materialized):
         self.edges = []       # (a-side id, b-side id)
         self.pos = {}         # edge -> index in edges
         self.raw = {}         # edge -> raw kernel weight
-        self.by_point = {}    # id -> set of edges
+        # id -> set of edges, sampled pairs only
+        self.by_point = None if materialized else {}
         self.s_target = s_target
         self.nx = nx
         self.ny = ny
         self.scale = scale
-        self.materialized = materialized
+
+    @property
+    def materialized(self) -> bool:
+        return self.by_point is None
 
     def __len__(self):
         return len(self.edges)
@@ -41,8 +51,9 @@ class PairSample:
         self.pos[edge] = len(self.edges)
         self.edges.append(edge)
         self.raw[edge] = raw_w
-        for endpoint in edge:
-            self.by_point.setdefault(endpoint, set()).add(edge)
+        if self.by_point is not None:
+            for endpoint in edge:
+                self.by_point.setdefault(endpoint, set()).add(edge)
 
     def discard(self, edge):
         idx = self.pos.pop(edge)
@@ -51,11 +62,19 @@ class PairSample:
             self.edges[idx] = last
             self.pos[last] = idx
         del self.raw[edge]
-        for endpoint in edge:
-            bucket = self.by_point.get(endpoint)
-            bucket.discard(edge)
-            if not bucket:
-                del self.by_point[endpoint]
+        if self.by_point is not None:
+            for endpoint in edge:
+                bucket = self.by_point[endpoint]
+                bucket.discard(edge)
+                if not bucket:
+                    del self.by_point[endpoint]
+
+    def to_sampled(self):
+        """Turn a whole sample into a sampled one: index its edges."""
+        self.by_point = {}
+        for edge in self.edges:
+            for endpoint in edge:
+                self.by_point.setdefault(endpoint, set()).add(edge)
 
     def pop_random(self, rng):
         idx = int(rng.integers(0, len(self.edges)))

@@ -34,6 +34,13 @@ and no other pair touches a queued key, so every weight and each key's
 diff entries are the same as if each edge were weighed on the spot.
 Each sampled build and each resample weighs the edges it draws in one
 kernel evaluation of its own, on the spot.
+
+A move finds the moved point's edges in a sampled pair through the pair's
+per-point index.  A materialized pair keeps no index: it holds its whole
+biclique, so the point's edges there are its slab, the point against each
+id of the other side (`subtree_ids` of that side's node) whose edge is in
+the sample; the point may have just crossed into that other side.  A
+whole pair that turns sampled builds its index once, before it resamples.
 """
 
 from __future__ import annotations
@@ -73,17 +80,22 @@ SCALE_BAND = 0.1
 
 @dataclass
 class UpdateReport:
-    """Per-update accounting, used by replay reports and churn tests."""
+    """Per-update accounting, used by replay reports and churn tests.
 
-    pairs_touched: int = 0
-    pairs_removed: int = 0
-    pairs_added: int = 0
-    pairs_resampled: int = 0
-    pairs_rematerialized: int = 0
-    pairs_reweighted: int = 0
-    edges_changed: int = 0   # diff entries appended (remove/add log length)
-    churn: int = 0           # distinct edges whose weight changed
-    rebuilt: bool = False
+    Every touched pair is counted in exactly one of the six pair counters.
+    """
+
+    pairs_touched: int = 0         # WSPD pairs added, removed or changed
+    pairs_removed: int = 0         # pairs dropped from the WSPD
+    pairs_added: int = 0           # pairs new to the WSPD, built afresh
+    pairs_resampled: int = 0       # changed pairs left sampled (resample)
+    pairs_rematerialized: int = 0  # changed sampled pairs rebuilt whole
+    pairs_extended: int = 0        # changed whole pairs kept whole: the
+    #                                departed and arriving slabs only
+    pairs_reweighted: int = 0      # same ids, moved point's edges reweighed
+    edges_changed: int = 0         # diff entries appended (log length)
+    churn: int = 0                 # distinct edges whose weight changed
+    rebuilt: bool = False          # the wrapper rebuilt before this move
 
 
 class DynamicGeoSpar:
@@ -241,6 +253,22 @@ class DynamicGeoSpar:
             entry.add(edge, w)
             self._set_edge(edge[0], edge[1], w * scale)
 
+    def _point_edges(self, entry: PairSample, delta: wspd.PairDelta,
+                     pid: int) -> list:
+        """The edges of `entry` through `pid`, on the side `delta.old`
+        names: from the index of a sampled pair, from the slab against the
+        other side for a whole one."""
+        if not entry.materialized:
+            return entry.point_edges(pid)
+        key = delta.key
+        if delta.old[0]:
+            other = self.tree.subtree_ids(self.tree.by_tok[key & _MASK])
+            return [(pid, j) for j in other if (pid, j) in entry]
+        if delta.old[1]:
+            other = self.tree.subtree_ids(self.tree.by_tok[key >> _SHIFT])
+            return [(j, pid) for j in other if (j, pid) in entry]
+        return []
+
     def _drop_pair(self, key):
         entry = self._store.pop(key)
         for edge in entry.edges:
@@ -276,7 +304,7 @@ class DynamicGeoSpar:
                 continue
             if delta.old is not None and not delta.unchanged_ids:
                 entry = self._store[delta.key]
-                for edge in entry.point_edges(i):
+                for edge in self._point_edges(entry, delta, i):
                     entry.discard(edge)
                     self._set_edge(edge[0], edge[1], 0.0)
             later.append(delta)
@@ -302,7 +330,7 @@ class DynamicGeoSpar:
             # same id universe, the moved point changed position: queue its
             # edges for the move's batched evaluation, which reweighs them
             owners, ids_a, ids_b = self._queued
-            for i, j in entry.point_edges(pid):
+            for i, j in self._point_edges(entry, delta, pid):
                 owners.append(entry)
                 ids_a.append(i)
                 ids_b.append(j)
@@ -317,29 +345,23 @@ class DynamicGeoSpar:
         s_new = self.sample_size(nx, ny)
         # hysteresis: a whole pair stays whole up to 4 * s, a sampled pair
         # stays sampled down to s
-        if nx * ny <= (4 * s_new if entry.materialized else s_new):
-            self._rematerialize(key, entry, a_node, b_node,
-                                new_a, new_b, pid, s_new)
-            report.pairs_rematerialized += 1
-            return
-        self._fast_resample(entry, a_node, b_node, new_a, new_b, pid, s_new)
-        report.pairs_resampled += 1
-
-    def _rematerialize(self, key, entry, a_node, b_node, new_a, new_b,
-                       pid, s_new):
-        nx, in_a = new_a
-        ny, in_b = new_b
-        if entry.materialized:
-            # incremental: the departed point's edges are already evicted;
-            # only the arriving point's slab is new
-            if in_a:
+        if entry.materialized and nx * ny <= 4 * s_new:
+            # the departed point's edges are already evicted; only the
+            # arriving point's slab is new
+            if new_a[1]:
                 self._queue_slab(entry, [pid], self.tree.subtree_ids(b_node))
-            elif in_b:
+            elif new_b[1]:
                 self._queue_slab(entry, self.tree.subtree_ids(a_node), [pid])
             entry.nx, entry.ny, entry.s_target = nx, ny, s_new
-            return
-        self._drop_pair(key)
-        self._store[key] = self._build_pair(a_node, b_node)
+            report.pairs_extended += 1
+        elif not entry.materialized and nx * ny <= s_new:
+            self._drop_pair(key)
+            self._store[key] = self._build_pair(a_node, b_node)
+            report.pairs_rematerialized += 1
+        else:
+            self._fast_resample(entry, a_node, b_node, new_a, new_b, pid,
+                                s_new)
+            report.pairs_resampled += 1
 
     def _side(self, node):
         kth = self.tree.kth_leaf
@@ -349,6 +371,8 @@ class DynamicGeoSpar:
         nx, in_a = new_a
         ny, in_b = new_b
         total = nx * ny   # > s_new, or the pair would have been made whole
+        if entry.materialized:
+            entry.to_sampled()
         # the departed point's edges were evicted in the release phase
         evicted, added = sampling.resample(
             entry, self._side(a_node), self._side(b_node), pid, in_a, in_b,
@@ -365,7 +389,6 @@ class DynamicGeoSpar:
         entry.scale = scale
         entry.s_target = s_new
         entry.nx, entry.ny = nx, ny
-        entry.materialized = False
 
     # -- read-out interfaces ----------------------------------------------------
 

@@ -429,6 +429,113 @@ class TestBatchedSlabs:
         assert batched > 0
 
 
+def _edges_by_point(edges):
+    index = {}
+    for edge in edges:
+        for endpoint in edge:
+            index.setdefault(endpoint, set()).add(edge)
+    return index
+
+
+def _assert_point_index(g):
+    """A whole biclique keeps no per-point index; a sampled one keeps one
+    equal to a scan of its edges."""
+    for entry in g._store.values():
+        if len(entry) == entry.nx * entry.ny:
+            assert entry.materialized and entry.by_point is None
+        else:
+            assert not entry.materialized
+            assert entry.by_point == _edges_by_point(entry.edges)
+    assert g.fold_store() == g.edge_map()
+
+
+def _side_of(entry, pid):
+    """0 if pid is on the a side of a whole sample, 1 if on the b side."""
+    for a, b in entry.edges:
+        if pid in (a, b):
+            return 0 if a == pid else 1
+    return None
+
+
+class TestPointIndex:
+    """A whole pair keeps no per-point index: the moved point's edges there
+    are its slab against the other side, read from the quad tree."""
+
+    @pytest.mark.parametrize("inputs", ["uniform", "clustered"])
+    def test_index_only_on_sampled_pairs(self, inputs):
+        if inputs == "uniform":
+            g, rng = make_dgs(seed=41, n=64)
+            moves = [(int(rng.integers(0, g.n)), random_unit_move(rng))
+                     for _ in range(50)]
+        else:
+            ps, moves = _clustered_moves(32, 200, 50)
+            g = DynamicGeoSpar.initialize(ps, cauchy_kernel(), 0.5, 0.05, 3,
+                                          5, allow_large_eps=True, c_s=0.1)
+            assert any(not e.materialized for e in g._store.values())
+        _assert_point_index(g)
+        for i, z in moves:
+            rep = g.update(i, z)
+            _assert_point_index(g)
+            assert rep.pairs_touched == (
+                rep.pairs_removed + rep.pairs_added + rep.pairs_resampled
+                + rep.pairs_rematerialized + rep.pairs_extended
+                + rep.pairs_reweighted)
+
+    def test_whole_pair_past_four_s_turns_sampled(self):
+        # a 4-point cluster far from a 196-point one; hops into the small
+        # cluster grow their whole pair until |X||Y| > 4s
+        rng = np.random.default_rng(0)
+        raw = np.vstack([rng.normal(0, 0.02, (4, 4)) + 0.3,
+                         rng.normal(0, 0.02, (196, 4)) + 5.0])
+        ps = normalize_points(raw)
+        g = DynamicGeoSpar.initialize(ps, cauchy_kernel(), 0.5, 0.05, 3, 0,
+                                      allow_large_eps=True, c_s=0.032)
+        key, pair = max(g._store.items(), key=lambda kv: kv[1].nx * kv[1].ny)
+        assert pair.materialized and pair.by_point is None
+        center = raw[:4].mean(axis=0)
+        turned = None
+        for step, i in enumerate(range(4, 24)):
+            was_whole = pair.materialized
+            rep = g.update(i, ps.transform_raw(
+                center + rng.normal(0, 1e-4, 4)))
+            assert g._store[key] is pair
+            if was_whole and not pair.materialized:
+                turned = step
+                assert rep.pairs_resampled >= 1
+                assert pair.nx * pair.ny > 4 * pair.s_target
+                assert len(pair) == pair.s_target
+            _assert_point_index(g)
+        # the pair turns sampled with hops left to resample it again
+        assert turned is not None and turned < 19
+
+    def test_crossing_point_releases_exactly_its_slab(self):
+        g, rng = make_dgs(seed=23, n=64)
+        crossings = 0
+        for _ in range(50):
+            i = int(rng.integers(0, g.n))
+            whole = {key: (e, _side_of(e, i), dict(e.raw))
+                     for key, e in g._store.items() if e.materialized}
+            g.update(i, random_unit_move(rng))
+            removed = {}
+            for a, b, w in g.get_diff():
+                if w < 0:
+                    removed[(a, b)] = removed.get((a, b), 0) + 1
+            for key, (e, before, raw) in whole.items():
+                after = _side_of(e, i) if g._store.get(key) is e else None
+                if before is None or after is None or after == before:
+                    continue
+                crossings += 1
+                assert e.materialized and len(e) == e.nx * e.ny
+                departed = {edge for edge in raw if edge[before] == i}
+                released = {edge for edge in raw
+                            if removed.get(tuple(sorted(edge)))}
+                assert released == departed
+                assert all(removed[tuple(sorted(edge))] == 1
+                           for edge in departed)
+            _assert_point_index(g)
+        assert crossings > 0
+
+
 class TestFullyDynamicWrapper:
     def test_rebuild_schedule_and_counter(self):
         rng = np.random.default_rng(15)
