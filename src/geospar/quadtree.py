@@ -48,7 +48,7 @@ class Node:
 
     __slots__ = ("level", "org", "children", "parent", "count", "pid",
                  "ikey", "center", "radius", "lmax", "wsid", "q_in_parent",
-                 "tok", "ckey")
+                 "tok")
 
     def __init__(self):
         self.level = 0
@@ -64,7 +64,6 @@ class Node:
         self.wsid = None         # canonical identity: (level, org) / (-1, pid)
         self.q_in_parent = None
         self.tok = 0             # per-tree creation-order token (int)
-        self.ckey = None         # canonical sort key for tie-breaking
 
     @property
     def is_leaf(self) -> bool:
@@ -87,7 +86,6 @@ def _make_leaf(pid: int, ikey: tuple, fvec) -> Node:
     node.radius = 0.0
     node.lmax = 0.0
     node.wsid = (-1, pid)
-    node.ckey = (-1, (pid,))
     return node
 
 
@@ -101,7 +99,6 @@ def _make_cell(level: int, org: tuple, k: int) -> Node:
     node.radius = side * math.sqrt(k) / 2.0
     node.lmax = side
     node.wsid = (level, org)
-    node.ckey = (level, org)
     return node
 
 

@@ -2,10 +2,10 @@
 
 Both structures keep an m x m sketch L~ = Phi * L_H * Psi^T of the
 sparsifier's Laplacian plus a sketched vector, and refresh them from the
-sparsifier's sparse diff after every graph update.  The diff log is first
-summed per edge, so an edge that a move drops and re-adds at the same
-weight (owner migration between WSPD pairs) costs nothing; only edges
-whose weight really changed become rank-1 terms.  The solve side keeps
+sparsifier's sparse diff after every graph update.  The sparsifier logs
+only edges whose weight changed (owner migration between WSPD pairs never
+reaches the log), each as -old then +new; the log is summed per edge
+first, so each changed edge becomes one rank-1 term.  The solve side keeps
 L~^-1 explicitly, from one LU factorization per update, and falls back to
 an SVD pseudoinverse when L~ is singular or ill-conditioned (always so
 once m >= n, since rank L_H <= n - 1).  The incremental state must match
@@ -43,8 +43,8 @@ LU_MIN_RCOND = 1e-6
 def _net_edges(diff: list, n: int):
     """The diff log summed per edge: (i, j, net weight) arrays, zeros dropped.
 
-    A -w, +w pair on one key sums to exactly 0.0 in IEEE arithmetic, so
-    an edge that only changed owner contributes no term.
+    Merges each edge's -old and +new, and its entries from several moves,
+    into one term; an edge whose sum is exactly 0.0 contributes none.
     """
     ii = np.fromiter((e[0] for e in diff), dtype=np.int64, count=len(diff))
     jj = np.fromiter((e[1] for e in diff), dtype=np.int64, count=len(diff))

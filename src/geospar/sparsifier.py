@@ -8,7 +8,7 @@ whole, unscaled).  A point move re-runs only the affected WSPD generators
 and converts each touched pair's old sample into a fresh uniform one with
 `sampling.resample` (a hypergeometric count of edges through the arriving
 point), so the sparsifier changes by few edges.  All draws go through
-`sampling`; this module weighs the drawn edges and logs them.
+`sampling`; this module weighs the drawn edges and logs the net change.
 
 A pair's state has hysteresis, so moves near a threshold do not flip it:
 a new pair (at set-up or on a move) is materialized iff |X||Y| <= s, a
@@ -21,19 +21,20 @@ factor in [1 - theta*eps, 1 + theta*eps], so an eps-sparsifier at exact
 scales stays a ((1 + eps)(1 + theta*eps) - 1)-sparsifier.
 
 Edges are stored with raw kernel weights per pair; the graph H maps an
-unordered id pair to raw * scale.  Every H mutation is logged into a diff
-buffer as exact remove/add entries, so replaying the buffer onto an older
-Laplacian reconstructs the current one exactly.
+unordered id pair to raw * scale.  Every new weight comes from one path:
+edges drawn by sampled builds and resamples, materialized edges (whole
+small bicliques, the arriving point's slab of a whole pair) and the moved
+point's edges in pairs that keep their ids (reweights) are queued and
+weighed in one batched kernel evaluation at the end of set-up and of each
+move, then written in queue order.  Kernel values do not depend on the
+batch, and no other pair touches a queued key, so every weight is the
+same as if each edge were weighed on the spot.
 
-Materialized edges (whole small bicliques, and the arriving point's slab
-of a materialized pair) and the moved point's edges in pairs whose ids did
-not change (reweights) are queued and weighed with one batched kernel
-evaluation at the end of set-up and of each move, then written in queue
-order.  Kernel values do not depend on the batch they are computed in,
-and no other pair touches a queued key, so every weight and each key's
-diff entries are the same as if each edge were weighed on the spot.
-Each sampled build and each resample weighs the edges it draws in one
-kernel evaluation of its own, on the spot.
+The diff log is net per move: H writes remember each key's weight from
+before the move, and one pass at its end logs (i, j, -old) then
+(i, j, +new) per edge whose weight changed (no zero entries), so replaying
+the log onto an older edge map rebuilds the current one exactly.  An edge
+that only changes owner between two WSPD pairs never reaches the log.
 
 A move finds the moved point's edges in a sampled pair through the pair's
 per-point index.  A materialized pair keeps no index: it holds its whole
@@ -93,8 +94,9 @@ class UpdateReport:
     pairs_extended: int = 0        # changed whole pairs kept whole: the
     #                                departed and arriving slabs only
     pairs_reweighted: int = 0      # same ids, moved point's edges reweighed
-    edges_changed: int = 0         # diff entries appended (log length)
-    churn: int = 0                 # distinct edges whose weight changed
+    edges_changed: int = 0         # diff entries appended, churn..2*churn
+    churn: int = 0                 # edges whose weight changed; a change
+    #                                of owning pair alone is not counted
     rebuilt: bool = False          # the wrapper rebuilt before this move
 
 
@@ -137,7 +139,7 @@ class DynamicGeoSpar:
         self._h = {}
         self._diff = []
         self._store = {}
-        self._touched = set()
+        self._before = {}             # edge -> its weight before the operation
         self._queued = ([], [], [])   # owner sample, a-side id, b-side id
         proj = {i: self._project_unit(pset.points[i]) for i in range(self.n)}
         self.tree = CompressedQuadTree.build(proj, k)
@@ -149,8 +151,7 @@ class DynamicGeoSpar:
         self._flush_queued()
         self.sparsity_budget = sum(
             min(e.s_target, e.nx * e.ny) for e in self._store.values())
-        self._diff.clear()
-        self._touched = set()
+        self._before = {}
         self.update_count = 0
         return self
 
@@ -169,20 +170,31 @@ class DynamicGeoSpar:
     # -- H / diff primitives --------------------------------------------------
 
     def _set_edge(self, i: int, j: int, w: float):
-        if i > j:
-            i, j = j, i
-        key = (i, j)
+        key = (i, j) if i < j else (j, i)
         old = self._h.get(key, 0.0)
         if old == w:
             return
-        if old != 0.0:
-            self._diff.append((i, j, -old))
+        self._before.setdefault(key, old)
         if w != 0.0:
-            self._diff.append((i, j, w))
             self._h[key] = w
         else:
             del self._h[key]
-        self._touched.add(key)
+
+    def _log_net_change(self) -> int:
+        """Append (i, j, -old) then (i, j, +new) for each edge whose weight
+        the operation changed, and return their count."""
+        before, self._before = self._before, {}
+        h, diff = self._h, self._diff
+        changed = 0
+        for key, old in before.items():
+            new = h.get(key, 0.0)
+            if new != old:
+                changed += 1
+                if old != 0.0:
+                    diff.append((key[0], key[1], -old))
+                if new != 0.0:
+                    diff.append((key[0], key[1], new))
+        return changed
 
     # -- pair construction ----------------------------------------------------
 
@@ -201,16 +213,24 @@ class DynamicGeoSpar:
             ids_a.extend([i] * len(b_ids))
         ids_b.extend(b_ids * len(a_ids))
 
+    def _queue_edges(self, entry: PairSample, edges: list):
+        """Queue (a-side id, b-side id) edges of `entry`, in order."""
+        owners, ids_a, ids_b = self._queued
+        owners.extend([entry] * len(edges))
+        ids_a.extend([e[0] for e in edges])
+        ids_b.extend([e[1] for e in edges])
+
     def _flush_queued(self):
         """Weigh every queued edge with one kernel evaluation, then write
-        them to their samples and to H in queue order.
+        them to their samples and to H, at the sample's scale, in queue
+        order.
 
-        The queue holds materialized slabs, which are added, and the moved
-        point's edges in pairs whose ids did not change, which are
-        reweighed in place.  Runs once at the end of set-up and of each
-        move.  A queued key is claimed by no other pair of the operation,
-        so deferring its write changes neither its weight nor the order of
-        its own diff entries.
+        The queue holds drawn and materialized edges, which are added, and
+        the moved point's edges in pairs whose ids did not change, which
+        are reweighed in place.  Runs once at the end of set-up and of each
+        move.  No other pair of the operation claims a queued key, and no
+        edit of its sample follows, so deferring the write changes neither
+        a weight nor a sample's edge order.
         """
         owners, ids_a, ids_b = self._queued
         if not owners:
@@ -235,23 +255,12 @@ class DynamicGeoSpar:
             entry = PairSample(s, nx, ny, 1.0, True)
             self._queue_slab(entry, a_ids, b_ids)
             return entry
-        scale = total / s
-        entry = PairSample(s, nx, ny, scale, False)
+        entry = PairSample(s, nx, ny, total / s, False)
         kth = self.tree.kth_leaf
-        self._add_drawn(entry, [
+        self._queue_edges(entry, [
             (kth(a_node, idx // ny).pid, kth(b_node, idx % ny).pid)
-            for idx in sampling.draw_indices(total, s, self.rng)], scale)
+            for idx in sampling.draw_indices(total, s, self.rng)])
         return entry
-
-    def _add_drawn(self, entry: PairSample, edges: list, scale: float):
-        """Weigh sampled edges with one kernel evaluation, then add them to
-        their sample and to H at `scale`."""
-        if not edges:
-            return
-        ws = self._weights([e[0] for e in edges], [e[1] for e in edges])
-        for edge, w in zip(edges, ws.tolist()):
-            entry.add(edge, w)
-            self._set_edge(edge[0], edge[1], w * scale)
 
     def _point_edges(self, entry: PairSample, delta: wspd.PairDelta,
                      pid: int) -> list:
@@ -287,7 +296,6 @@ class DynamicGeoSpar:
         if not np.all((z >= 0.0) & (z < 1.0)):
             raise OutOfRegion("target outside the unit bounding region")
         q_new = self._project_unit(z)
-        self._touched = set()
         diff_mark = len(self._diff)
         deltas = wspd.find_modified_pairs(self.tree, self.pairs, i, q_new)
         self.pset.set_point(i, z)
@@ -311,8 +319,8 @@ class DynamicGeoSpar:
         for delta in later:
             self._apply_delta(delta, i, report)
         self._flush_queued()
+        report.churn = self._log_net_change()
         report.edges_changed = len(self._diff) - diff_mark
-        report.churn = len(self._touched)
         self.update_count += 1
         return report
 
@@ -329,11 +337,7 @@ class DynamicGeoSpar:
         if delta.unchanged_ids:
             # same id universe, the moved point changed position: queue its
             # edges for the move's batched evaluation, which reweighs them
-            owners, ids_a, ids_b = self._queued
-            for i, j in self._point_edges(entry, delta, pid):
-                owners.append(entry)
-                ids_a.append(i)
-                ids_b.append(j)
+            self._queue_edges(entry, self._point_edges(entry, delta, pid))
             report.pairs_reweighted += 1
             return
         self._resample_pair(key, entry, delta, a_node, b_node, pid, report)
@@ -379,21 +383,20 @@ class DynamicGeoSpar:
             s_new, self.rng)
         for edge in evicted:
             self._set_edge(edge[0], edge[1], 0.0)
-        scale = entry.scale
-        if abs(scale * s_new / total - 1.0) > SCALE_BAND * self.eps:
-            scale = total / s_new
-        self._add_drawn(entry, added, scale)
-        if scale != entry.scale:
+        if abs(entry.scale * s_new / total - 1.0) > SCALE_BAND * self.eps:
+            entry.scale = total / s_new
+            scale = entry.scale
             for edge in entry.edges:
                 self._set_edge(edge[0], edge[1], entry.raw[edge] * scale)
-        entry.scale = scale
+        self._queue_edges(entry, added)
         entry.s_target = s_new
         entry.nx, entry.ny = nx, ny
 
     # -- read-out interfaces ----------------------------------------------------
 
     def get_diff(self) -> list:
-        """Return and clear the pending signed edge updates."""
+        """Return and clear the pending log: per move, (i, j, -old) then
+        (i, j, +new), i < j, for each edge whose weight changed, no zeros."""
         out = self._diff
         self._diff = []
         return out

@@ -103,7 +103,7 @@ def _walk(a: Node, b: Node, s: float, out: set, dirty=None, kids=None,
         # split the node with larger cell side; tie -> canonically first
         lu = u.lmax
         lv = v.lmax
-        if lu > lv or (lu == lv and u.ckey <= v.ckey):
+        if lu > lv or (lu == lv and u.wsid <= v.wsid):
             spl, keep = u, v
         else:
             spl, keep = v, u

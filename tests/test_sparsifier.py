@@ -391,42 +391,61 @@ class TestBatchedSlabs:
             resampled += rep.pairs_resampled
             checked = {e: w for e, w in checked.items() if i not in e}
             self._assert_raw_weights_exact(g, checked)
-            assert g.fold_store() == g.edge_map()
-            assert apply_diff(before, g.get_diff()) == g.edge_map()
+            after = g.edge_map()
+            assert g.fold_store() == after
+            diff = g.get_diff()
+            assert apply_diff(before, diff) == after
+            assert len(diff) == rep.edges_changed
+            # the log is net: each changed edge logs -old (if it was in H)
+            # then +new (if it still is), and no other edge appears
+            changed = {e for e in before.keys() | after.keys()
+                       if before.get(e) != after.get(e)}
+            assert rep.churn == len(changed)
+            logged = {}
+            for a, b, w in diff:
+                logged.setdefault((a, b), []).append(w)
+            assert logged.keys() == changed
+            for e, ws in logged.items():
+                assert ws == ([-before[e]] if e in before else []) + (
+                    [after[e]] if e in after else [])
         if inputs == "clustered":
             assert resampled > 0
 
     @staticmethod
-    def _counting_kernel():
+    def _counting_kernel(base):
         calls = []
 
         def f(t):
             if np.ndim(t):  # eval_sqdist passes arrays, eval a float
                 calls.append(np.size(t))
-            return np.exp(-t)
+            return base.f(t)
 
-        return KernelFunction("counted-gaussian", f, 2.0, 2.0), calls
+        return KernelFunction("counted-" + base.name, f, base.lipschitz_C,
+                              base.lipschitz_L), calls
 
     def test_initialize_makes_one_vectorized_call(self):
-        kernel, calls = self._counting_kernel()
+        kernel, calls = self._counting_kernel(gaussian_kernel())
         g, _ = make_dgs(seed=33, kernel=kernel)
         assert all(e.materialized for e in g._store.values())
         assert calls == [g.n * (g.n - 1) // 2]
 
-    def test_update_makes_at_most_one_call_beyond_sampled_builds(self):
-        kernel, calls = self._counting_kernel()
-        g, rng = make_dgs(seed=34, kernel=kernel)
-        batched = 0
-        for _ in range(60):
-            entries = dict(g._store)
+    def test_each_operation_makes_at_most_one_call(self):
+        # sampled builds and resamples draw edges; those are weighed in the
+        # operation's one batched call too
+        kernel, calls = self._counting_kernel(cauchy_kernel())
+        ps, moves = _clustered_moves(32, 200, 60)
+        g = DynamicGeoSpar.initialize(ps, kernel, 0.5, 0.05, 3, 5,
+                                      allow_large_eps=True, c_s=0.1)
+        assert len(calls) == 1
+        assert any(not e.materialized for e in g._store.values())
+        resampled = batched = 0
+        for i, z in moves:
             del calls[:]
-            rep = g.update(int(rng.integers(0, g.n)), random_unit_move(rng))
-            sampled_builds = rep.pairs_resampled + sum(
-                1 for key, e in g._store.items()
-                if not e.materialized and entries.get(key) is not e)
-            assert len(calls) <= 1 + sampled_builds
-            batched += len(calls) == 1 + sampled_builds
-        assert batched > 0
+            rep = g.update(i, z)
+            assert len(calls) <= 1
+            batched += len(calls)
+            resampled += rep.pairs_resampled
+        assert resampled > 0 and batched > 0
 
 
 def _edges_by_point(edges):
