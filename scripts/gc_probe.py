@@ -8,9 +8,15 @@ Prints one JSON object:
 
 - tracked_after_setup: objects the collector tracks after set-up and one
   full collection (tuples and dicts of untracked items are untracked
-  by then; sets never are);
+  by then; sets never are).  It counts containers, not the work of
+  scanning them: an array('q') is tracked but holds nothing to visit,
+  while one dict holding a tracked object makes every entry a visit;
 - collections: collections per generation during the moves;
-- gc_ms_per_move: collector time per move, timed through gc.callbacks;
+- collection_ms: collector time per generation during the moves, in ms,
+  so the cost of the rare full (gen2) collections shows next to their
+  count;
+- gc_ms_per_move: collector time per move, timed through gc.callbacks
+  (the sum of collection_ms over the moves);
 - move_ms_mean: mean wall time of a move, collector included;
 - setup_rss_kb_per_edge: resident-set growth over set-up per edge of H
   (read from /proc/self/statm, so null where that is missing).
@@ -51,15 +57,16 @@ class CollectorClock:
 
     def __init__(self):
         self.counts = [0, 0, 0]
-        self.seconds = 0.0
+        self.seconds = [0.0, 0.0, 0.0]
         self._start = None
 
     def __call__(self, phase, info):
         if phase == "start":
             self._start = time.perf_counter()
         elif self._start is not None:
-            self.seconds += time.perf_counter() - self._start
-            self.counts[info["generation"]] += 1
+            gen = info["generation"]
+            self.seconds[gen] += time.perf_counter() - self._start
+            self.counts[gen] += 1
             self._start = None
 
 
@@ -89,11 +96,14 @@ def probe(n: int, moves: int, seed: int) -> dict:
     finally:
         gc.callbacks.remove(clock)
     per_edge = None if rss0 is None else round((rss1 - rss0) / edges, 3)
+    gens = ("gen0", "gen1", "gen2")
     return {
         "n": n, "moves": moves, "seed": seed, "edges": edges,
         "tracked_after_setup": tracked,
-        "collections": dict(zip(("gen0", "gen1", "gen2"), clock.counts)),
-        "gc_ms_per_move": round(1e3 * clock.seconds / max(moves, 1), 3),
+        "collections": dict(zip(gens, clock.counts)),
+        "collection_ms": {g: round(1e3 * s, 3)
+                          for g, s in zip(gens, clock.seconds)},
+        "gc_ms_per_move": round(1e3 * sum(clock.seconds) / max(moves, 1), 3),
         "move_ms_mean": round(1e3 * wall / max(moves, 1), 3),
         "setup_rss_kb_per_edge": per_edge,
     }

@@ -193,6 +193,13 @@ def _preflight(ops, pset):
                 f"trace line {lineno}: move leaves the bounding region")
 
 
+# UpdateReport counters summed over a replay's moves: the pairs touched,
+# the path each of them took, and the diff entries logged
+_UPDATE_TOTALS = ("pairs_touched", "pairs_added", "pairs_removed",
+                  "pairs_reweighted", "pairs_resampled", "pairs_extended",
+                  "pairs_rematerialized", "edges_changed")
+
+
 def cmd_replay(args) -> int:
     cfg = _load_config(args)
     raw = read_points_csv(args.points)
@@ -221,6 +228,7 @@ def cmd_replay(args) -> int:
 
     checkpoints = []
     churns = []
+    totals = dict.fromkeys(_UPDATE_TOTALS, 0)
     op_times = []
     n_moves = n_mulv = n_solveb = 0
     for index, (lineno, op) in enumerate(ops, start=1):
@@ -236,6 +244,8 @@ def cmd_replay(args) -> int:
             else:
                 report = wrapper.update(op["i"], pset.transform_raw(op["z"]))
             churns.append(report.churn)
+            for name in totals:
+                totals[name] += getattr(report, name)
             n_moves += 1
         elif op["op"] == "mulv":
             mul.update_v([(int(i), float(v)) for i, v in op["nz"]])
@@ -284,6 +294,7 @@ def cmd_replay(args) -> int:
         "detail": {
             "churn": {"median": pct(churns, 50), "p90": pct(churns, 90),
                       "max": max(churns) if churns else 0},
+            "update_totals": totals,
         },
         "timing": {
             "init_seconds": init_s,

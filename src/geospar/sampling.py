@@ -7,29 +7,44 @@ side with a quad-tree subtree (``tree.kth_leaf(node, idx).pid``), the
 tests with a sorted id list, so neither materializes a biclique.  All
 randomness flows through an explicit numpy Generator, so every draw is
 seed-reproducible.
+
+An edge of a biclique is one packed int, ``a << SHIFT | b`` for the
+a-side id a and the b-side id b (ids below 2**32), so a sample holds no
+per-edge object: its edges and raw weights are flat arrays, and its edge
+index is a dict of ints, which the garbage collector never tracks.
 """
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
+
+SHIFT = 32
+MASK = (1 << SHIFT) - 1
 
 
 class PairSample:
     """Edge sample of one biclique, indexed for O(churn) edits.
 
-    Only a sampled pair keeps `by_point`, the index from an id to its
-    edges.  A materialized pair holds its whole biclique, so a point's
-    edges there are its slab against the other side, which the caller
-    lists from the quad tree; its `by_point` is None.
+    `edges` holds the packed edges ``a << SHIFT | b`` and `raw` their raw
+    kernel weights, index for index; `pos` maps an edge to that index.  A
+    discard moves the last edge (and its weight) into the freed slot, so
+    both arrays stay dense and aligned.
+
+    Only a sampled pair keeps `by_point`, the index from an id to the set
+    of its edges.  A materialized pair holds its whole biclique, so a
+    point's edges there are its slab against the other side, which the
+    caller lists from the quad tree; its `by_point` is None.
     """
 
     __slots__ = ("edges", "pos", "raw", "by_point", "s_target",
                  "nx", "ny", "scale")
 
     def __init__(self, s_target, nx, ny, scale, materialized):
-        self.edges = []       # (a-side id, b-side id)
-        self.pos = {}         # edge -> index in edges
-        self.raw = {}         # edge -> raw kernel weight
+        self.edges = array("q")   # a-side id << SHIFT | b-side id
+        self.raw = array("d")     # raw kernel weight of edges[idx]
+        self.pos = {}             # edge -> index in edges and raw
         # id -> set of edges, sampled pairs only
         self.by_point = None if materialized else {}
         self.s_target = s_target
@@ -50,31 +65,34 @@ class PairSample:
     def add(self, edge, raw_w):
         self.pos[edge] = len(self.edges)
         self.edges.append(edge)
-        self.raw[edge] = raw_w
-        if self.by_point is not None:
-            for endpoint in edge:
-                self.by_point.setdefault(endpoint, set()).add(edge)
+        self.raw.append(raw_w)
+        by_point = self.by_point
+        if by_point is not None:
+            by_point.setdefault(edge >> SHIFT, set()).add(edge)
+            by_point.setdefault(edge & MASK, set()).add(edge)
 
     def discard(self, edge):
         idx = self.pos.pop(edge)
         last = self.edges.pop()
+        last_w = self.raw.pop()
         if last != edge:
             self.edges[idx] = last
+            self.raw[idx] = last_w
             self.pos[last] = idx
-        del self.raw[edge]
-        if self.by_point is not None:
-            for endpoint in edge:
-                bucket = self.by_point[endpoint]
+        by_point = self.by_point
+        if by_point is not None:
+            for endpoint in (edge >> SHIFT, edge & MASK):
+                bucket = by_point[endpoint]
                 bucket.discard(edge)
                 if not bucket:
-                    del self.by_point[endpoint]
+                    del by_point[endpoint]
 
     def to_sampled(self):
         """Turn a whole sample into a sampled one: index its edges."""
-        self.by_point = {}
+        by_point = self.by_point = {}
         for edge in self.edges:
-            for endpoint in edge:
-                self.by_point.setdefault(endpoint, set()).add(edge)
+            by_point.setdefault(edge >> SHIFT, set()).add(edge)
+            by_point.setdefault(edge & MASK, set()).add(edge)
 
     def pop_random(self, rng):
         idx = int(rng.integers(0, len(self.edges)))
@@ -83,7 +101,9 @@ class PairSample:
         return edge
 
     def point_edges(self, pid):
-        return list(self.by_point.get(pid, ()))
+        """The edges through `pid`, ascending, so that what the caller does
+        with them in turn does not depend on set layout."""
+        return sorted(self.by_point.get(pid, ()))
 
 
 def draw_indices(total: int, s: int, rng: np.random.Generator) -> list:
@@ -91,7 +111,8 @@ def draw_indices(total: int, s: int, rng: np.random.Generator) -> list:
 
     Rejection sampling in O(min(s, total - s)) expected draws: above half
     the range it rejects on the complement instead.  Index idx stands for
-    the edge (a.id_at(idx // nb), b.id_at(idx % nb)) of an na x nb biclique.
+    the edge a.id_at(idx // nb) << SHIFT | b.id_at(idx % nb) of an na x nb
+    biclique.
     """
     if s <= total // 2:
         picked = set()
@@ -131,8 +152,8 @@ def resample(sample: PairSample, a, b, pid, in_a: bool, in_b: bool,
     uniform evictions, or topped up with uniform cells of the shared part.
 
     Evicted edges are removed from `sample`; added ones are not, since the
-    caller weighs them.  Returns (evicted, added), with the top-ups first
-    in `added` and then the fresh edges.
+    caller weighs them.  Returns (evicted, added), lists of packed edges,
+    with the top-ups first in `added` and then the fresh edges.
     """
     na, nb = a[0], b[0]
     total = na * nb
@@ -142,7 +163,8 @@ def resample(sample: PairSample, a, b, pid, in_a: bool, in_b: bool,
     fresh = []
     seen = set()
     while len(fresh) < x:
-        edge = (pid, _draw_id(b, rng)) if in_a else (_draw_id(a, rng), pid)
+        edge = (pid << SHIFT | _draw_id(b, rng) if in_a
+                else _draw_id(a, rng) << SHIFT | pid)
         if edge not in seen:
             seen.add(edge)
             fresh.append(edge)
@@ -154,7 +176,7 @@ def resample(sample: PairSample, a, b, pid, in_a: bool, in_b: bool,
     ex_b = pid if in_b else None
     topups = []
     while len(sample) + len(topups) < keep:
-        edge = (_draw_id(a, rng, ex_a), _draw_id(b, rng, ex_b))
+        edge = _draw_id(a, rng, ex_a) << SHIFT | _draw_id(b, rng, ex_b)
         if edge not in sample and edge not in seen:
             seen.add(edge)
             topups.append(edge)

@@ -21,7 +21,13 @@ factor in [1 - theta*eps, 1 + theta*eps], so an eps-sparsifier at exact
 scales stays a ((1 + eps)(1 + theta*eps) - 1)-sparsifier.
 
 Edges are stored with raw kernel weights per pair; the graph H maps an
-unordered id pair to raw * scale.  Every new weight comes from one path:
+unordered id pair to raw * scale.  Both hold an edge as one packed int, as
+the WSPD keys do: a sample keys it by its oriented ids, a-side id << 32 |
+b-side id (`sampling.SHIFT`), and H by min id << 32 | max id.  H and the
+samples' indexes are then dicts of ints and floats, which the garbage
+collector never tracks; `edge_map`, `fold_store`, `get_laplacian` and the
+diff log decode the keys to (i, j) with i < j.  Every new weight comes
+from one path:
 edges drawn by sampled builds and resamples, materialized edges (whole
 small bicliques, the arriving point's slab of a whole pair) and the moved
 point's edges in pairs that keep their ids (reweights) are queued and
@@ -70,13 +76,20 @@ from .kernels import (
 )
 from .projection import make_ultra_jl
 from .quadtree import CompressedQuadTree
-from .sampling import PairSample
+from .sampling import MASK, SHIFT, PairSample
 
+# WSPD pair keys: a-node token << 32 | b-node token
 _SHIFT = 32
 _MASK = (1 << _SHIFT) - 1
 # theta: a sampled pair keeps its scale while that is within SCALE_BAND * eps
 # of the exact |X||Y|/s, relative
 SCALE_BAND = 0.1
+
+
+def _h_keys(edges) -> list:
+    """The H keys, min id << 32 | max id, of packed sample edges."""
+    return [e if e >> SHIFT < e & MASK else (e & MASK) << SHIFT | e >> SHIFT
+            for e in edges]
 
 
 @dataclass
@@ -139,8 +152,8 @@ class DynamicGeoSpar:
         self._h = {}
         self._diff = []
         self._store = {}
-        self._before = {}             # edge -> its weight before the operation
-        self._queued = ([], [], [])   # owner sample, a-side id, b-side id
+        self._before = {}         # H key -> its weight before the operation
+        self._queued = ([], [])   # owner sample, packed sample edge
         proj = {i: self._project_unit(pset.points[i]) for i in range(self.n)}
         self.tree = CompressedQuadTree.build(proj, k)
         self.pairs = wspd.compute_wspd(self.tree, separation)
@@ -152,7 +165,6 @@ class DynamicGeoSpar:
         self.sparsity_budget = sum(
             min(e.s_target, e.nx * e.ny) for e in self._store.values())
         self._before = {}
-        self.update_count = 0
         return self
 
     # -- projection ---------------------------------------------------------
@@ -169,8 +181,8 @@ class DynamicGeoSpar:
 
     # -- H / diff primitives --------------------------------------------------
 
-    def _set_edge(self, i: int, j: int, w: float):
-        key = (i, j) if i < j else (j, i)
+    def _set_edge(self, key: int, w: float):
+        """Set the weight of H key min id << 32 | max id."""
         old = self._h.get(key, 0.0)
         if old == w:
             return
@@ -190,10 +202,11 @@ class DynamicGeoSpar:
             new = h.get(key, 0.0)
             if new != old:
                 changed += 1
+                i, j = key >> SHIFT, key & MASK
                 if old != 0.0:
-                    diff.append((key[0], key[1], -old))
+                    diff.append((i, j, -old))
                 if new != 0.0:
-                    diff.append((key[0], key[1], new))
+                    diff.append((i, j, new))
         return changed
 
     # -- pair construction ----------------------------------------------------
@@ -205,20 +218,19 @@ class DynamicGeoSpar:
 
     def _queue_slab(self, entry: PairSample, a_ids: list, b_ids: list):
         """Queue the edges a_ids x b_ids of a materialized sample, row by
-        row.  Ids and owner references only: the queue allocates no
+        row.  Ints and owner references only: the queue allocates no
         objects for the garbage collector to track."""
-        owners, ids_a, ids_b = self._queued
+        owners, edges = self._queued
         owners.extend([entry] * (len(a_ids) * len(b_ids)))
         for i in a_ids:
-            ids_a.extend([i] * len(b_ids))
-        ids_b.extend(b_ids * len(a_ids))
+            hi = i << SHIFT
+            edges.extend([hi | j for j in b_ids])
 
     def _queue_edges(self, entry: PairSample, edges: list):
-        """Queue (a-side id, b-side id) edges of `entry`, in order."""
-        owners, ids_a, ids_b = self._queued
+        """Queue packed edges of `entry`, in order."""
+        owners, queued = self._queued
         owners.extend([entry] * len(edges))
-        ids_a.extend([e[0] for e in edges])
-        ids_b.extend([e[1] for e in edges])
+        queued.extend(edges)
 
     def _flush_queued(self):
         """Weigh every queued edge with one kernel evaluation, then write
@@ -232,18 +244,22 @@ class DynamicGeoSpar:
         edit of its sample follows, so deferring the write changes neither
         a weight nor a sample's edge order.
         """
-        owners, ids_a, ids_b = self._queued
+        owners, edges = self._queued
         if not owners:
             return
-        self._queued = ([], [], [])
+        self._queued = ([], [])
+        packed = np.array(edges, dtype=np.int64)
+        ids_a, ids_b = packed >> SHIFT, packed & MASK
         ws = self._weights(ids_a, ids_b)
-        for entry, i, j, w in zip(owners, ids_a, ids_b, ws.tolist()):
-            edge = (i, j)
-            if edge in entry.raw:    # reweighted: the sample keeps its order
-                entry.raw[edge] = w
-            else:
+        h_keys = np.where(ids_a < ids_b, packed, ids_b << SHIFT | ids_a)
+        for entry, edge, key, w in zip(owners, edges, h_keys.tolist(),
+                                       ws.tolist()):
+            idx = entry.pos.get(edge)
+            if idx is None:
                 entry.add(edge, w)
-            self._set_edge(i, j, w * entry.scale)
+            else:                # reweighted: the sample keeps its order
+                entry.raw[idx] = w
+            self._set_edge(key, w * entry.scale)
 
     def _build_pair(self, a_node, b_node) -> PairSample:
         nx, ny = a_node.count, b_node.count
@@ -258,7 +274,7 @@ class DynamicGeoSpar:
         entry = PairSample(s, nx, ny, total / s, False)
         kth = self.tree.kth_leaf
         self._queue_edges(entry, [
-            (kth(a_node, idx // ny).pid, kth(b_node, idx % ny).pid)
+            kth(a_node, idx // ny).pid << SHIFT | kth(b_node, idx % ny).pid
             for idx in sampling.draw_indices(total, s, self.rng)])
         return entry
 
@@ -269,19 +285,20 @@ class DynamicGeoSpar:
         other side for a whole one."""
         if not entry.materialized:
             return entry.point_edges(pid)
-        key = delta.key
+        key, pos = delta.key, entry.pos
         if delta.old[0]:
             other = self.tree.subtree_ids(self.tree.by_tok[key & _MASK])
-            return [(pid, j) for j in other if (pid, j) in entry]
+            hi = pid << SHIFT
+            return [hi | j for j in other if hi | j in pos]
         if delta.old[1]:
             other = self.tree.subtree_ids(self.tree.by_tok[key >> _SHIFT])
-            return [(j, pid) for j in other if (j, pid) in entry]
+            return [e for j in other if (e := j << SHIFT | pid) in pos]
         return []
 
     def _drop_pair(self, key):
         entry = self._store.pop(key)
-        for edge in entry.edges:
-            self._set_edge(edge[0], edge[1], 0.0)
+        for h_key in _h_keys(entry.edges):
+            self._set_edge(h_key, 0.0)
 
     # -- update ---------------------------------------------------------------
 
@@ -312,16 +329,16 @@ class DynamicGeoSpar:
                 continue
             if delta.old is not None and not delta.unchanged_ids:
                 entry = self._store[delta.key]
-                for edge in self._point_edges(entry, delta, i):
+                edges = self._point_edges(entry, delta, i)
+                for edge, h_key in zip(edges, _h_keys(edges)):
                     entry.discard(edge)
-                    self._set_edge(edge[0], edge[1], 0.0)
+                    self._set_edge(h_key, 0.0)
             later.append(delta)
         for delta in later:
             self._apply_delta(delta, i, report)
         self._flush_queued()
         report.churn = self._log_net_change()
         report.edges_changed = len(self._diff) - diff_mark
-        self.update_count += 1
         return report
 
     def _apply_delta(self, delta: wspd.PairDelta, pid: int,
@@ -381,13 +398,13 @@ class DynamicGeoSpar:
         evicted, added = sampling.resample(
             entry, self._side(a_node), self._side(b_node), pid, in_a, in_b,
             s_new, self.rng)
-        for edge in evicted:
-            self._set_edge(edge[0], edge[1], 0.0)
+        for h_key in _h_keys(evicted):
+            self._set_edge(h_key, 0.0)
         if abs(entry.scale * s_new / total - 1.0) > SCALE_BAND * self.eps:
             entry.scale = total / s_new
             scale = entry.scale
-            for edge in entry.edges:
-                self._set_edge(edge[0], edge[1], entry.raw[edge] * scale)
+            for h_key, raw in zip(_h_keys(entry.edges), entry.raw):
+                self._set_edge(h_key, raw * scale)
         self._queue_edges(entry, added)
         entry.s_target = s_new
         entry.nx, entry.ny = nx, ny
@@ -403,10 +420,11 @@ class DynamicGeoSpar:
 
     def get_laplacian(self) -> np.ndarray:
         return laplacian_from_edges(
-            self.n, [(i, j, w) for (i, j), w in self._h.items()])
+            self.n, [(k >> SHIFT, k & MASK, w) for k, w in self._h.items()])
 
     def edge_map(self) -> dict:
-        return dict(self._h)
+        """H as {(i, j): weight}, i < j."""
+        return {(k >> SHIFT, k & MASK): w for k, w in self._h.items()}
 
     @property
     def edge_count(self) -> int:
@@ -417,12 +435,12 @@ class DynamicGeoSpar:
         out = {}
         for entry in self._store.values():
             scale = entry.scale
-            for edge in entry.edges:
-                i, j = edge
+            for edge, raw in zip(entry.edges, entry.raw):
+                i, j = edge >> SHIFT, edge & MASK
                 ekey = (i, j) if i < j else (j, i)
                 if ekey in out:
                     raise AssertionError(f"edge {ekey} owned by two pairs")
-                out[ekey] = entry.raw[edge] * scale
+                out[ekey] = raw * scale
         return out
 
     def spectral_check(self, eps: Optional[float] = None):

@@ -22,7 +22,7 @@ from geospar.distance import ujl_init
 from geospar.kernels import gaussian_kernel, normalize_points
 from geospar.sketches import multiply_init, solve_init
 from geospar.sparsifier import DynamicGeoSpar, FullyDynamicSparsifier
-from test_sampling import rand_sample, resample_fast
+from test_sampling import pairs, rand_sample, resample_fast
 
 EPS = 0.5
 DELTA = 0.05
@@ -136,9 +136,9 @@ def test_criterion_04_resampling_distribution():
         for _ in range(trials):
             out = rand_sample(a, b, s, rng)
             resample_fast(out, a, b, a2, b2, s, rng)
-            for e in out.edges:
+            for e in pairs(out):
                 cf[e] += 1
-            for e in rand_sample(a2, b2, s, rng).edges:
+            for e in pairs(rand_sample(a2, b2, s, rng)):
                 cr[e] += 1
         expect = trials * s / ncells
         chi2 = sum((cf[c] - expect) ** 2 / expect for c in cells)

@@ -136,6 +136,24 @@ class TestReplay:
         want = json.loads((fixtures_dir / "golden_replay.json").read_text())
         assert got == want
 
+    def test_replay_reports_paths(self, fixtures_dir, tmp_path):
+        run(["replay", "--points", fixtures_dir / "points_n128.csv",
+             "--trace", fixtures_dir / "trace_n128.jsonl",
+             "--config", fixtures_dir / "config_desk.txt",
+             "--out", tmp_path / "r.json"])
+        rep = json.loads((tmp_path / "r.json").read_text())
+        paths = rep["detail"]["update_totals"]
+        touched = paths.pop("pairs_touched")
+        changed = paths.pop("edges_changed")
+        assert set(paths) == {"pairs_added", "pairs_removed",
+                              "pairs_reweighted", "pairs_resampled",
+                              "pairs_extended", "pairs_rematerialized"}
+        # every touched pair takes exactly one path
+        assert touched > 0 and sum(paths.values()) == touched
+        # a changed edge logs -old, +new or both
+        churn = rep["golden"]["churn_total"]
+        assert churn <= changed <= 2 * churn
+
 
 class TestBenchAndUjl:
     def test_bench_counts_match_golden(self, fixtures_dir, tmp_path):

@@ -17,5 +17,14 @@ def test_gc_probe_smoke():
     assert set(rep["collections"]) == {"gen0", "gen1", "gen2"}
     assert all(c >= 0 for c in rep["collections"].values())
     assert 0.0 <= rep["gc_ms_per_move"] <= rep["move_ms_mean"]
+    # per-generation totals: each rounded to 1e-3 ms, as is the per-move
+    # mean, which the move count then scales
+    assert set(rep["collection_ms"]) == set(rep["collections"])
+    assert all(ms >= 0.0 for ms in rep["collection_ms"].values())
+    assert all(rep["collection_ms"][g] == 0.0
+               for g, c in rep["collections"].items() if c == 0)
+    total = sum(rep["collection_ms"].values())
+    assert abs(total - rep["gc_ms_per_move"] * rep["moves"]) <= (
+        0.0005 * (rep["moves"] + 3) + 1e-9)
     # null where /proc/self/statm is missing
     assert isinstance(rep["setup_rss_kb_per_edge"], (float, int, type(None)))

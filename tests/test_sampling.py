@@ -2,7 +2,8 @@
 
 `rand_sample` and `resample_fast` below drive `geospar.sampling` the way
 the sparsifier does: a side is (count, id_at) over a sorted id list, and a
-set change A x B -> A' x B' runs as single-point steps.
+set change A x B -> A' x B' runs as single-point steps.  A sample holds
+packed edges; `pairs` decodes them to (a-side id, b-side id) in order.
 """
 
 import statistics
@@ -11,11 +12,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geospar.sampling import PairSample, draw_indices, resample
+from geospar.sampling import MASK, SHIFT, PairSample, draw_indices, resample
 
 
 def cells(a, b):
     return [(i, j) for i in sorted(a) for j in sorted(b)]
+
+
+def pairs(sample):
+    """The sample's edges as (a-side id, b-side id), in sample order."""
+    return [(e >> SHIFT, e & MASK) for e in sample.edges]
 
 
 def side(ids):
@@ -28,7 +34,7 @@ def rand_sample(a, b, s, rng):
     a, b = sorted(a), sorted(b)
     out = PairSample(s, len(a), len(b), 1.0, False)
     for idx in draw_indices(len(a) * len(b), s, rng):
-        out.add((a[idx // len(b)], b[idx % len(b)]), 1.0)
+        out.add(a[idx // len(b)] << SHIFT | b[idx % len(b)], 1.0)
     return out
 
 
@@ -37,7 +43,7 @@ def resample_fast(sample, a, b, a2, b2, s, rng):
     run of moves would: evict the departed ids' edges first, as the release
     phase does, then resample once per arriving id (once with no arriving
     id when none arrives).  Edits `sample` in place; returns the churn."""
-    before = set(sample.edges)
+    before = set(pairs(sample))
     for pid in sorted((a - a2) | (b - b2)):
         for edge in sample.point_edges(pid):
             sample.discard(edge)
@@ -53,14 +59,14 @@ def resample_fast(sample, a, b, a2, b2, s, rng):
                             ids is cur_a, ids is cur_b, s_out, rng)
         for edge in added:
             sample.add(edge, 1.0)
-    return len(before.symmetric_difference(sample.edges))
+    return len(before.symmetric_difference(pairs(sample)))
 
 
 class TestRandSample:
     def test_full_biclique_when_s_large(self):
         es = rand_sample({1, 2}, {7, 8, 9}, 100, np.random.default_rng(0))
         assert len(es.edges) == 6
-        assert set(es.edges) == {(i, j) for i in (1, 2) for j in (7, 8, 9)}
+        assert set(pairs(es)) == {(i, j) for i in (1, 2) for j in (7, 8, 9)}
 
     def test_empty_sample(self):
         es = rand_sample({1, 2}, {3}, 0, np.random.default_rng(0))
@@ -70,7 +76,7 @@ class TestRandSample:
         rng = np.random.default_rng(1)
         es = rand_sample(set(range(5)), set(range(10, 17)), 12, rng)
         assert len(set(es.edges)) == 12
-        for i, j in es.edges:
+        for i, j in pairs(es):
             assert i in range(5) and j in range(10, 17)
 
     def test_per_cell_inclusion_uniform(self):
@@ -80,7 +86,7 @@ class TestRandSample:
         trials = 20_000
         counts = {}
         for _ in range(trials):
-            for e in rand_sample(a, b, 4, rng).edges:
+            for e in pairs(rand_sample(a, b, 4, rng)):
                 counts[e] = counts.get(e, 0) + 1
         expected = trials / 3
         sd = (trials * (1 / 3) * (2 / 3)) ** 0.5
@@ -94,15 +100,15 @@ class TestResampleFast:
         rng = np.random.default_rng(6)
         a, b = {0, 1, 2}, {5, 6, 7, 8}
         out = rand_sample(a, b, 6, rng)
-        old = list(out.edges)
+        old = pairs(out)
         churn = resample_fast(out, a, b, a, b, 6, rng)
-        assert churn == 0 and out.edges == old
+        assert churn == 0 and pairs(out) == old
 
     def test_empty_sample_full_target(self):
         rng = np.random.default_rng(7)
         out = rand_sample({0}, {1}, 0, rng)
         resample_fast(out, {0}, {1}, {2, 3}, {4, 5}, 4, rng)
-        assert set(out.edges) == {(i, j) for i in (2, 3) for j in (4, 5)}
+        assert set(pairs(out)) == {(i, j) for i in (2, 3) for j in (4, 5)}
 
     def test_output_always_valid(self):
         rng = np.random.default_rng(8)
@@ -110,12 +116,12 @@ class TestResampleFast:
         a2, b2 = {0, 1, 2, 9}, set(range(10, 16))
         for s in range(1, 12):
             out = rand_sample(a, b, s, rng)
-            old = set(out.edges)
+            old = set(pairs(out))
             churn = resample_fast(out, a, b, a2, b2, s, rng)
             assert len(set(out.edges)) == len(out.edges) == min(s, 24)
-            for i, j in out.edges:
+            for i, j in pairs(out):
                 assert i in a2 and j in b2
-            assert churn == len(old.symmetric_difference(out.edges))
+            assert churn == len(old.symmetric_difference(pairs(out)))
 
     def test_total_variation_against_direct_sampling(self):
         # |A x B| = 20, |A' x B'| = 24 overlapping in 15, s = 8
@@ -128,9 +134,9 @@ class TestResampleFast:
         for _ in range(trials):
             out = rand_sample(a, b, s, rng)
             resample_fast(out, a, b, a2, b2, s, rng)
-            for e in out.edges:
+            for e in pairs(out):
                 cf[e] = cf.get(e, 0) + 1
-            for e in rand_sample(a2, b2, s, rng).edges:
+            for e in pairs(rand_sample(a2, b2, s, rng)):
                 cr[e] = cr.get(e, 0) + 1
         norm = trials * s
         tv = 0.5 * sum(abs(cf.get(c, 0) - cr.get(c, 0)) / norm
@@ -163,8 +169,8 @@ class TestResampleFast:
         for _ in range(trials):
             out = rand_sample(a, b, 4, rng)
             resample_fast(out, a, b, a2, b, 4, rng)
-            for e in counts:
-                counts[e] += e in out
+            for i, j in counts:
+                counts[(i, j)] += i << SHIFT | j in out
         p = 4 / 6
         sd = (trials * p * (1 - p)) ** 0.5
         for e, c in counts.items():
@@ -183,6 +189,6 @@ def test_resample_fast_size_and_membership(na, nb, na2, nb2, s, seed):
     out = rand_sample(a, b, min(s, na * nb), rng)
     churn = resample_fast(out, a, b, a2, b2, s, rng)
     assert len(set(out.edges)) == len(out.edges) == min(s, na2 * nb2)
-    for i, j in out.edges:
+    for i, j in pairs(out):
         assert i in a2 and j in b2
     assert churn >= 0

@@ -303,7 +303,7 @@ class TestAudit:
         st = multiply_init(ps, gaussian_kernel(), rng.standard_normal(20),
                            0.25, 0.05, 3, 16, allow_large_eps=True)
         eps = st.dgs.eps
-        for (i, j), w in list(st.dgs._h.items()):
-            st.dgs._h[(i, j)] = w * (1 + eps)
+        for key, w in list(st.dgs._h.items()):
+            st.dgs._h[key] = w * (1 + eps)
         rep = approximation_audit(st)
         assert rep.multiply_error == pytest.approx(eps, rel=1e-6)

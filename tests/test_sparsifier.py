@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -18,12 +19,14 @@ from geospar.kernels import (
     kernel_weight,
     normalize_points,
 )
+from geospar.sampling import MASK, SHIFT
 from geospar.sparsifier import (
     SCALE_BAND,
     DynamicGeoSpar,
     FullyDynamicSparsifier,
     adversarial_mode,
 )
+from test_sampling import pairs
 
 
 def make_dgs(n=64, d=4, seed=0, eps=0.5, kernel=None, **kw):
@@ -362,7 +365,7 @@ class TestBatchedSlabs:
         for entry in g._store.values():
             if entry.materialized:
                 assert len(entry) == entry.nx * entry.ny
-            for (i, j), w in entry.raw.items():
+            for (i, j), w in zip(pairs(entry), entry.raw):
                 if checked.get((i, j)) == w:
                     continue
                 alone = g.kernel.eval_sqdist(
@@ -451,7 +454,7 @@ class TestBatchedSlabs:
 def _edges_by_point(edges):
     index = {}
     for edge in edges:
-        for endpoint in edge:
+        for endpoint in (edge >> SHIFT, edge & MASK):
             index.setdefault(endpoint, set()).add(edge)
     return index
 
@@ -470,7 +473,7 @@ def _assert_point_index(g):
 
 def _side_of(entry, pid):
     """0 if pid is on the a side of a whole sample, 1 if on the b side."""
-    for a, b in entry.edges:
+    for a, b in pairs(entry):
         if pid in (a, b):
             return 0 if a == pid else 1
     return None
@@ -532,7 +535,7 @@ class TestPointIndex:
         crossings = 0
         for _ in range(50):
             i = int(rng.integers(0, g.n))
-            whole = {key: (e, _side_of(e, i), dict(e.raw))
+            whole = {key: (e, _side_of(e, i), dict(zip(pairs(e), e.raw)))
                      for key, e in g._store.items() if e.materialized}
             g.update(i, random_unit_move(rng))
             removed = {}
@@ -553,6 +556,37 @@ class TestPointIndex:
                            for edge in departed)
             _assert_point_index(g)
         assert crossings > 0
+
+
+class TestFlatStorage:
+    """H and the samples keep no per-edge object the garbage collector
+    would track and scan: their keys are packed ints."""
+
+    @staticmethod
+    def _assert_untracked(g):
+        assert not gc.is_tracked(g._h)
+        assert not any(gc.is_tracked(e.pos) for e in g._store.values())
+        h = g.edge_map()
+        assert all(i < j for i, j in h)
+        assert h == g.fold_store()
+
+    @pytest.mark.parametrize("inputs", ["uniform", "clustered"])
+    def test_no_per_edge_object_is_tracked(self, inputs):
+        # no gc.collect(): a fresh tuple key is tracked until a collection
+        # finds it holds only ints, so a tuple-keyed H would be tracked here
+        if inputs == "uniform":
+            g, rng = make_dgs(seed=43, n=64)
+            moves = [(int(rng.integers(0, g.n)), random_unit_move(rng))
+                     for _ in range(30)]
+        else:
+            ps, moves = _clustered_moves(32, 200, 30)
+            g = DynamicGeoSpar.initialize(ps, cauchy_kernel(), 0.5, 0.05, 3,
+                                          5, allow_large_eps=True, c_s=0.1)
+            assert any(not e.materialized for e in g._store.values())
+        self._assert_untracked(g)
+        for i, z in moves:
+            g.update(i, z)
+            self._assert_untracked(g)
 
 
 class TestFullyDynamicWrapper:
