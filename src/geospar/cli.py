@@ -235,7 +235,10 @@ def cmd_replay(args) -> int:
         t1 = time.perf_counter()
         if op["op"] == "move":
             if needs_sketch:
-                # sketches share the one sparsifier: feed them its diff
+                # sketches share the one sparsifier: feed them its diff.
+                # This path bypasses the wrapper, so it never rebuilds and
+                # ignores rebuild_budget: a rebuild would orphan the sketch
+                # states built on the first sparsifier.
                 report = wrapper.inner.update(op["i"],
                                               pset.transform_raw(op["z"]))
                 diff = wrapper.inner.get_diff()
@@ -243,6 +246,7 @@ def cmd_replay(args) -> int:
                 sol.apply_graph_diff(diff)
             else:
                 report = wrapper.update(op["i"], pset.transform_raw(op["z"]))
+                wrapper.inner.get_diff()  # nothing reads the log here
             churns.append(report.churn)
             for name in totals:
                 totals[name] += getattr(report, name)

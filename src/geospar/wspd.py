@@ -15,10 +15,15 @@ its sides in the same order, which the sides' parents fix; the order
 matters because the separation test rounds differently on exact ties.
 Dissolved generators are dropped and new ones are run in full.  A
 surviving generator with a dirty side is re-walked only through its dirty
-calls (calls with a dirty side), once on the tree as it was and once as it
-is.  The first clean calls below them form the frontier: a frontier call
-emits what it emitted before, so only the frontier calls that one walk
-reaches and the other does not are run.  The maintained list stays
+calls (calls with a dirty side).  A node object in both trees keeps its
+cell, so a call the old and new trees share takes the same steps in both
+and is walked once; only a node whose children the move changed can lead
+the two trees apart.  At a split of such a node, each child that is not
+in both trees starts a call of one tree only, and those calls are walked
+on their own tree (a generator with the moved leaf as a side shares no
+call).  The first clean calls below them form the frontier: a frontier
+call emits what it emitted before, so only the frontier calls that one
+tree reaches and the other does not are run.  The maintained list stays
 *set-equal* to a from-scratch recomputation on the mutated tree; that
 equality is the master oracle in the test suite.
 
@@ -66,12 +71,12 @@ def _walk(a: Node, b: Node, s: float, out: set, dirty=None, kids=None,
     """Run the greedy recursion below the sibling call (a, b) into `out`.
 
     Without `dirty` this is a full run: `out` gets every pair the call
-    emits, a function of the two subtrees and of their order.  With `dirty` (a set of
-    node tokens) it is a dirty walk: only calls with a side in `dirty` are
-    entered, and each first clean call is a frontier call, recorded as
-    frontier[key] = (u, v) without being entered.  `kids` maps a token to
-    the children its node had before a move, so that the walk can follow
-    the old tree.
+    emits, a function of the two subtrees and of their order.  With `dirty`
+    (a set of node tokens) it is a dirty walk: only calls with a side in
+    `dirty` are entered, and each first clean call is a frontier call,
+    recorded as frontier[key] = (u, v) without being entered.  `kids` maps
+    the token of each node whose children a move changed to the children
+    it had before, so that the walk can follow the old tree.
 
     The recursion is a tree, so the output of a call is the disjoint union
     of its own emission and the outputs of its sub-calls.
@@ -248,23 +253,88 @@ def compute_wspd(tree: CompressedQuadTree, s: float = SEPARATION) -> WspdPairLis
     return pl
 
 
+def _fork(a: Node, b: Node, s: float, dirty: set, old_kids: dict):
+    """The calls below the sibling call (a, b) that only one tree reaches.
+
+    (a, b) is a call of both trees.  A node object in both trees keeps its
+    cell, radius, lmax and wsid, so a call shared by the two trees takes
+    the same separation test and split choice in each, and emits the same
+    key: walking it once covers both walks.  Only the children of a node
+    whose children the move changed (a token in `old_kids`, which maps it
+    to the children it had) can differ.  At a split of such a node, a child
+    that is the same object in both trees stays shared; the others start
+    (old_calls, new_calls), the calls of one tree only.  A shared emission
+    and a clean shared call are the same in both trees, so they are
+    dropped: only the shared calls with a dirty side are entered.
+    """
+    old_calls = []
+    new_calls = []
+    stack = [(a, b)]
+    pop = stack.pop
+    push = stack.append
+    dist = math.dist
+    while stack:
+        u, v = pop()
+        # the test and the split must stay exactly _walk's, bit for bit
+        ru = u.radius
+        rv = v.radius
+        if ru == 0.0 and rv == 0.0:
+            continue
+        mx = ru if ru >= rv else rv
+        if dist(u.center, v.center) - ru - rv >= s * mx:
+            continue
+        lu = u.lmax
+        lv = v.lmax
+        if lu > lv or (lu == lv and u.wsid <= v.wsid):
+            spl, keep = u, v
+        else:
+            spl, keep = v, u
+        children = spl.children
+        if children is None:
+            continue
+        keep_dirty = keep.tok in dirty
+        old = old_kids.get(spl.tok)
+        if old is None:
+            for child in children.values():
+                if keep_dirty or child.tok in dirty:
+                    push((child, keep))
+            continue
+        for q, child in children.items():
+            if old.get(q) is not child:
+                new_calls.append((child, keep))
+            elif keep_dirty or child.tok in dirty:
+                push((child, keep))
+        for q, child in old.items():
+            if children.get(q) is not child:
+                old_calls.append((child, keep))
+    return old_calls, new_calls
+
+
 def _rewalk(a_old: Node, b_old: Node, a: Node, b: Node, s: float,
             dirty: set, old_kids: dict):
     """(dropped, gained) of a surviving generator across a point move.
 
-    The generator's dirty calls are walked on the old tree (a_old, b_old,
-    old_kids) and on the new one (a, b).  A frontier call is clean, so it
-    emits the same pairs before and after the move; only the frontier
-    calls that one walk reaches and the other does not are run.  Keys
-    emitted at dirty calls have a dirty side and frontier output has none,
-    so the two never mix.
+    The calls the old and new trees share are walked once (`_fork`); a
+    generator with the moved leaf as a side shares none.  The calls of one
+    tree only are dirty-walked on that tree (the old one through
+    `old_kids`, which maps each node whose children the move changed to
+    the children it had).  A frontier call is clean, so it emits the same
+    pairs before and after the move; only the frontier calls that one side
+    reaches and the other does not are run.  Keys emitted at dirty calls
+    have a dirty side and frontier output has none, so the two never mix.
     """
+    if a_old is a and b_old is b:
+        old_calls, new_calls = _fork(a, b, s, dirty, old_kids)
+    else:
+        old_calls, new_calls = [(a_old, b_old)], [(a, b)]
     e_old = set()
     f_old = {}
-    _walk(a_old, b_old, s, e_old, dirty, old_kids, f_old)
+    for u, v in old_calls:
+        _walk(u, v, s, e_old, dirty, old_kids, f_old)
     e_new = set()
     f_new = {}
-    _walk(a, b, s, e_new, dirty, None, f_new)
+    for u, v in new_calls:
+        _walk(u, v, s, e_new, dirty, None, f_new)
     lost = set()
     for call in f_old.keys() - f_new.keys():
         u, v = f_old[call]
@@ -360,6 +430,11 @@ def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
     # every node whose subtree or parent the move changed; below any other
     # node the recursion runs the same before and after
     dirty = dirty_new | old_nodes.keys() | reparented_toks
+    # the old children of every node whose children the move changed or
+    # that it removed; everywhere else the two trees have the same children
+    changed = {t: kids for t, kids in old_kids.items()
+               if by_tok.get(t) is not old_nodes[t]
+               or kids != old_nodes[t].children}
 
     removed_keys = set()
     added_keys = set()
@@ -380,7 +455,7 @@ def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
             added_keys |= keys
             continue
         dropped, gained = _rewalk(old_nodes.get(ta, a), old_nodes.get(tb, b),
-                                  a, b, s, dirty, old_kids)
+                                  a, b, s, dirty, changed)
         pl.edit_gen(gen, dropped, gained)
         removed_keys |= dropped
         added_keys |= gained

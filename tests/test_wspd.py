@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from geospar import wspd
 from geospar.errors import DuplicatePoint, UnknownPoint
 from geospar.kernels import aspect_ratio
 from geospar.quadtree import CompressedQuadTree, build
@@ -353,3 +354,87 @@ def test_rewalk_exact_on_a_separation_tie():
     assert _pk(y.tok, c.tok) in pl.pairs
     assert not leaf_pairs & pl.pairs
     assert_pair_list_matches_full_runs(tree, pl)
+
+
+@pytest.fixture
+def rewalk_routes(monkeypatch):
+    """Record the routes that surviving generators' re-walks took."""
+    seen = set()
+    live = {"shared_root": False}
+    insert = CompressedQuadTree.insert
+    rewalk, fork, walk = wspd._rewalk, wspd._fork, wspd._walk
+
+    def rec_insert(tree, pid, vec):
+        live["by_tok"] = tree.by_tok
+        return insert(tree, pid, vec)
+
+    def rec_rewalk(a_old, b_old, a, b, s, dirty, old_kids):
+        live["shared_root"] = a_old is a and b_old is b
+        if not live["shared_root"]:
+            seen.add("moved leaf side")
+        try:
+            return rewalk(a_old, b_old, a, b, s, dirty, old_kids)
+        finally:
+            live["shared_root"] = False
+
+    def rec_fork(a, b, s, dirty, old_kids):
+        old_calls, new_calls = fork(a, b, s, dirty, old_kids)
+        split = {child.parent.tok for child, _keep in new_calls}
+        split.update(t for child, _keep in old_calls
+                     for t, kids in old_kids.items() if child in kids.values())
+        for t in split:
+            node = live["by_tok"][t]
+            if any(old_kids[t].get(q) is c for q, c in node.children.items()):
+                seen.add("split with shared and forked children")
+        return old_calls, new_calls
+
+    def rec_walk(a, b, s, out, dirty=None, kids=None, frontier=None):
+        if dirty is None and live["shared_root"]:
+            seen.add("one-sided frontier call below a fork")
+        walk(a, b, s, out, dirty, kids, frontier)
+
+    monkeypatch.setattr(CompressedQuadTree, "insert", rec_insert)
+    monkeypatch.setattr(wspd, "_rewalk", rec_rewalk)
+    monkeypatch.setattr(wspd, "_fork", rec_fork)
+    monkeypatch.setattr(wspd, "_walk", rec_walk)
+    return seen
+
+
+@pytest.mark.parametrize("clustered", [False, True],
+                         ids=["uniform", "clustered"])
+def test_rewalk_forks_on_long_paths(clustered, rewalk_routes):
+    # n = 300 gives long root paths, and a splice can lift a large clean
+    # subtree into a call the old tree reached through the spliced node.
+    # Every other move is a small step, which often keeps the leaf under
+    # its parent, so a surviving generator has the moved leaf as a side.
+    n, k = 300, 3
+    rng = np.random.default_rng(40 + clustered)
+    center = rng.uniform(0.25, 0.75, k)
+    if clustered:
+        pts = {i: center + rng.normal(0.0, 1e-3, k) for i in range(n)}
+    else:
+        pts = {i: rng.random(k) for i in range(n)}
+    tree = build(dict(pts), k)
+    pl = compute_wspd(tree)
+    spread = 1e-3 if clustered else 1.0
+    for step in range(25):
+        pid = int(rng.integers(0, n))
+        if step % 2:
+            z = np.clip(pts[pid] + rng.normal(0.0, 1e-3 * spread, k),
+                        0.0, 1.0 - 1e-12)
+        else:
+            z = move_target(rng, pts, pid, k, center)
+        find_modified_pairs(tree, pl, pid, z)
+        pts[pid] = z
+        assert_pair_list_matches_full_runs(tree, pl)
+    assert rewalk_routes >= {
+        "moved leaf side", "split with shared and forked children",
+    }, rewalk_routes
+
+
+def test_rewalk_runs_a_one_sided_frontier_call(rewalk_routes):
+    # before the tie instance's move, splitting (c, y) reached the clean
+    # calls of y's two leaves with c; after it, (y, c) is emitted instead,
+    # so those frontier calls are reached on the old side only
+    test_rewalk_exact_on_a_separation_tie()
+    assert "one-sided frontier call below a fork" in rewalk_routes
