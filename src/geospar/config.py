@@ -20,7 +20,6 @@ class RunConfig:
     delta: float = 0.05
     k: int = 3                    # projection dimension; 0 = auto-adversarial
     kernel: str = "gaussian"
-    kernel_c: Optional[float] = None   # override the kernel's Lipschitz C
     kernel_l: Optional[float] = None   # override the kernel's Lipschitz L
     c_s: float = 0.25             # sample-size multiplier (calibrated)
     c_jl: float = 1.0             # JL distortion exponent constant
@@ -36,9 +35,8 @@ class RunConfig:
         except KeyError:
             raise ConfigError(f"unknown kernel {self.kernel!r}; "
                               f"choose from {sorted(KERNELS)}") from None
-        c = self.kernel_c if self.kernel_c is not None else kern.lipschitz_C
         l = self.kernel_l if self.kernel_l is not None else kern.lipschitz_L
-        return KernelFunction(kern.name, kern.f, c, l)
+        return KernelFunction(kern.name, kern.f, kern.lipschitz_C, l)
 
     def resolve_k(self, n: int) -> int:
         if self.k == 0:
@@ -89,6 +87,6 @@ def _coerce(key: str, value: str):
             return _BOOL[value.lower()]
         except KeyError:
             raise ValueError(f"expected boolean, got {value!r}") from None
-    if key in ("kernel_c", "kernel_l"):
+    if key == "kernel_l":
         return None if value.lower() == "none" else float(value)
     return float(value)

@@ -42,6 +42,14 @@ before the move, and one pass at its end logs (i, j, -old) then
 the log onto an older edge map rebuilds the current one exactly.  An edge
 that only changes owner between two WSPD pairs never reaches the log.
 
+The WSPD hands a move back as a set of pair keys, and the sparsifier reads
+each pair's state itself, in key order: it is old if the store holds its
+key and new if the WSPD does, its sides' point counts are their nodes'
+counts, and a side holds the moved point before (after) the move if its
+token is on the point's root path before (after) it.  A pair old and new
+whose sides hold the point as before kept its ids: only the point's
+edges there are reweighed.
+
 A move finds the moved point's edges in a sampled pair through the pair's
 per-point index.  A materialized pair keeps no index: it holds its whole
 biclique, so the point's edges there are its slab, the point against each
@@ -77,10 +85,8 @@ from .kernels import (
 from .projection import make_ultra_jl
 from .quadtree import CompressedQuadTree
 from .sampling import MASK, SHIFT, PairSample
+from .wspd import _MASK, _SHIFT  # WSPD pair keys
 
-# WSPD pair keys: a-node token << 32 | b-node token
-_SHIFT = 32
-_MASK = (1 << _SHIFT) - 1
 # theta: a sampled pair keeps its scale while that is within SCALE_BAND * eps
 # of the exact |X||Y|/s, relative
 SCALE_BAND = 0.1
@@ -122,8 +128,8 @@ class DynamicGeoSpar:
     @classmethod
     def initialize(cls, pset: PointSet, kernel: KernelFunction, eps: float,
                    delta: float, k: int, seed: int, *, c_s: float = 0.25,
-                   c_jl: float = 1.0, allow_large_eps: bool = False,
-                   separation: float = wspd.SEPARATION) -> "DynamicGeoSpar":
+                   c_jl: float = 1.0,
+                   allow_large_eps: bool = False) -> "DynamicGeoSpar":
         if pset.n < 2:
             raise EmptyInput("need at least 2 points")
         hi = 1.0 if allow_large_eps else 0.1
@@ -156,11 +162,11 @@ class DynamicGeoSpar:
         self._queued = ([], [])   # owner sample, packed sample edge
         proj = {i: self._project_unit(pset.points[i]) for i in range(self.n)}
         self.tree = CompressedQuadTree.build(proj, k)
-        self.pairs = wspd.compute_wspd(self.tree, separation)
+        self.pairs = wspd.compute_wspd(self.tree)
+        by_tok = self.tree.by_tok
         for key in sorted(self.pairs.pairs):
-            a = self.tree.by_tok[key >> _SHIFT]
-            b = self.tree.by_tok[key & _MASK]
-            self._store[key] = self._build_pair(a, b)
+            self._store[key] = self._build_pair(by_tok[key >> _SHIFT],
+                                                by_tok[key & _MASK])
         self._flush_queued()
         self.sparsity_budget = sum(
             min(e.s_target, e.nx * e.ny) for e in self._store.values())
@@ -278,20 +284,21 @@ class DynamicGeoSpar:
             for idx in sampling.draw_indices(total, s, self.rng)])
         return entry
 
-    def _point_edges(self, entry: PairSample, delta: wspd.PairDelta,
+    def _point_edges(self, entry: PairSample, a_node, b_node, old: tuple,
                      pid: int) -> list:
-        """The edges of `entry` through `pid`, on the side `delta.old`
-        names: from the index of a sampled pair, from the slab against the
-        other side for a whole one."""
+        """The edges of `entry` through `pid`, on the side `old` names
+        (whether each side held `pid` before the move): from the index of
+        a sampled pair, from the slab against the other side for a whole
+        one."""
         if not entry.materialized:
             return entry.point_edges(pid)
-        key, pos = delta.key, entry.pos
-        if delta.old[0]:
-            other = self.tree.subtree_ids(self.tree.by_tok[key & _MASK])
+        pos = entry.pos
+        if old[0]:
+            other = self.tree.subtree_ids(b_node)
             hi = pid << SHIFT
             return [hi | j for j in other if hi | j in pos]
-        if delta.old[1]:
-            other = self.tree.subtree_ids(self.tree.by_tok[key >> _SHIFT])
+        if old[1]:
+            other = self.tree.subtree_ids(a_node)
             return [e for j in other if (e := j << SHIFT | pid) in pos]
         return []
 
@@ -314,64 +321,72 @@ class DynamicGeoSpar:
             raise OutOfRegion("target outside the unit bounding region")
         q_new = self._project_unit(z)
         diff_mark = len(self._diff)
-        deltas = wspd.find_modified_pairs(self.tree, self.pairs, i, q_new)
+        tree = self.tree
+        old_path = {nd.tok for nd in tree.path_to_root(tree.point_index[i])}
+        keys = wspd.find_modified_pairs(tree, self.pairs, i, q_new)
+        new_path = {nd.tok for nd in tree.path_to_root(tree.point_index[i])}
         self.pset.set_point(i, z)
-        report = UpdateReport(pairs_touched=len(deltas))
+        report = UpdateReport(pairs_touched=len(keys))
         # Phase one: release every edge changing owner (dropped pairs, and
         # the moved point's edges inside surviving pairs).  Only then may
         # other pairs claim the same edge keys: the final WSPD covers each
         # id pair exactly once, so claims never collide with each other.
+        # Pairs go in key order, which fixes the order of RNG draws and of
+        # H writes.  old/new: whether each side holds the moved point
+        # before/after the move; old is None for a pair new to the WSPD.
+        store, live, by_tok = self._store, self.pairs.pairs, tree.by_tok
         later = []
-        for delta in deltas:
-            if delta.new is None:
-                self._drop_pair(delta.key)
+        for key in sorted(keys):
+            if key not in live:
+                self._drop_pair(key)
                 report.pairs_removed += 1
                 continue
-            if delta.old is not None and not delta.unchanged_ids:
-                entry = self._store[delta.key]
-                edges = self._point_edges(entry, delta, i)
+            ta, tb = key >> _SHIFT, key & _MASK
+            a_node, b_node = by_tok[ta], by_tok[tb]
+            new = (ta in new_path, tb in new_path)
+            old = (ta in old_path, tb in old_path) if key in store else None
+            if old is not None and old != new:
+                entry = store[key]
+                edges = self._point_edges(entry, a_node, b_node, old, i)
                 for edge, h_key in zip(edges, _h_keys(edges)):
                     entry.discard(edge)
                     self._set_edge(h_key, 0.0)
-            later.append(delta)
-        for delta in later:
-            self._apply_delta(delta, i, report)
+            later.append((key, a_node, b_node, old, new))
+        for key, a_node, b_node, old, new in later:
+            self._apply_change(key, a_node, b_node, old, new, i, report)
         self._flush_queued()
         report.churn = self._log_net_change()
         report.edges_changed = len(self._diff) - diff_mark
         return report
 
-    def _apply_delta(self, delta: wspd.PairDelta, pid: int,
-                     report: UpdateReport):
-        key = delta.key
-        a_node = self.tree.by_tok[key >> _SHIFT]
-        b_node = self.tree.by_tok[key & _MASK]
-        if delta.old is None:
+    def _apply_change(self, key, a_node, b_node, old, new, pid: int,
+                      report: UpdateReport):
+        if old is None:
             self._store[key] = self._build_pair(a_node, b_node)
             report.pairs_added += 1
             return
         entry = self._store[key]
-        if delta.unchanged_ids:
+        if old == new:
             # same id universe, the moved point changed position: queue its
             # edges for the move's batched evaluation, which reweighs them
-            self._queue_edges(entry, self._point_edges(entry, delta, pid))
+            self._queue_edges(
+                entry, self._point_edges(entry, a_node, b_node, old, pid))
             report.pairs_reweighted += 1
             return
-        self._resample_pair(key, entry, delta, a_node, b_node, pid, report)
+        self._resample_pair(key, entry, a_node, b_node, new, pid, report)
 
-    def _resample_pair(self, key, entry: PairSample, delta, a_node, b_node,
-                       pid: int, report: UpdateReport):
-        new_a, new_b = delta.new
-        nx, ny = new_a[0], new_b[0]
+    def _resample_pair(self, key, entry: PairSample, a_node, b_node,
+                       new: tuple, pid: int, report: UpdateReport):
+        nx, ny = a_node.count, b_node.count
         s_new = self.sample_size(nx, ny)
         # hysteresis: a whole pair stays whole up to 4 * s, a sampled pair
         # stays sampled down to s
         if entry.materialized and nx * ny <= 4 * s_new:
             # the departed point's edges are already evicted; only the
             # arriving point's slab is new
-            if new_a[1]:
+            if new[0]:
                 self._queue_slab(entry, [pid], self.tree.subtree_ids(b_node))
-            elif new_b[1]:
+            elif new[1]:
                 self._queue_slab(entry, self.tree.subtree_ids(a_node), [pid])
             entry.nx, entry.ny, entry.s_target = nx, ny, s_new
             report.pairs_extended += 1
@@ -380,17 +395,16 @@ class DynamicGeoSpar:
             self._store[key] = self._build_pair(a_node, b_node)
             report.pairs_rematerialized += 1
         else:
-            self._fast_resample(entry, a_node, b_node, new_a, new_b, pid,
-                                s_new)
+            self._fast_resample(entry, a_node, b_node, new, pid, s_new)
             report.pairs_resampled += 1
 
     def _side(self, node):
         kth = self.tree.kth_leaf
         return node.count, lambda idx: kth(node, idx).pid
 
-    def _fast_resample(self, entry, a_node, b_node, new_a, new_b, pid, s_new):
-        nx, in_a = new_a
-        ny, in_b = new_b
+    def _fast_resample(self, entry, a_node, b_node, new, pid, s_new):
+        nx, ny = a_node.count, b_node.count
+        in_a, in_b = new
         total = nx * ny   # > s_new, or the pair would have been made whole
         if entry.materialized:
             entry.to_sampled()

@@ -27,6 +27,13 @@ tree reaches and the other does not are run.  The maintained list stays
 *set-equal* to a from-scratch recomputation on the mutated tree; that
 equality is the master oracle in the test suite.
 
+A move edits the generators' key sets, then commits its net change to the
+pair set and node index in one `WspdPairList.apply`: a key that moves
+between two generators stays.  It hands back only pair keys.  The caller
+reads each side's node, point count and whether it holds the moved point
+from the tree, and whether a key is old or new from its own store and
+the pair set.
+
 Hot-path keys are packed ints built from per-tree node tokens; canonical
 (level, origin) identities are used for split tie-breaking and for
 comparing pair lists across different tree instances.
@@ -35,7 +42,6 @@ comparing pair lists across different tree instances.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
 
 from .errors import DuplicatePoint, EmptyInput, UnknownPoint
 from .quadtree import CompressedQuadTree, Node, grid_key
@@ -128,29 +134,6 @@ def _run_generator(a: Node, b: Node, s: float) -> set:
     return out
 
 
-class PairDelta(NamedTuple):
-    """One WSPD pair affected by a point move: its state before and after.
-
-    Both states list the pair's two sides in key token order.  `old` is
-    None for an added pair, else (moved_a, moved_b): whether each side held
-    the moved point before the move.  `new` is None for a removed pair,
-    else ((count_a, moved_a), (count_b, moved_b)): each side's point count
-    and whether it holds the moved point after the move.
-    """
-
-    key: int
-    old: Optional[tuple]
-    new: Optional[tuple]
-
-    @property
-    def unchanged_ids(self) -> bool:
-        """True when the pair survived with identical point-id sets."""
-        old, new = self.old, self.new
-        if old is None or new is None:
-            return False
-        return old[0] == new[0][1] and old[1] == new[1][1]
-
-
 class WspdPairList:
     """The pair set plus the inverted indexes the maintenance needs."""
 
@@ -166,54 +149,30 @@ class WspdPairList:
     def __len__(self):
         return len(self.pairs)
 
-    def set_gen(self, gen: int, keys: set):
+    def add_gen(self, gen: int, keys: set):
+        """Register a generator and its output; `apply` commits the keys."""
         if gen in self.by_gen:
             raise AssertionError(f"generator {gen} already present")
-        self.stage_gen(gen, keys)
-        self.commit_gains(keys)
+        for side in unpack(gen):
+            self.gens_by_node.setdefault(side, set()).add(gen)
+        self.by_gen[gen] = keys
 
     def pop_gen(self, gen: int) -> set:
+        """Unregister a generator; `apply` drops its keys."""
         keys = self.by_gen.pop(gen)
         for side in unpack(gen):
             bucket = self.gens_by_node.get(side)
             bucket.discard(gen)
             if not bucket:
                 del self.gens_by_node[side]
-        self._discard(keys)
         return keys
 
-    def stage_gen(self, gen: int, keys: set):
-        """Install a generator that did not exist before the move.
-
-        Its keys are gains: the caller must feed every gained key to
-        commit_gains after all drops across generators are staged — a pair
-        can migrate between two generators, and its drop from the old owner
-        must never undo the new owner's gain.
-        """
-        for side in unpack(gen):
-            self.gens_by_node.setdefault(side, set()).add(gen)
-        self.by_gen[gen] = keys
-
-    def edit_gen(self, gen: int, dropped: set, gained: set):
-        """Edit a surviving generator's output in place and apply its drops;
-        its gains go to commit_gains as for stage_gen."""
-        keys = self.by_gen[gen]
-        keys -= dropped
-        keys |= gained
-        self._discard(dropped)
-
-    def commit_gains(self, keys):
+    def apply(self, removed: set, added: set):
+        """Commit the net change to `pairs` and `node_index`.  A key in
+        both sets moved between two generators and stays."""
         pairs = self.pairs
         index = self.node_index
-        for key in keys:
-            pairs.add(key)
-            index.setdefault(key >> _SHIFT, set()).add(key)
-            index.setdefault(key & _MASK, set()).add(key)
-
-    def _discard(self, keys):
-        pairs = self.pairs
-        index = self.node_index
-        for key in keys:
+        for key in removed - added:
             pairs.discard(key)
             for side in (key >> _SHIFT, key & _MASK):
                 bucket = index.get(side)
@@ -221,6 +180,10 @@ class WspdPairList:
                     bucket.discard(key)
                     if not bucket:
                         del index[side]
+        for key in added - removed:
+            pairs.add(key)
+            index.setdefault(key >> _SHIFT, set()).add(key)
+            index.setdefault(key & _MASK, set()).add(key)
 
     def canonical_pairs(self, tree: CompressedQuadTree) -> set:
         """Pairs as unordered (level, origin)/(-1, pid) identity pairs,
@@ -248,8 +211,9 @@ def compute_wspd(tree: CompressedQuadTree, s: float = SEPARATION) -> WspdPairLis
         for i in range(len(kids)):
             stack.append(kids[i])
             for j in range(i + 1, len(kids)):
-                gen = _pk(kids[i].tok, kids[j].tok)
-                pl.set_gen(gen, _run_generator(kids[i], kids[j], s))
+                keys = _run_generator(kids[i], kids[j], s)
+                pl.add_gen(_pk(kids[i].tok, kids[j].tok), keys)
+                pl.apply(set(), keys)
     return pl
 
 
@@ -347,12 +311,14 @@ def _rewalk(a_old: Node, b_old: Node, a: Node, b: Node, s: float,
 
 
 def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
-                        pid: int, new_vec) -> list:
+                        pid: int, new_vec) -> set:
     """Move point `pid` to `new_vec`; update tree and pair list in place.
 
-    Returns PairDelta descriptors sorted by pair key: every pair removed,
-    added, or surviving with changed point content.  Pairs re-emitted
-    verbatim with untouched content are not reported.
+    Returns the keys of the pairs the move may have changed: every pair
+    removed or added (a key can be both, when it moves between two
+    generators), plus every surviving pair with a side on the moved
+    point's old or new root path.  Pairs re-emitted verbatim with
+    untouched content are not reported.
     """
     leaf = tree.point_index.get(pid)
     if leaf is None:
@@ -369,7 +335,7 @@ def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
     chain_q = tree.path_to_root(loc_new.node) if loc_new.node is not None else []
     old_nodes = {n.tok: n for n in chain_p}
     old_nodes.update((n.tok, n) for n in chain_q)
-    chain_p_toks = {n.tok for n in chain_p}
+    moved = {n.tok for n in chain_p}
     # every node whose children the mutation can change lies on these chains
     old_kids = {t: dict(nd.children) for t, nd in old_nodes.items()
                 if not nd.is_leaf}
@@ -405,7 +371,7 @@ def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
         node = tree.nodes.get(wsid)
         if node is not None:
             dirty_new.add(node.tok)
-    chain_pn_toks = {n.tok for n in chain_pn}
+    moved.update(n.tok for n in chain_pn)
 
     new_needed = set()
     by_tok = tree.by_tok
@@ -436,14 +402,12 @@ def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
                if by_tok.get(t) is not old_nodes[t]
                or kids != old_nodes[t].children}
 
-    removed_keys = set()
-    added_keys = set()
+    removed = set()
+    added = set()
     s = pl.s
     by_gen = pl.by_gen
     for gen in old_affected - new_needed:  # dissolved sibling pairs
-        removed_keys |= pl.pop_gen(gen)
-    # stage all drops before committing any gains: pairs may migrate
-    # between two re-run generators under the same key
+        removed |= pl.pop_gen(gen)
     for gen in new_needed:
         ta = gen >> _SHIFT
         tb = gen & _MASK
@@ -451,43 +415,21 @@ def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
         b = by_tok[tb]
         if gen not in by_gen:
             keys = _run_generator(a, b, s)
-            pl.stage_gen(gen, keys)
-            added_keys |= keys
+            pl.add_gen(gen, keys)
+            added |= keys
             continue
         dropped, gained = _rewalk(old_nodes.get(ta, a), old_nodes.get(tb, b),
                                   a, b, s, dirty, changed)
-        pl.edit_gen(gen, dropped, gained)
-        removed_keys |= dropped
-        added_keys |= gained
-    pl.commit_gains(added_keys)
-
-    def new_side(tok):
-        return by_tok[tok].count, tok in chain_pn_toks
+        keys = by_gen[gen]
+        keys -= dropped
+        keys |= gained
+        removed |= dropped
+        added |= gained
+    pl.apply(removed, added)
 
     # survivors whose point content changed (pair kept, p left or p_new joined)
-    moved = chain_p_toks | chain_pn_toks
-    touched = set()
+    reported = removed | added
     node_index = pl.node_index
     for t in moved:
-        touched |= node_index.get(t, set())
-    touched -= removed_keys
-    touched -= added_keys
-
-    deltas = []
-    for key in removed_keys:
-        a = key >> _SHIFT
-        b = key & _MASK
-        new = (new_side(a), new_side(b)) if key in added_keys else None
-        deltas.append(PairDelta(key, (a in chain_p_toks, b in chain_p_toks),
-                                new))
-    for key in added_keys:
-        if key not in removed_keys:
-            deltas.append(PairDelta(
-                key, None, (new_side(key >> _SHIFT), new_side(key & _MASK))))
-    for key in touched:
-        a = key >> _SHIFT
-        b = key & _MASK
-        deltas.append(PairDelta(key, (a in chain_p_toks, b in chain_p_toks),
-                                (new_side(a), new_side(b))))
-    deltas.sort(key=lambda d: d.key)
-    return deltas
+        reported.update(node_index.get(t, ()))
+    return reported

@@ -30,9 +30,10 @@ rebuild_budget = 12
 
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "c.txt"
-    path.write_text("epsilon = 0.5\n")
-    with pytest.raises(ConfigError, match="unknown key"):
-        parse_config(path)
+    for line in ("epsilon = 0.5", "kernel_c = 2"):
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(path)
 
 
 def test_malformed_line_rejected(tmp_path):

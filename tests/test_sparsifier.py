@@ -461,8 +461,13 @@ def _edges_by_point(edges):
 
 def _assert_point_index(g):
     """A whole biclique keeps no per-point index; a sampled one keeps one
-    equal to a scan of its edges."""
-    for entry in g._store.values():
+    equal to a scan of its edges.  The store holds exactly the WSPD's
+    pairs, each with its two nodes' point counts."""
+    assert set(g._store) == g.pairs.pairs
+    by_tok = g.tree.by_tok
+    for key, entry in g._store.items():
+        ta, tb = wspd.unpack(key)
+        assert (entry.nx, entry.ny) == (by_tok[ta].count, by_tok[tb].count)
         if len(entry) == entry.nx * entry.ny:
             assert entry.materialized and entry.by_point is None
         else:

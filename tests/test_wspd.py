@@ -146,16 +146,16 @@ class TestFindModifiedPairs:
                2: np.array([0.9, 0.9])}
         tree = build(dict(pts), 2)
         pl = compute_wspd(tree)
-        old_pairs = pl.canonical_pairs(tree)
+        old_path = path_toks(tree, 2)
+        before = set(pl.pairs)
         target = np.array([0.1, 0.08])
-        deltas = find_modified_pairs(tree, pl, 2, target)
+        reported = find_modified_pairs(tree, pl, 2, target)
         pts[2] = target
         fresh_tree = build(pts, 2)
         fresh = compute_wspd(fresh_tree)
         assert pl.canonical_pairs(tree) == fresh.canonical_pairs(fresh_tree)
-        reported_removed = {d.key for d in deltas if d.new is None}
-        reported_added = {d.key for d in deltas if d.old is None}
-        assert reported_removed or reported_added  # the hand move restructures
+        assert before ^ pl.pairs  # the hand move restructures
+        assert_reported_bounds(tree, pl, 2, old_path, before, reported)
 
     def test_oracle_equivalence_every_step(self):
         pts = make_instance(80, 3, 8)
@@ -202,9 +202,9 @@ class TestFindModifiedPairs:
         for _ in range(50):
             pid = int(rng.integers(0, 200))
             z = rng.random(3)
-            deltas = find_modified_pairs(tree, pl, pid, z)
+            reported = find_modified_pairs(tree, pl, pid, z)
             pts[pid] = z
-            assert len(deltas) <= bound
+            assert len(reported) <= bound
 
 
 def sibling_gens(tree):
@@ -237,6 +237,24 @@ def assert_pair_list_matches_full_runs(tree, pl):
     assert pl.pairs == pairs
     assert pl.gens_by_node == gens_by_node
     assert pl.node_index == node_index
+
+
+def path_toks(tree, pid):
+    """Tokens of the nodes on the point's root path."""
+    return {nd.tok for nd in tree.path_to_root(tree.point_index[pid])}
+
+
+def assert_reported_bounds(tree, pl, pid, old_path, before, reported,
+                           ctx=None):
+    """A move reports every pair removed or added and every surviving pair
+    with a side on the moved point's old or new root path, and nothing
+    outside the pairs before and after it."""
+    after = pl.pairs
+    new_path = path_toks(tree, pid)
+    touched = {key for key in before & after
+               if any(t in old_path or t in new_path for t in unpack(key))}
+    assert (before ^ after) | touched <= reported, ctx
+    assert reported <= before | after, ctx
 
 
 @pytest.fixture
@@ -289,37 +307,13 @@ def test_dirty_rewalk_matches_full_runs(mutation_cases):
             for step in range(80):
                 pid = int(rng.integers(0, n))
                 z = move_target(rng, pts, pid, k, center)
-                old_path = {nd.tok for nd in
-                            tree.path_to_root(tree.point_index[pid])}
+                old_path = path_toks(tree, pid)
                 before = set(pl.pairs)
-                deltas = find_modified_pairs(tree, pl, pid, z)
+                reported = find_modified_pairs(tree, pl, pid, z)
                 pts[pid] = z
-                after = pl.pairs
-                ctx = (k, clustered, step)
                 assert_pair_list_matches_full_runs(tree, pl)
-                removed = {d.key for d in deltas if d.new is None}
-                added = {d.key for d in deltas if d.old is None}
-                assert removed == before - after, ctx
-                assert added == after - before, ctx
-                # each reported side says whether it holds the moved point
-                new_path = {nd.tok for nd in
-                            tree.path_to_root(tree.point_index[pid])}
-                touched = set()
-                for key in before & after:
-                    if any(t in old_path or t in new_path
-                           for t in unpack(key)):
-                        touched.add(key)
-                reported = {d.key for d in deltas}
-                assert (before ^ after) | touched <= reported, ctx
-                assert reported <= before | after, ctx
-                for d in deltas:
-                    sides = unpack(d.key)
-                    if d.old is not None:
-                        assert d.old == tuple(t in old_path for t in sides)
-                    if d.new is not None:
-                        assert d.new == tuple(
-                            (tree.by_tok[t].count, t in new_path)
-                            for t in sides)
+                assert_reported_bounds(tree, pl, pid, old_path, before,
+                                       reported, (k, clustered, step))
     assert mutation_cases >= {
         "RemoveLeaf", "RemoveAndSplice", "ChildOfExisting",
         "SplitCompressedEdge (inner edge)", "SplitCompressedEdge (new top)",
