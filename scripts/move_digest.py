@@ -5,9 +5,14 @@ Builds each workload of perfbench/workloads.py on its inputs for --seed
 and replays its moves in order (the sketch-serve workload's other
 operations are skipped; they do not touch the sparsifier).  Each digest
 is a SHA-256 over the edge map after set-up and then, per move, the
-UpdateReport's fields, the get_diff() log and the edge map sorted by
+UpdateReport's fields, the get_diff() log and the edge map, both sorted by
 (i, j), weights compared bit for bit.  Two trees that print the same
 digests behave identically move for move on these inputs.
+
+The order of entries within one move's log is not part of the contract:
+the log holds, per changed edge, -old then +new.  So the log is hashed
+after a stable sort by (i, j), which keeps each edge's -old before its
++new.
 
 Stdlib, numpy and geospar only.  Run from the repository root:
 
@@ -56,7 +61,8 @@ def digest(name: str, seed: int) -> dict:
         _, i, z = op
         rep = g.update(i, z)
         h.update(repr(dataclasses.astuple(rep)).encode())
-        h.update(repr(g.get_diff()).encode())
+        diff = sorted(g.get_diff(), key=lambda e: (e[0], e[1]))
+        h.update(repr(diff).encode())
         hash_edge_map(h, g)
         moves += 1
     return {"workload": name, "seed": seed, "moves": moves,

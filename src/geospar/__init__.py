@@ -22,7 +22,6 @@ from .projection import (
     UltraJlMap,
     make_sketch_pair,
     make_ultra_jl,
-    project_point,
     sketch_rows,
 )
 from .quadtree import CompressedQuadTree, MutationReport, build, structurally_equal

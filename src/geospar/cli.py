@@ -116,7 +116,7 @@ def _init_sparsifier(points_raw, cfg: RunConfig):
     k = cfg.resolve_k(pset.n)
     dgs = DynamicGeoSpar.initialize(
         pset, kernel, cfg.eps, cfg.delta, k, cfg.seed,
-        c_s=cfg.c_s, c_jl=cfg.c_jl, allow_large_eps=cfg.allow_large_eps)
+        c_s=cfg.c_s, allow_large_eps=cfg.allow_large_eps)
     return pset, kernel, dgs
 
 
@@ -212,7 +212,7 @@ def cmd_replay(args) -> int:
     wrapper = FullyDynamicSparsifier(
         pset, kernel, cfg.eps, cfg.delta, k, cfg.seed,
         rebuild_budget=cfg.rebuild_budget,
-        c_s=cfg.c_s, c_jl=cfg.c_jl, allow_large_eps=cfg.allow_large_eps)
+        c_s=cfg.c_s, allow_large_eps=cfg.allow_large_eps)
     init_s = time.perf_counter() - t0
     needs_sketch = any(op["op"] in ("mulv", "solveb") for _, op in ops)
     mul = sol = None
@@ -335,8 +335,7 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             dgs = DynamicGeoSpar.initialize(
                 pset, kernel, cfg.eps, cfg.delta, cfg.resolve_k(n), cfg.seed,
-                c_s=cfg.c_s, c_jl=cfg.c_jl,
-                allow_large_eps=cfg.allow_large_eps)
+                c_s=cfg.c_s, allow_large_eps=cfg.allow_large_eps)
             init_times.append(time.perf_counter() - t0)
             churn_total = 0
             t1 = time.perf_counter()

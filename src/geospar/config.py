@@ -22,7 +22,6 @@ class RunConfig:
     kernel: str = "gaussian"
     kernel_l: Optional[float] = None   # override the kernel's Lipschitz L
     c_s: float = 0.25             # sample-size multiplier (calibrated)
-    c_jl: float = 1.0             # JL distortion exponent constant
     c_sk: float = 4.0             # sketch row multiplier
     seed: int = 0
     checkpoint: int = 10          # verification stride during replay

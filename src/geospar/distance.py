@@ -23,13 +23,9 @@ def ultra_k(n: int) -> int:
 
 
 class UltraJlStore:
-    """Points plus their cached ultra-low-dimensional projections.
+    """Points plus their cached ultra-low-dimensional projections."""
 
-    ``eps`` is accepted to match ``ujl_init`` and is not used: the
-    estimate's distortion is a calibrated constant, not a function of eps.
-    """
-
-    def __init__(self, points: np.ndarray, eps: float, jl: UltraJlMap):
+    def __init__(self, points: np.ndarray, jl: UltraJlMap):
         self.points = np.array(points, dtype=np.float64)
         self.n, self.d = self.points.shape
         self.jl = jl
@@ -55,7 +51,11 @@ class UltraJlStore:
 
 
 def ujl_init(points, eps: float, seed: int) -> UltraJlStore:
-    """Build the store; k is derived from n, the projection from the seed."""
+    """Build the store; k is derived from n, the projection from the seed.
+
+    ``eps`` is not used: the estimate's distortion is a calibrated
+    constant, not a function of eps.
+    """
     points = np.asarray(points, dtype=np.float64)
     n, d = points.shape
     k = ultra_k(n)
@@ -66,7 +66,7 @@ def ujl_init(points, eps: float, seed: int) -> UltraJlStore:
             "guarantee is calibrated for d near log2(n)",
             RuntimeWarning, stacklevel=2)
     jl = make_ultra_jl(d, k, seed)
-    return UltraJlStore(points, eps, jl)
+    return UltraJlStore(points, jl)
 
 
 def ujl_update(store: UltraJlStore, i: int, z):

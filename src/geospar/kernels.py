@@ -141,8 +141,7 @@ def kernel_weight(kernel: KernelFunction, u, v) -> float:
 def aspect_ratio(points: np.ndarray) -> float:
     """Brute-force max/min pairwise distance ratio (O(n^2))."""
     pts = np.asarray(points, dtype=np.float64)
-    diff = pts[:, None, :] - pts[None, :, :]
-    d2 = np.sum(diff * diff, axis=-1)
+    d2 = pairwise_sqdist(pts)
     iu = np.triu_indices(pts.shape[0], k=1)
     vals = d2[iu]
     dmin = float(vals.min())

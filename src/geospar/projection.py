@@ -42,10 +42,6 @@ def make_ultra_jl(d: int, k: int, seed: int) -> UltraJlMap:
     return UltraJlMap(mat, k, d, seed)
 
 
-def project_point(jl: UltraJlMap, x) -> np.ndarray:
-    return jl.project(x)
-
-
 @dataclass(frozen=True)
 class SketchMatrix:
     """m x n matrix with i.i.d. entries of variance 1/m, so E[S^T S] = I."""
@@ -60,9 +56,6 @@ class SketchMatrix:
         if v.shape != (self.n,):
             raise DimensionMismatch(f"expected dimension {self.n}, got {v.shape}")
         return self.matrix @ v
-
-    def column(self, j: int) -> np.ndarray:
-        return self.matrix[:, j]
 
 
 def sketch_rows(n: int, eps: float, delta: float, c_sk: float = DEFAULT_C_SK) -> int:

@@ -25,36 +25,30 @@ MASK = (1 << SHIFT) - 1
 
 
 class PairSample:
-    """Edge sample of one biclique, indexed for O(churn) edits.
+    """Edge sample of one sampled biclique, indexed for O(churn) edits.
 
     `edges` holds the packed edges ``a << SHIFT | b`` and `raw` their raw
     kernel weights, index for index; `pos` maps an edge to that index.  A
     discard moves the last edge (and its weight) into the freed slot, so
-    both arrays stay dense and aligned.
+    both arrays stay dense and aligned.  `by_point` maps an id to the set
+    of its edges, so a move finds the moved point's edges without a scan.
 
-    Only a sampled pair keeps `by_point`, the index from an id to the set
-    of its edges.  A materialized pair holds its whole biclique, so a
-    point's edges there are its slab against the other side, which the
-    caller lists from the quad tree; its `by_point` is None.
+    A biclique kept whole is no sample: the sparsifier keeps only its two
+    sides' id lists, and the graph holds its weights.
     """
 
     __slots__ = ("edges", "pos", "raw", "by_point", "s_target",
                  "nx", "ny", "scale")
 
-    def __init__(self, s_target, nx, ny, scale, materialized):
+    def __init__(self, s_target, nx, ny, scale):
         self.edges = array("q")   # a-side id << SHIFT | b-side id
         self.raw = array("d")     # raw kernel weight of edges[idx]
         self.pos = {}             # edge -> index in edges and raw
-        # id -> set of edges, sampled pairs only
-        self.by_point = None if materialized else {}
+        self.by_point = {}        # id -> set of edges
         self.s_target = s_target
         self.nx = nx
         self.ny = ny
         self.scale = scale
-
-    @property
-    def materialized(self) -> bool:
-        return self.by_point is None
 
     def __len__(self):
         return len(self.edges)
@@ -67,9 +61,8 @@ class PairSample:
         self.edges.append(edge)
         self.raw.append(raw_w)
         by_point = self.by_point
-        if by_point is not None:
-            by_point.setdefault(edge >> SHIFT, set()).add(edge)
-            by_point.setdefault(edge & MASK, set()).add(edge)
+        by_point.setdefault(edge >> SHIFT, set()).add(edge)
+        by_point.setdefault(edge & MASK, set()).add(edge)
 
     def discard(self, edge):
         idx = self.pos.pop(edge)
@@ -80,19 +73,11 @@ class PairSample:
             self.raw[idx] = last_w
             self.pos[last] = idx
         by_point = self.by_point
-        if by_point is not None:
-            for endpoint in (edge >> SHIFT, edge & MASK):
-                bucket = by_point[endpoint]
-                bucket.discard(edge)
-                if not bucket:
-                    del by_point[endpoint]
-
-    def to_sampled(self):
-        """Turn a whole sample into a sampled one: index its edges."""
-        by_point = self.by_point = {}
-        for edge in self.edges:
-            by_point.setdefault(edge >> SHIFT, set()).add(edge)
-            by_point.setdefault(edge & MASK, set()).add(edge)
+        for endpoint in (edge >> SHIFT, edge & MASK):
+            bucket = by_point[endpoint]
+            bucket.discard(edge)
+            if not bucket:
+                del by_point[endpoint]
 
     def pop_random(self, rng):
         idx = int(rng.integers(0, len(self.edges)))

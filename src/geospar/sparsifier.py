@@ -3,38 +3,40 @@
 Pipeline: project the points to k dimensions, build a compressed quad tree
 and a 2-WSPD over the projections, view every well-separated pair as a
 biclique in the original d-dimensional space, and keep a uniform edge
-sample per biclique, scaled by |X||Y|/s (small bicliques are materialized
-whole, unscaled).  A point move re-runs only the affected WSPD generators
+sample per biclique, scaled by |X||Y|/s (small bicliques are kept whole,
+unscaled).  A point move re-runs only the affected WSPD generators
 and converts each touched pair's old sample into a fresh uniform one with
 `sampling.resample` (a hypergeometric count of edges through the arriving
 point), so the sparsifier changes by few edges.  All draws go through
 `sampling`; this module weighs the drawn edges and logs the net change.
 
 A pair's state has hysteresis, so moves near a threshold do not flip it:
-a new pair (at set-up or on a move) is materialized iff |X||Y| <= s, a
-sampled pair stays sampled while |X||Y| > s, and a materialized pair stays
-whole while |X||Y| <= 4s.  A sampled pair keeps its scale while that is
+a new pair (at set-up or on a move) is kept whole iff |X||Y| <= s, a
+sampled pair stays sampled while |X||Y| > s, and a whole pair stays whole
+while |X||Y| <= 4s.  A sampled pair keeps its scale while that is
 within SCALE_BAND * eps (theta * eps) of the exact |X||Y|/s, relative;
 only when the band is left is the whole sample rewritten at the exact
 scale.  Each pair's Laplacian is then its exactly scaled sample's times a
 factor in [1 - theta*eps, 1 + theta*eps], so an eps-sparsifier at exact
 scales stays a ((1 + eps)(1 + theta*eps) - 1)-sparsifier.
 
-Edges are stored with raw kernel weights per pair; the graph H maps an
-unordered id pair to raw * scale.  Both hold an edge as one packed int, as
-the WSPD keys do: a sample keys it by its oriented ids, a-side id << 32 |
-b-side id (`sampling.SHIFT`), and H by min id << 32 | max id.  H and the
-samples' indexes are then dicts of ints and floats, which the garbage
-collector never tracks; `edge_map`, `fold_store`, `get_laplacian` and the
-diff log decode the keys to (i, j) with i < j.  Every new weight comes
-from one path:
-edges drawn by sampled builds and resamples, materialized edges (whole
-small bicliques, the arriving point's slab of a whole pair) and the moved
-point's edges in pairs that keep their ids (reweights) are queued and
-weighed in one batched kernel evaluation at the end of set-up and of each
-move, then written in queue order.  Kernel values do not depend on the
-batch, and no other pair touches a queued key, so every weight is the
-same as if each edge were weighed on the spot.
+A small biclique is kept whole as a `WholePair`: only its two sides' id
+lists, so its edges are a x b and the graph H is the only store of their
+(unscaled) weights.  A sampled pair is a `sampling.PairSample`, which keeps
+its edges with their raw kernel weights; H maps an unordered id pair to
+raw * scale.  Both hold an edge as one packed int, as the WSPD keys do: a
+pair keys it by its oriented ids, a-side id << 32 | b-side id
+(`sampling.SHIFT`), and H by min id << 32 | max id.  H and the samples'
+indexes are then dicts of ints and floats, which the garbage collector
+never tracks; `edge_map`, `fold_store`, `get_laplacian` and the diff log
+decode the keys to (i, j) with i < j.  Every new weight comes from one
+path: edges drawn by sampled builds and resamples, whole bicliques, the
+arriving point's slab of a whole pair and the moved point's edges in pairs
+that keep their ids (reweights) are queued and weighed in one batched
+kernel evaluation at the end of set-up and of each move, then written in
+queue order.  Kernel values do not depend on the batch, and no other pair
+touches a queued key, so every weight is the same as if each edge were
+weighed on the spot.
 
 The diff log is net per move: H writes remember each key's weight from
 before the move, and one pass at its end logs (i, j, -old) then
@@ -51,11 +53,12 @@ whose sides hold the point as before kept its ids: only the point's
 edges there are reweighed.
 
 A move finds the moved point's edges in a sampled pair through the pair's
-per-point index.  A materialized pair keeps no index: it holds its whole
-biclique, so the point's edges there are its slab, the point against each
-id of the other side (`subtree_ids` of that side's node) whose edge is in
-the sample; the point may have just crossed into that other side.  A
-whole pair that turns sampled builds its index once, before it resamples.
+per-point index, and in a whole pair as its slab, [pid] x b or a x [pid]:
+the id lists hold the sides from before the move until the release phase
+removes the point from its old side, and the point is appended to its new
+side when its arriving slab is queued.  A whole pair that turns sampled
+becomes a new `PairSample` of its edges, with raw weights read from H,
+before it resamples.
 """
 
 from __future__ import annotations
@@ -93,9 +96,47 @@ SCALE_BAND = 0.1
 
 
 def _h_keys(edges) -> list:
-    """The H keys, min id << 32 | max id, of packed sample edges."""
+    """The H keys, min id << 32 | max id, of packed pair edges."""
     return [e if e >> SHIFT < e & MASK else (e & MASK) << SHIFT | e >> SHIFT
             for e in edges]
+
+
+class WholePair:
+    """A biclique kept whole: the ids of its two sides, in lists.
+
+    Its edges are a x b, and H is the only store of their weights (at
+    scale 1).  `sides`, below, is a pair of flags saying whether the a
+    side or the b side holds the point; at most one does.
+    """
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: list, b: list):
+        self.a, self.b = a, b
+
+    @property
+    def edges(self) -> list:
+        """The packed edges a x b, row by row."""
+        return [i << SHIFT | j for i in self.a for j in self.b]
+
+    def slab(self, pid: int, sides: tuple) -> list:
+        """The packed edges through `pid`: [pid] x b or a x [pid]."""
+        if sides[0]:
+            return [pid << SHIFT | j for j in self.b]
+        return [j << SHIFT | pid for j in self.a] if sides[1] else []
+
+    def release(self, pid: int, sides: tuple) -> list:
+        """Remove `pid` from its side; return the slab it leaves."""
+        edges = self.slab(pid, sides)
+        if any(sides):
+            (self.a if sides[0] else self.b).remove(pid)
+        return edges
+
+    def extend(self, pid: int, sides: tuple) -> list:
+        """Append `pid` to its side; return the slab it brings."""
+        if any(sides):
+            (self.a if sides[0] else self.b).append(pid)
+        return self.slab(pid, sides)
 
 
 @dataclass
@@ -128,7 +169,6 @@ class DynamicGeoSpar:
     @classmethod
     def initialize(cls, pset: PointSet, kernel: KernelFunction, eps: float,
                    delta: float, k: int, seed: int, *, c_s: float = 0.25,
-                   c_jl: float = 1.0,
                    allow_large_eps: bool = False) -> "DynamicGeoSpar":
         if pset.n < 2:
             raise EmptyInput("need at least 2 points")
@@ -146,8 +186,7 @@ class DynamicGeoSpar:
         self.n = pset.n
         self.seed = seed
         self.c_s = c_s
-        self.c_jl = c_jl
-        self.gamma = c_jl * kernel.lipschitz_L / k
+        self.gamma = kernel.lipschitz_L / k
         ss_jl, ss_samp = np.random.SeedSequence(seed).spawn(2)
         self.jl = make_ultra_jl(pset.dim, k, int(ss_jl.generate_state(1)[0]))
         self.rng = np.random.Generator(np.random.PCG64(ss_samp))
@@ -159,7 +198,7 @@ class DynamicGeoSpar:
         self._diff = []
         self._store = {}
         self._before = {}         # H key -> its weight before the operation
-        self._queued = ([], [])   # owner sample, packed sample edge
+        self._queued = ([], [])   # owner sample (None: whole), packed edge
         proj = {i: self._project_unit(pset.points[i]) for i in range(self.n)}
         self.tree = CompressedQuadTree.build(proj, k)
         self.pairs = wspd.compute_wspd(self.tree)
@@ -168,8 +207,8 @@ class DynamicGeoSpar:
             self._store[key] = self._build_pair(by_tok[key >> _SHIFT],
                                                 by_tok[key & _MASK])
         self._flush_queued()
-        self.sparsity_budget = sum(
-            min(e.s_target, e.nx * e.ny) for e in self._store.values())
+        # H's edge count at set-up: each pair holds min(s, |X||Y|) edges
+        self.sparsity_budget = len(self._h)
         self._before = {}
         return self
 
@@ -222,28 +261,21 @@ class DynamicGeoSpar:
         d2 = np.sum((pts[ids_a] - pts[ids_b]) ** 2, axis=1)
         return self.kernel.eval_sqdist(d2)
 
-    def _queue_slab(self, entry: PairSample, a_ids: list, b_ids: list):
-        """Queue the edges a_ids x b_ids of a materialized sample, row by
-        row.  Ints and owner references only: the queue allocates no
-        objects for the garbage collector to track."""
-        owners, edges = self._queued
-        owners.extend([entry] * (len(a_ids) * len(b_ids)))
-        for i in a_ids:
-            hi = i << SHIFT
-            edges.extend([hi | j for j in b_ids])
-
-    def _queue_edges(self, entry: PairSample, edges: list):
-        """Queue packed edges of `entry`, in order."""
+    def _queue_edges(self, entry: Optional[PairSample], edges: list):
+        """Queue packed edges of `entry`, in order; `entry` is None for a
+        whole pair, whose weights only H holds.  Ints and owner references
+        only: the queue allocates no objects for the garbage collector to
+        track."""
         owners, queued = self._queued
         owners.extend([entry] * len(edges))
         queued.extend(edges)
 
     def _flush_queued(self):
         """Weigh every queued edge with one kernel evaluation, then write
-        them to their samples and to H, at the sample's scale, in queue
-        order.
+        them to H, and a sampled pair's also to its sample, at the sample's
+        scale, in queue order.
 
-        The queue holds drawn and materialized edges, which are added, and
+        The queue holds drawn and whole-pair edges, which are added, and
         the moved point's edges in pairs whose ids did not change, which
         are reweighed in place.  Runs once at the end of set-up and of each
         move.  No other pair of the operation claims a queued key, and no
@@ -260,47 +292,30 @@ class DynamicGeoSpar:
         h_keys = np.where(ids_a < ids_b, packed, ids_b << SHIFT | ids_a)
         for entry, edge, key, w in zip(owners, edges, h_keys.tolist(),
                                        ws.tolist()):
-            idx = entry.pos.get(edge)
-            if idx is None:
-                entry.add(edge, w)
-            else:                # reweighted: the sample keeps its order
-                entry.raw[idx] = w
-            self._set_edge(key, w * entry.scale)
+            if entry is not None:
+                idx = entry.pos.get(edge)
+                if idx is None:
+                    entry.add(edge, w)
+                else:            # reweighted: the sample keeps its order
+                    entry.raw[idx] = w
+                w *= entry.scale
+            self._set_edge(key, w)
 
-    def _build_pair(self, a_node, b_node) -> PairSample:
+    def _build_pair(self, a_node, b_node):
         nx, ny = a_node.count, b_node.count
         s = self.sample_size(nx, ny)
         total = nx * ny
         if total <= s:
-            a_ids = self.tree.subtree_ids(a_node)
-            b_ids = self.tree.subtree_ids(b_node)
-            entry = PairSample(s, nx, ny, 1.0, True)
-            self._queue_slab(entry, a_ids, b_ids)
+            entry = WholePair(self.tree.subtree_ids(a_node),
+                              self.tree.subtree_ids(b_node))
+            self._queue_edges(None, entry.edges)
             return entry
-        entry = PairSample(s, nx, ny, total / s, False)
+        entry = PairSample(s, nx, ny, total / s)
         kth = self.tree.kth_leaf
         self._queue_edges(entry, [
             kth(a_node, idx // ny).pid << SHIFT | kth(b_node, idx % ny).pid
             for idx in sampling.draw_indices(total, s, self.rng)])
         return entry
-
-    def _point_edges(self, entry: PairSample, a_node, b_node, old: tuple,
-                     pid: int) -> list:
-        """The edges of `entry` through `pid`, on the side `old` names
-        (whether each side held `pid` before the move): from the index of
-        a sampled pair, from the slab against the other side for a whole
-        one."""
-        if not entry.materialized:
-            return entry.point_edges(pid)
-        pos = entry.pos
-        if old[0]:
-            other = self.tree.subtree_ids(b_node)
-            hi = pid << SHIFT
-            return [hi | j for j in other if hi | j in pos]
-        if old[1]:
-            other = self.tree.subtree_ids(a_node)
-            return [e for j in other if (e := j << SHIFT | pid) in pos]
-        return []
 
     def _drop_pair(self, key):
         entry = self._store.pop(key)
@@ -347,9 +362,13 @@ class DynamicGeoSpar:
             old = (ta in old_path, tb in old_path) if key in store else None
             if old is not None and old != new:
                 entry = store[key]
-                edges = self._point_edges(entry, a_node, b_node, old, i)
-                for edge, h_key in zip(edges, _h_keys(edges)):
-                    entry.discard(edge)
+                if type(entry) is WholePair:
+                    edges = entry.release(i, old)
+                else:
+                    edges = entry.point_edges(i)
+                    for edge in edges:
+                        entry.discard(edge)
+                for h_key in _h_keys(edges):
                     self._set_edge(h_key, 0.0)
             later.append((key, a_node, b_node, old, new))
         for key, a_node, b_node, old, new in later:
@@ -369,34 +388,44 @@ class DynamicGeoSpar:
         if old == new:
             # same id universe, the moved point changed position: queue its
             # edges for the move's batched evaluation, which reweighs them
-            self._queue_edges(
-                entry, self._point_edges(entry, a_node, b_node, old, pid))
+            if type(entry) is WholePair:
+                self._queue_edges(None, entry.slab(pid, old))
+            else:
+                self._queue_edges(entry, entry.point_edges(pid))
             report.pairs_reweighted += 1
             return
         self._resample_pair(key, entry, a_node, b_node, new, pid, report)
 
-    def _resample_pair(self, key, entry: PairSample, a_node, b_node,
-                       new: tuple, pid: int, report: UpdateReport):
+    def _resample_pair(self, key, entry, a_node, b_node, new: tuple,
+                       pid: int, report: UpdateReport):
         nx, ny = a_node.count, b_node.count
         s_new = self.sample_size(nx, ny)
         # hysteresis: a whole pair stays whole up to 4 * s, a sampled pair
         # stays sampled down to s
-        if entry.materialized and nx * ny <= 4 * s_new:
-            # the departed point's edges are already evicted; only the
-            # arriving point's slab is new
-            if new[0]:
-                self._queue_slab(entry, [pid], self.tree.subtree_ids(b_node))
-            elif new[1]:
-                self._queue_slab(entry, self.tree.subtree_ids(a_node), [pid])
-            entry.nx, entry.ny, entry.s_target = nx, ny, s_new
-            report.pairs_extended += 1
-        elif not entry.materialized and nx * ny <= s_new:
+        if type(entry) is WholePair:
+            if nx * ny <= 4 * s_new:
+                # the departed point's slab is already released; only the
+                # arriving point's slab is new
+                self._queue_edges(None, entry.extend(pid, new))
+                report.pairs_extended += 1
+                return
+            entry = self._store[key] = self._sample_whole(entry, s_new)
+        elif nx * ny <= s_new:
             self._drop_pair(key)
             self._store[key] = self._build_pair(a_node, b_node)
             report.pairs_rematerialized += 1
-        else:
-            self._fast_resample(entry, a_node, b_node, new, pid, s_new)
-            report.pairs_resampled += 1
+            return
+        self._fast_resample(entry, a_node, b_node, new, pid, s_new)
+        report.pairs_resampled += 1
+
+    def _sample_whole(self, entry: WholePair, s_new: int) -> PairSample:
+        """A whole pair's edges as a sample at scale 1, row by row, with
+        their raw weights read from H."""
+        sample = PairSample(s_new, len(entry.a), len(entry.b), 1.0)
+        edges = entry.edges
+        for edge, h_key in zip(edges, _h_keys(edges)):
+            sample.add(edge, self._h[h_key])
+        return sample
 
     def _side(self, node):
         kth = self.tree.kth_leaf
@@ -406,8 +435,6 @@ class DynamicGeoSpar:
         nx, ny = a_node.count, b_node.count
         in_a, in_b = new
         total = nx * ny   # > s_new, or the pair would have been made whole
-        if entry.materialized:
-            entry.to_sampled()
         # the departed point's edges were evicted in the release phase
         evicted, added = sampling.resample(
             entry, self._side(a_node), self._side(b_node), pid, in_a, in_b,
@@ -445,16 +472,26 @@ class DynamicGeoSpar:
         return len(self._h)
 
     def fold_store(self) -> dict:
-        """Recompute H from the per-pair samples (consistency oracle)."""
-        out = {}
+        """Recompute H from the pairs (consistency oracle): a sampled pair's
+        raw weights times its scale, and a whole pair's edges weighed anew
+        at the current points, in one kernel evaluation."""
+        edges, weights, whole = [], [], []
         for entry in self._store.values():
-            scale = entry.scale
-            for edge, raw in zip(entry.edges, entry.raw):
-                i, j = edge >> SHIFT, edge & MASK
-                ekey = (i, j) if i < j else (j, i)
-                if ekey in out:
-                    raise AssertionError(f"edge {ekey} owned by two pairs")
-                out[ekey] = raw * scale
+            if type(entry) is WholePair:
+                whole.extend(entry.edges)
+            else:
+                edges.extend(entry.edges)
+                weights.extend([raw * entry.scale for raw in entry.raw])
+        packed = np.array(whole, dtype=np.int64)
+        edges.extend(whole)
+        weights.extend(self._weights(packed >> SHIFT, packed & MASK).tolist())
+        out = {}
+        for edge, w in zip(edges, weights):
+            i, j = edge >> SHIFT, edge & MASK
+            ekey = (i, j) if i < j else (j, i)
+            if ekey in out:
+                raise AssertionError(f"edge {ekey} owned by two pairs")
+            out[ekey] = w
         return out
 
     def spectral_check(self, eps: Optional[float] = None):

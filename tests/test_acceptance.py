@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Every tolerance is pinned here, not deferred to configuration.  Default
-constants throughout: c_s = 0.25, c_jl = 1, c_sk = 4, k = 3, gaussian
-kernel, eps = 0.5, delta = 0.05 (desk-scale override of the production
-eps range).  Criteria with wall-clock budgets assert them.
+constants throughout: c_s = 0.25, c_sk = 4, k = 3, gaussian kernel (so
+gamma = L / k = 2/3), eps = 0.5, delta = 0.05 (desk-scale override of the
+production eps range).  Criteria with wall-clock budgets assert them.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """

@@ -30,7 +30,7 @@ rebuild_budget = 12
 
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "c.txt"
-    for line in ("epsilon = 0.5", "kernel_c = 2"):
+    for line in ("epsilon = 0.5", "kernel_c = 2", "c_jl = 1"):
         path.write_text(line + "\n")
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(path)

@@ -76,7 +76,7 @@ class TestQuery:
         u1 = ujl_query(store, q)
         doubled = ujl_init(pts * 2.0, 0.1, 6)
         # same seed means the same projection matrix, so distances double
-        store2 = UltraJlStore(pts * 2.0, 0.1, store.jl)
+        store2 = UltraJlStore(pts * 2.0, store.jl)
         u2 = store2.query(q)
         assert np.allclose(u2, 2.0 * u1, rtol=1e-12)
 

@@ -1,0 +1,22 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "move_digest.py"
+
+
+def _digest():
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), "--workload", "clustered-drift"],
+        check=True, capture_output=True, text=True, timeout=300).stdout
+    (line,) = out.splitlines()
+    return json.loads(line)
+
+
+def test_move_digest_is_reproducible():
+    first, second = _digest(), _digest()
+    assert first["workload"] == "clustered-drift" and first["seed"] == 7
+    assert first["moves"] > 0
+    assert len(first["digest"]) == 64
+    assert first == second

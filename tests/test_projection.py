@@ -7,7 +7,6 @@ from geospar.errors import BadDimension, DimensionMismatch
 from geospar.projection import (
     make_sketch_pair,
     make_ultra_jl,
-    project_point,
     sketch_rows,
 )
 
@@ -15,7 +14,7 @@ from geospar.projection import (
 class TestUltraJl:
     def test_zero_maps_to_zero(self):
         jl = make_ultra_jl(8, 3, 0)
-        assert np.array_equal(project_point(jl, np.zeros(8)), np.zeros(3))
+        assert np.array_equal(jl.project(np.zeros(8)), np.zeros(3))
 
     def test_same_seed_identical(self):
         a = make_ultra_jl(10, 4, 42)

@@ -32,7 +32,7 @@ def rand_sample(a, b, s, rng):
     """Uniform min(s, |A||B|)-edge sample of A x B, as the sparsifier
     builds a sampled pair."""
     a, b = sorted(a), sorted(b)
-    out = PairSample(s, len(a), len(b), 1.0, False)
+    out = PairSample(s, len(a), len(b), 1.0)
     for idx in draw_indices(len(a) * len(b), s, rng):
         out.add(a[idx // len(b)] << SHIFT | b[idx % len(b)], 1.0)
     return out

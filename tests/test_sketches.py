@@ -31,8 +31,8 @@ class TestMultiply:
         st = multiply_init(ps, gaussian_kernel(), v, 0.5, 0.05, 1, 1,
                            allow_large_eps=True)
         ((_, w),) = st.dgs.edge_map().items()
-        phi_d = st.phi.column(0) - st.phi.column(1)
-        psi_d = st.psi.column(0) - st.psi.column(1)
+        phi_d = st.phi.matrix[:, 0] - st.phi.matrix[:, 1]
+        psi_d = st.psi.matrix[:, 0] - st.psi.matrix[:, 1]
         expect = w * np.outer(phi_d, psi_d)
         assert np.allclose(st.lt, expect, atol=1e-12)
 
@@ -70,7 +70,7 @@ class TestMultiply:
                            3, 5, allow_large_eps=True)
         before = st.query()
         st.update_v([(11, 1.0)])
-        expect = before + st.lt @ st.psi.column(11)
+        expect = before + st.lt @ st.psi.matrix[:, 11]
         assert np.allclose(st.query(), expect, atol=1e-12)
 
     def test_zero_delta_is_noop(self):

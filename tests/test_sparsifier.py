@@ -19,11 +19,12 @@ from geospar.kernels import (
     kernel_weight,
     normalize_points,
 )
-from geospar.sampling import MASK, SHIFT
+from geospar.sampling import MASK, SHIFT, PairSample
 from geospar.sparsifier import (
     SCALE_BAND,
     DynamicGeoSpar,
     FullyDynamicSparsifier,
+    WholePair,
     adversarial_mode,
 )
 from test_sampling import pairs
@@ -39,6 +40,23 @@ def make_dgs(n=64, d=4, seed=0, eps=0.5, kernel=None, **kw):
 
 def random_unit_move(rng, d=4):
     return rng.random(d) * 0.5 + 0.25
+
+
+def _dims(entry):
+    """The side sizes of a stored pair's biclique."""
+    if isinstance(entry, WholePair):
+        return len(entry.a), len(entry.b)
+    return entry.nx, entry.ny
+
+
+def _size(entry):
+    nx, ny = _dims(entry)
+    return nx * ny
+
+
+def _cells(entry):
+    """A whole pair's edges as (a-side id, b-side id), row by row."""
+    return [(i, j) for i in entry.a for j in entry.b]
 
 
 def apply_diff(edge_map, diff):
@@ -62,7 +80,8 @@ class TestInitialize:
         assert edge == (0, 1)
         assert w == kernel_weight(gaussian_kernel(), ps.points[0], ps.points[1])
         (entry,) = g._store.values()
-        assert entry.scale == 1.0
+        assert isinstance(entry, WholePair)
+        assert sorted(entry.a + entry.b) == [0, 1]
 
     def test_fold_equals_h_exactly(self):
         g, _ = make_dgs(seed=1)
@@ -90,21 +109,23 @@ class TestInitialize:
     def test_sample_size_formula(self):
         g, _ = make_dgs(seed=4)
         for key, entry in g._store.items():
-            s = g.sample_size(entry.nx, entry.ny)
-            assert entry.s_target == s
+            nx, ny = _dims(entry)
+            s = g.sample_size(nx, ny)
             assert s == math.ceil(
                 g.c_s * g.eps ** -2 * g.n ** g.gamma
-                * (entry.nx + entry.ny) * math.log(entry.nx + entry.ny + 1))
-            if not entry.materialized:
+                * (nx + ny) * math.log(nx + ny + 1))
+            if isinstance(entry, PairSample):
+                assert entry.s_target == s
                 assert len(entry) == s
-                assert entry.scale == entry.nx * entry.ny / s
+                assert entry.scale == nx * ny / s
             else:
-                assert len(entry) == entry.nx * entry.ny
-                assert entry.scale == 1.0
+                assert nx * ny <= s
 
     def test_edge_count_within_budget(self):
         g, _ = make_dgs(seed=5, n=128)
-        assert g.edge_count <= g.sparsity_budget
+        # the budget is H's edge count at set-up: each pair's min(s, |X||Y|)
+        assert g.edge_count == g.sparsity_budget == sum(
+            min(g.sample_size(*_dims(e)), _size(e)) for e in g._store.values())
 
     def test_budget_fixture(self, calibration):
         cal = calibration["sparsifier"]
@@ -229,8 +250,8 @@ class TestResamplingInVivo:
 
     def test_big_pair_sampled_and_spectrally_sound(self):
         g, _, _ = self._clustered()
-        big = max(g._store.values(), key=lambda e: e.nx * e.ny)
-        assert not big.materialized
+        big = max(g._store.values(), key=_size)
+        assert isinstance(big, PairSample)
         assert len(big) == big.s_target < big.nx * big.ny
         assert g.edge_count < g.n * (g.n - 1) // 2
         assert g.spectral_check().passed
@@ -283,7 +304,7 @@ def _clustered_moves(seed, n, count):
 
 def _assert_scales_in_band(g):
     for entry in g._store.values():
-        if not entry.materialized:
+        if isinstance(entry, PairSample):
             assert len(entry) == entry.s_target < entry.nx * entry.ny
             assert (abs(entry.scale * len(entry) / (entry.nx * entry.ny) - 1)
                     <= SCALE_BAND * g.eps)
@@ -304,7 +325,8 @@ class TestHysteresis:
                                       12345, allow_large_eps=True, c_s=0.1)
         base = g.edge_count
         assert base < g.n * (g.n - 1) // 2
-        smallest = min(len(e) for e in g._store.values() if not e.materialized)
+        smallest = min(len(e) for e in g._store.values()
+                       if isinstance(e, PairSample))
         churn = []
         for _ in range(40):
             i = int(rng.integers(0, g.n))
@@ -324,12 +346,12 @@ class TestHysteresis:
         ps = normalize_points(raw)
         g = DynamicGeoSpar.initialize(ps, cauchy_kernel(), 0.5, 0.05, 3, 12345,
                                       allow_large_eps=True, c_s=0.1)
-        key, big = max(g._store.items(), key=lambda kv: kv[1].nx * kv[1].ny)
+        key, big = max(g._store.items(), key=lambda kv: _size(kv[1]))
         assert (big.nx, big.ny) in ((240, 160), (160, 240))
         for i in rng.choice(240, 10, replace=False):
             rep = g.update(int(i), _near(rng, ps, 5.0))
             assert rep.pairs_resampled >= 1
-            assert g._store[key] is big and not big.materialized
+            assert g._store[key] is big and isinstance(big, PairSample)
             assert rep.churn < len(big) // 4
             _assert_scales_in_band(g)
         assert g.fold_store() == g.edge_map()
@@ -339,8 +361,8 @@ class TestHysteresis:
         ps, moves = _clustered_moves(32, 200, 60)
         g = DynamicGeoSpar.initialize(ps, cauchy_kernel(), 0.5, 0.05, 3, 5,
                                       allow_large_eps=True, c_s=0.1)
-        big = max(g._store.values(), key=lambda e: e.nx * e.ny)
-        assert not big.materialized
+        big = max(g._store.values(), key=_size)
+        assert isinstance(big, PairSample)
         hop_entries = []
         for step, (i, z) in enumerate(moves):
             rep = g.update(i, z)
@@ -352,20 +374,24 @@ class TestHysteresis:
 
 
 class TestBatchedSlabs:
-    """Materialized slabs are weighed in one batched kernel call per
+    """Whole-pair slabs are weighed in one batched kernel call per
     operation; every weight must equal the edge evaluated on its own."""
 
     @staticmethod
     def _assert_raw_weights_exact(g, checked):
-        """Every materialized sample is whole, and every raw weight equals
-        its edge evaluated alone.  `checked` maps an edge to the raw weight
-        already found exact; the caller drops the moved point's edges from
-        it after a move."""
+        """Every raw weight, a sampled pair's or a whole pair's H weight,
+        equals its edge evaluated alone.  `checked` maps an edge to the raw
+        weight already found exact; the caller drops the moved point's
+        edges from it after a move."""
         pts = g.pset.points
+        h = g.edge_map()
         for entry in g._store.values():
-            if entry.materialized:
-                assert len(entry) == entry.nx * entry.ny
-            for (i, j), w in zip(pairs(entry), entry.raw):
+            if isinstance(entry, WholePair):
+                cells = _cells(entry)
+                raw = [h[(i, j) if i < j else (j, i)] for i, j in cells]
+            else:
+                cells, raw = pairs(entry), entry.raw
+            for (i, j), w in zip(cells, raw):
                 if checked.get((i, j)) == w:
                     continue
                 alone = g.kernel.eval_sqdist(
@@ -429,7 +455,7 @@ class TestBatchedSlabs:
     def test_initialize_makes_one_vectorized_call(self):
         kernel, calls = self._counting_kernel(gaussian_kernel())
         g, _ = make_dgs(seed=33, kernel=kernel)
-        assert all(e.materialized for e in g._store.values())
+        assert all(isinstance(e, WholePair) for e in g._store.values())
         assert calls == [g.n * (g.n - 1) // 2]
 
     def test_each_operation_makes_at_most_one_call(self):
@@ -440,7 +466,7 @@ class TestBatchedSlabs:
         g = DynamicGeoSpar.initialize(ps, kernel, 0.5, 0.05, 3, 5,
                                       allow_large_eps=True, c_s=0.1)
         assert len(calls) == 1
-        assert any(not e.materialized for e in g._store.values())
+        assert any(isinstance(e, PairSample) for e in g._store.values())
         resampled = batched = 0
         for i, z in moves:
             del calls[:]
@@ -460,33 +486,33 @@ def _edges_by_point(edges):
 
 
 def _assert_point_index(g):
-    """A whole biclique keeps no per-point index; a sampled one keeps one
-    equal to a scan of its edges.  The store holds exactly the WSPD's
-    pairs, each with its two nodes' point counts."""
+    """A whole pair's id lists hold exactly its two nodes' ids; a sampled
+    pair has its two nodes' point counts, fewer edges than its biclique
+    and a per-point index equal to a scan of its edges.  The store holds
+    exactly the WSPD's pairs."""
     assert set(g._store) == g.pairs.pairs
-    by_tok = g.tree.by_tok
+    tree = g.tree
     for key, entry in g._store.items():
-        ta, tb = wspd.unpack(key)
-        assert (entry.nx, entry.ny) == (by_tok[ta].count, by_tok[tb].count)
-        if len(entry) == entry.nx * entry.ny:
-            assert entry.materialized and entry.by_point is None
+        a_node, b_node = (tree.by_tok[t] for t in wspd.unpack(key))
+        if isinstance(entry, WholePair):
+            assert set(entry.a) == set(tree.subtree_ids(a_node))
+            assert set(entry.b) == set(tree.subtree_ids(b_node))
+            assert _dims(entry) == (a_node.count, b_node.count)
         else:
-            assert not entry.materialized
+            assert (entry.nx, entry.ny) == (a_node.count, b_node.count)
+            assert len(entry) == entry.s_target < entry.nx * entry.ny
             assert entry.by_point == _edges_by_point(entry.edges)
     assert g.fold_store() == g.edge_map()
 
 
 def _side_of(entry, pid):
-    """0 if pid is on the a side of a whole sample, 1 if on the b side."""
-    for a, b in pairs(entry):
-        if pid in (a, b):
-            return 0 if a == pid else 1
-    return None
+    """0 if pid is on the a side of a whole pair, 1 if on the b side."""
+    return 0 if pid in entry.a else 1 if pid in entry.b else None
 
 
 class TestPointIndex:
     """A whole pair keeps no per-point index: the moved point's edges there
-    are its slab against the other side, read from the quad tree."""
+    are its slab against the other side's id list."""
 
     @pytest.mark.parametrize("inputs", ["uniform", "clustered"])
     def test_index_only_on_sampled_pairs(self, inputs):
@@ -498,7 +524,7 @@ class TestPointIndex:
             ps, moves = _clustered_moves(32, 200, 50)
             g = DynamicGeoSpar.initialize(ps, cauchy_kernel(), 0.5, 0.05, 3,
                                           5, allow_large_eps=True, c_s=0.1)
-            assert any(not e.materialized for e in g._store.values())
+            assert any(isinstance(e, PairSample) for e in g._store.values())
         _assert_point_index(g)
         for i, z in moves:
             rep = g.update(i, z)
@@ -517,20 +543,23 @@ class TestPointIndex:
         ps = normalize_points(raw)
         g = DynamicGeoSpar.initialize(ps, cauchy_kernel(), 0.5, 0.05, 3, 0,
                                       allow_large_eps=True, c_s=0.032)
-        key, pair = max(g._store.items(), key=lambda kv: kv[1].nx * kv[1].ny)
-        assert pair.materialized and pair.by_point is None
+        key, pair = max(g._store.items(), key=lambda kv: _size(kv[1]))
+        assert isinstance(pair, WholePair)
         center = raw[:4].mean(axis=0)
         turned = None
         for step, i in enumerate(range(4, 24)):
-            was_whole = pair.materialized
+            before = pair
             rep = g.update(i, ps.transform_raw(
                 center + rng.normal(0, 1e-4, 4)))
-            assert g._store[key] is pair
-            if was_whole and not pair.materialized:
+            pair = g._store[key]
+            if isinstance(before, WholePair) and isinstance(pair, PairSample):
+                # the same key now holds a sample of the grown biclique
                 turned = step
                 assert rep.pairs_resampled >= 1
                 assert pair.nx * pair.ny > 4 * pair.s_target
                 assert len(pair) == pair.s_target
+            else:
+                assert pair is before
             _assert_point_index(g)
         # the pair turns sampled with hops left to resample it again
         assert turned is not None and turned < 19
@@ -540,21 +569,21 @@ class TestPointIndex:
         crossings = 0
         for _ in range(50):
             i = int(rng.integers(0, g.n))
-            whole = {key: (e, _side_of(e, i), dict(zip(pairs(e), e.raw)))
-                     for key, e in g._store.items() if e.materialized}
+            whole = {key: (e, _side_of(e, i), _cells(e))
+                     for key, e in g._store.items()
+                     if isinstance(e, WholePair)}
             g.update(i, random_unit_move(rng))
             removed = {}
             for a, b, w in g.get_diff():
                 if w < 0:
                     removed[(a, b)] = removed.get((a, b), 0) + 1
-            for key, (e, before, raw) in whole.items():
+            for key, (e, before, cells) in whole.items():
                 after = _side_of(e, i) if g._store.get(key) is e else None
                 if before is None or after is None or after == before:
                     continue
                 crossings += 1
-                assert e.materialized and len(e) == e.nx * e.ny
-                departed = {edge for edge in raw if edge[before] == i}
-                released = {edge for edge in raw
+                departed = {edge for edge in cells if edge[before] == i}
+                released = {edge for edge in cells
                             if removed.get(tuple(sorted(edge)))}
                 assert released == departed
                 assert all(removed[tuple(sorted(edge))] == 1
@@ -565,12 +594,17 @@ class TestPointIndex:
 
 class TestFlatStorage:
     """H and the samples keep no per-edge object the garbage collector
-    would track and scan: their keys are packed ints."""
+    would track and scan: their keys are packed ints.  A whole pair keeps
+    nothing per edge, only its sides' ids, as ints."""
 
     @staticmethod
     def _assert_untracked(g):
         assert not gc.is_tracked(g._h)
-        assert not any(gc.is_tracked(e.pos) for e in g._store.values())
+        for e in g._store.values():
+            if isinstance(e, PairSample):
+                assert not gc.is_tracked(e.pos)
+            else:
+                assert all(type(pid) is int for pid in e.a + e.b)
         h = g.edge_map()
         assert all(i < j for i, j in h)
         assert h == g.fold_store()
@@ -587,7 +621,7 @@ class TestFlatStorage:
             ps, moves = _clustered_moves(32, 200, 30)
             g = DynamicGeoSpar.initialize(ps, cauchy_kernel(), 0.5, 0.05, 3,
                                           5, allow_large_eps=True, c_s=0.1)
-            assert any(not e.materialized for e in g._store.values())
+            assert any(isinstance(e, PairSample) for e in g._store.values())
         self._assert_untracked(g)
         for i, z in moves:
             g.update(i, z)
