@@ -9,6 +9,12 @@ UpdateReport's fields, the get_diff() log and the edge map, both sorted by
 (i, j), weights compared bit for bit.  Two trees that print the same
 digests behave identically move for move on these inputs.
 
+A second digest, `shape`, covers only each move's path through the
+pairs: the UpdateReport's fields other than `churn` and `edges_changed`,
+and H's edge count, after set-up and after every move.  It survives a
+change of which cells a sample holds (and so of the weights and the log),
+as long as every pair takes the same path and holds as many edges.
+
 The order of entries within one move's log is not part of the contract:
 the log holds, per changed edge, -old then +new.  So the log is hashed
 after a stable sort by (i, j), which keeps each edge's -old before its
@@ -37,6 +43,8 @@ from workloads import WORKLOADS  # noqa: E402
 
 # operations generated per workload: 150, 300 and 80 moves
 OPS = {"uniform-moves": 150, "clustered-drift": 300, "sketch-serve": 400}
+# UpdateReport fields left out of the shape digest: they count cells
+SHAPE_SKIP = ("churn", "edges_changed")
 
 
 def hash_edge_map(h, g):
@@ -52,8 +60,9 @@ def digest(name: str, seed: int) -> dict:
     wl = WORKLOADS[name]
     inputs = wl.generate(seed, OPS[name])
     g = wl._sparsifier(inputs)
-    h = hashlib.sha256()
+    h, shape = hashlib.sha256(), hashlib.sha256()
     hash_edge_map(h, g)
+    shape.update(repr(g.edge_count).encode())
     moves = 0
     for op in inputs.ops:
         if op[0] != "move":
@@ -64,9 +73,12 @@ def digest(name: str, seed: int) -> dict:
         diff = sorted(g.get_diff(), key=lambda e: (e[0], e[1]))
         h.update(repr(diff).encode())
         hash_edge_map(h, g)
+        path = {k: v for k, v in dataclasses.asdict(rep).items()
+                if k not in SHAPE_SKIP}
+        shape.update(repr((path, g.edge_count)).encode())
         moves += 1
     return {"workload": name, "seed": seed, "moves": moves,
-            "digest": h.hexdigest()}
+            "digest": h.hexdigest(), "shape": shape.hexdigest()}
 
 
 def main(argv=None) -> int:

@@ -180,6 +180,10 @@ def cmd_verify(args) -> int:
 def _preflight(ops, pset):
     for lineno, op in ops:
         if op["op"] != "move":
+            for i, _ in op["nz"]:
+                if not isinstance(i, int) or not 0 <= i < pset.n:
+                    raise TraceError(
+                        f"trace line {lineno}: unknown point index {i}")
             continue
         i = op["i"]
         if not isinstance(i, int) or not 0 <= i < pset.n:

@@ -405,17 +405,6 @@ class CompressedQuadTree:
             return [node.pid]
         return [leaf.pid for leaf in self.iter_leaves(node)]
 
-    def kth_leaf(self, node: Node, idx: int) -> Node:
-        """idx-th leaf of the subtree in canonical (quadrant-sorted) order."""
-        while not node.is_leaf:
-            for q in sorted(node.children):
-                child = node.children[q]
-                if idx < child.count:
-                    node = child
-                    break
-                idx -= child.count
-        return node
-
     def path_to_root(self, node: Node) -> list:
         out = []
         while node is not None:

@@ -1,17 +1,20 @@
 """Uniform biclique edge sampling: the one core the sparsifier and the
 tests both run.
 
-A biclique side is a pair ``(count, id_at)``: ``id_at(idx)`` returns the
-idx-th id of the side, for idx in range(count).  The sparsifier backs a
-side with a quad-tree subtree (``tree.kth_leaf(node, idx).pid``), the
-tests with a sorted id list, so neither materializes a biclique.  All
-randomness flows through an explicit numpy Generator, so every draw is
-seed-reproducible.
+Every WSPD pair, whole or sampled, keeps the two sides of its biclique as
+plain id lists, `a` and `b`, so a draw of side index idx is ``side[idx]``
+and no draw walks the quad tree.  The sparsifier fills the lists from the
+tree when it builds a pair and keeps them current under moves: a release
+removes the moved point from its old side, and the point is appended to
+its new side before `resample` draws.  The tests drive the same functions
+on lists of their own.  All randomness flows through an explicit numpy
+Generator, so every draw is seed-reproducible.
 
-An edge of a biclique is one packed int, ``a << SHIFT | b`` for the
-a-side id a and the b-side id b (ids below 2**32), so a sample holds no
-per-edge object: its edges and raw weights are flat arrays, and its edge
-index is a dict of ints, which the garbage collector never tracks.
+An edge is one packed int, ``edge(i, j)`` = min id << SHIFT | max id (ids
+below 2**32), the key the sparsifier's graph H uses too, so a sample
+holds no per-edge object: its edges and raw weights are flat arrays, and
+its edge index is a dict of ints, which the garbage collector never
+tracks.
 """
 
 from __future__ import annotations
@@ -24,30 +27,53 @@ SHIFT = 32
 MASK = (1 << SHIFT) - 1
 
 
-class PairSample:
-    """Edge sample of one sampled biclique, indexed for O(churn) edits.
+def edge(i: int, j: int) -> int:
+    """The packed edge of ids i and j: min id << SHIFT | max id."""
+    return i << SHIFT | j if i < j else j << SHIFT | i
 
-    `edges` holds the packed edges ``a << SHIFT | b`` and `raw` their raw
-    kernel weights, index for index; `pos` maps an edge to that index.  A
-    discard moves the last edge (and its weight) into the freed slot, so
-    both arrays stay dense and aligned.  `by_point` maps an id to the set
-    of its edges, so a move finds the moved point's edges without a scan.
 
-    A biclique kept whole is no sample: the sparsifier keeps only its two
-    sides' id lists, and the graph holds its weights.
+class Biclique:
+    """The biclique a x b of one WSPD pair, as the id lists of its sides.
+
+    `sides`, below, is a pair of flags saying whether the a side or the b
+    side holds a point; at most one does.
     """
 
-    __slots__ = ("edges", "pos", "raw", "by_point", "s_target",
-                 "nx", "ny", "scale")
+    __slots__ = ("a", "b")
 
-    def __init__(self, s_target, nx, ny, scale):
-        self.edges = array("q")   # a-side id << SHIFT | b-side id
+    def __init__(self, a: list, b: list):
+        self.a, self.b = a, b
+
+    def leave(self, pid: int, sides: tuple):
+        """Remove `pid` from its side."""
+        if any(sides):
+            (self.a if sides[0] else self.b).remove(pid)
+
+    def join(self, pid: int, sides: tuple):
+        """Append `pid` to its side."""
+        if any(sides):
+            (self.a if sides[0] else self.b).append(pid)
+
+
+class PairSample(Biclique):
+    """Edge sample of one sampled biclique, indexed for O(churn) edits.
+
+    `edges` holds the packed edges and `raw` their raw kernel weights,
+    index for index; `pos` maps an edge to that index.  A discard moves the
+    last edge (and its weight) into the freed slot, so both arrays stay
+    dense and aligned.  `by_point` maps an id to the set of its edges, so
+    a move finds the moved point's edges without a scan.  The biclique's
+    side sizes are len(a) and len(b).
+    """
+
+    __slots__ = ("edges", "pos", "raw", "by_point", "scale")
+
+    def __init__(self, a: list, b: list, scale: float):
+        super().__init__(a, b)
+        self.edges = array("q")   # packed edges
         self.raw = array("d")     # raw kernel weight of edges[idx]
         self.pos = {}             # edge -> index in edges and raw
         self.by_point = {}        # id -> set of edges
-        self.s_target = s_target
-        self.nx = nx
-        self.ny = ny
         self.scale = scale
 
     def __len__(self):
@@ -90,15 +116,25 @@ class PairSample:
         with them in turn does not depend on set layout."""
         return sorted(self.by_point.get(pid, ()))
 
+    def release(self, pid: int, sides: tuple) -> list:
+        """Evict `pid`'s edges and remove it from its side; return the
+        evicted edges."""
+        edges = self.point_edges(pid)
+        for e in edges:
+            self.discard(e)
+        self.leave(pid, sides)
+        return edges
 
-def draw_indices(total: int, s: int, rng: np.random.Generator) -> list:
-    """min(s, total) distinct uniform indices of range(total), ascending.
+
+def draw_sample(a: list, b: list, s: int, rng: np.random.Generator) -> list:
+    """min(s, |a||b|) distinct uniform edges of a x b, packed, in ascending
+    order of their index ia * |b| + ib.
 
     Rejection sampling in O(min(s, total - s)) expected draws: above half
-    the range it rejects on the complement instead.  Index idx stands for
-    the edge a.id_at(idx // nb) << SHIFT | b.id_at(idx % nb) of an na x nb
-    biclique.
+    the biclique it rejects on the complement instead.
     """
+    nb = len(b)
+    total = len(a) * nb
     if s <= total // 2:
         picked = set()
         while len(picked) < s:
@@ -112,47 +148,46 @@ def draw_indices(total: int, s: int, rng: np.random.Generator) -> list:
             if idx not in excluded:
                 excluded.add(idx)
         picked = set(range(total)) - excluded
-    return sorted(picked)
+    return [edge(a[idx // nb], b[idx % nb]) for idx in sorted(picked)]
 
 
-def _draw_id(side, rng: np.random.Generator, exclude=None) -> int:
-    count, id_at = side
+def _draw_id(side: list, rng: np.random.Generator, exclude=None) -> int:
     while True:
-        pid = id_at(int(rng.integers(0, count)))
+        pid = side[int(rng.integers(0, len(side)))]
         if pid != exclude:
             return pid
 
 
-def resample(sample: PairSample, a, b, pid, in_a: bool, in_b: bool,
+def resample(sample: PairSample, pid: int, in_a: bool, in_b: bool,
              s_out: int, rng: np.random.Generator):
     """Turn a uniform sample of a biclique into one of A x B after the
     id sets changed by the single point `pid`.
 
-    On entry `sample` holds a uniform sample of the cells A x B shares
-    with the old biclique: the departed point's edges are already evicted.
-    `pid` arrives on side A (`in_a`), on side B (`in_b`), or on neither,
-    and s_out <= |A x B| is the output size.  The number x of fresh edges
-    (those through an arriving point) is hypergeometric, as in a direct
-    uniform s_out-sample of A x B.  The old sample is cut to s_out - x by
-    uniform evictions, or topped up with uniform cells of the shared part.
+    On entry the sample's lists are A and B, with `pid` already appended
+    to side A (`in_a`) or side B (`in_b`) if it arrives there, and the
+    sample holds a uniform sample of the cells A x B shares with the old
+    biclique: the departed point's edges are already evicted.  s_out <=
+    |A x B| is the output size.  The number x of fresh edges (those
+    through an arriving point) is hypergeometric, as in a direct uniform
+    s_out-sample of A x B.  The old sample is cut to s_out - x by uniform
+    evictions, or topped up with uniform cells of the shared part.
 
     Evicted edges are removed from `sample`; added ones are not, since the
     caller weighs them.  Returns (evicted, added), lists of packed edges,
     with the top-ups first in `added` and then the fresh edges.
     """
-    na, nb = a[0], b[0]
-    total = na * nb
-    fresh_count = nb if in_a else na if in_b else 0
+    a, b = sample.a, sample.b
+    total = len(a) * len(b)
+    fresh_count = len(b) if in_a else len(a) if in_b else 0
     inter = total - fresh_count
     x = int(rng.hypergeometric(fresh_count, inter, s_out))
     fresh = []
     seen = set()
     while len(fresh) < x:
-        edge = (pid << SHIFT | _draw_id(b, rng) if in_a
-                else _draw_id(a, rng) << SHIFT | pid)
-        if edge not in seen:
-            seen.add(edge)
-            fresh.append(edge)
+        e = edge(pid, _draw_id(b if in_a else a, rng))
+        if e not in seen:
+            seen.add(e)
+            fresh.append(e)
     keep = s_out - x
     evicted = []
     while len(sample) > keep:
@@ -161,8 +196,8 @@ def resample(sample: PairSample, a, b, pid, in_a: bool, in_b: bool,
     ex_b = pid if in_b else None
     topups = []
     while len(sample) + len(topups) < keep:
-        edge = _draw_id(a, rng, ex_a) << SHIFT | _draw_id(b, rng, ex_b)
-        if edge not in sample and edge not in seen:
-            seen.add(edge)
-            topups.append(edge)
+        e = edge(_draw_id(a, rng, ex_a), _draw_id(b, rng, ex_b))
+        if e not in sample and e not in seen:
+            seen.add(e)
+            topups.append(e)
     return evicted, topups + fresh

@@ -23,7 +23,12 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import DimensionMismatch, NumericalFailure, SingularMatrix
+from .errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    NumericalFailure,
+    SingularMatrix,
+)
 from .kernels import KernelFunction, PointSet, dense_laplacian
 from .projection import DEFAULT_C_SK, SketchMatrix, make_sketch_pair
 from .sparsifier import DynamicGeoSpar
@@ -68,22 +73,28 @@ def _diff_sketch(phi: SketchMatrix, psi: SketchMatrix, diff: list) -> np.ndarray
     return u @ v.T
 
 
-def _sparse_apply(mat: np.ndarray, delta) -> np.ndarray:
-    """mat @ delta for delta given as [(index, value), ...] or a dense vector."""
-    if isinstance(delta, np.ndarray):
-        return mat @ delta
-    out = np.zeros(mat.shape[0])
-    for idx, val in delta:
-        out += mat[:, int(idx)] * float(val)
+def _checked(n: int, delta) -> list:
+    """delta, [(index, value), ...], as (int, float) pairs; raises
+    IndexOutOfRange if an index lies outside [0, n)."""
+    out = [(int(idx), float(val)) for idx, val in delta]
+    for idx, _ in out:
+        if not 0 <= idx < n:
+            raise IndexOutOfRange(f"index {idx} outside [0, {n})")
     return out
 
 
-def _densify(n: int, delta) -> np.ndarray:
-    if isinstance(delta, np.ndarray):
-        return delta
+def _sparse_apply(mat: np.ndarray, delta: list) -> np.ndarray:
+    """mat @ delta for delta given as checked [(index, value), ...]."""
+    out = np.zeros(mat.shape[0])
+    for idx, val in delta:
+        out += mat[:, idx] * val
+    return out
+
+
+def _densify(n: int, delta: list) -> np.ndarray:
     out = np.zeros(n)
     for idx, val in delta:
-        out[int(idx)] += float(val)
+        out[idx] += val
     return out
 
 
@@ -114,6 +125,8 @@ class MultiplyState:
         self.lt = self.lt + dlt
 
     def update_v(self, delta):
+        """Add the sparse vector delta, [(index, value), ...], to v."""
+        delta = _checked(self.dgs.n, delta)
         dvt = _sparse_apply(self.psi.matrix, delta)
         self.v = self.v + _densify(self.dgs.n, delta)
         self.vt = self.vt + dvt
@@ -164,6 +177,8 @@ class SolveState:
         self.zt = self.lt_pinv @ self.bt
 
     def update_b(self, delta):
+        """Add the sparse vector delta, [(index, value), ...], to b."""
+        delta = _checked(self.dgs.n, delta)
         dbt = _sparse_apply(self.phi.matrix, delta)
         self.b = self.b + _densify(self.dgs.n, delta)
         self.bt = self.bt + dbt

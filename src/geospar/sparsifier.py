@@ -20,13 +20,14 @@ scale.  Each pair's Laplacian is then its exactly scaled sample's times a
 factor in [1 - theta*eps, 1 + theta*eps], so an eps-sparsifier at exact
 scales stays a ((1 + eps)(1 + theta*eps) - 1)-sparsifier.
 
-A small biclique is kept whole as a `WholePair`: only its two sides' id
-lists, so its edges are a x b and the graph H is the only store of their
-(unscaled) weights.  A sampled pair is a `sampling.PairSample`, which keeps
-its edges with their raw kernel weights; H maps an unordered id pair to
-raw * scale.  Both hold an edge as one packed int, as the WSPD keys do: a
-pair keys it by its oriented ids, a-side id << 32 | b-side id
-(`sampling.SHIFT`), and H by min id << 32 | max id.  H and the samples'
+Every pair keeps its two sides as id lists (`sampling.Biclique`).  A
+small biclique is kept whole as a `WholePair`: only the lists, so its
+edges are a x b and the graph H is the only store of their (unscaled)
+weights.  A sampled pair is a `sampling.PairSample`, which also keeps its
+edges with their raw kernel weights, and draws its cells from the lists;
+H maps an unordered id pair to raw * scale.  The samples, the write queue
+and H all hold an edge as one packed int, `sampling.edge(i, j)` = min id
+<< 32 | max id, as the WSPD keys do with tokens.  H and the samples'
 indexes are then dicts of ints and floats, which the garbage collector
 never tracks; `edge_map`, `fold_store`, `get_laplacian` and the diff log
 decode the keys to (i, j) with i < j.  Every new weight comes from one
@@ -52,13 +53,14 @@ token is on the point's root path before (after) it.  A pair old and new
 whose sides hold the point as before kept its ids: only the point's
 edges there are reweighed.
 
-A move finds the moved point's edges in a sampled pair through the pair's
-per-point index, and in a whole pair as its slab, [pid] x b or a x [pid]:
-the id lists hold the sides from before the move until the release phase
-removes the point from its old side, and the point is appended to its new
-side when its arriving slab is queued.  A whole pair that turns sampled
-becomes a new `PairSample` of its edges, with raw weights read from H,
-before it resamples.
+A pair whose sides gained or lost the point is first released: the
+point's edges leave H (found through a sampled pair's per-point index, or
+as a whole pair's slab, [pid] x b or a x [pid]) and the point leaves its
+old side's list.  The point is then appended to its new side's list,
+before its arriving slab is queued or `sampling.resample` draws.  A whole
+pair that turns sampled becomes a `PairSample` of its edges, with raw
+weights read from H, and a sampled pair that turns whole a `WholePair`;
+either takes over the other's lists, so neither walks the tree again.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ from .kernels import (
 )
 from .projection import make_ultra_jl
 from .quadtree import CompressedQuadTree
-from .sampling import MASK, SHIFT, PairSample
+from .sampling import MASK, SHIFT, Biclique, PairSample, edge
 from .wspd import _MASK, _SHIFT  # WSPD pair keys
 
 # theta: a sampled pair keeps its scale while that is within SCALE_BAND * eps
@@ -95,48 +97,28 @@ from .wspd import _MASK, _SHIFT  # WSPD pair keys
 SCALE_BAND = 0.1
 
 
-def _h_keys(edges) -> list:
-    """The H keys, min id << 32 | max id, of packed pair edges."""
-    return [e if e >> SHIFT < e & MASK else (e & MASK) << SHIFT | e >> SHIFT
-            for e in edges]
+class WholePair(Biclique):
+    """A biclique kept whole: its edges are a x b, and H is the only store
+    of their weights (at scale 1)."""
 
-
-class WholePair:
-    """A biclique kept whole: the ids of its two sides, in lists.
-
-    Its edges are a x b, and H is the only store of their weights (at
-    scale 1).  `sides`, below, is a pair of flags saying whether the a
-    side or the b side holds the point; at most one does.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: list, b: list):
-        self.a, self.b = a, b
+    __slots__ = ()
 
     @property
     def edges(self) -> list:
         """The packed edges a x b, row by row."""
-        return [i << SHIFT | j for i in self.a for j in self.b]
+        return [edge(i, j) for i in self.a for j in self.b]
 
     def slab(self, pid: int, sides: tuple) -> list:
         """The packed edges through `pid`: [pid] x b or a x [pid]."""
         if sides[0]:
-            return [pid << SHIFT | j for j in self.b]
-        return [j << SHIFT | pid for j in self.a] if sides[1] else []
+            return [edge(pid, j) for j in self.b]
+        return [edge(pid, j) for j in self.a] if sides[1] else []
 
     def release(self, pid: int, sides: tuple) -> list:
         """Remove `pid` from its side; return the slab it leaves."""
         edges = self.slab(pid, sides)
-        if any(sides):
-            (self.a if sides[0] else self.b).remove(pid)
+        self.leave(pid, sides)
         return edges
-
-    def extend(self, pid: int, sides: tuple) -> list:
-        """Append `pid` to its side; return the slab it brings."""
-        if any(sides):
-            (self.a if sides[0] else self.b).append(pid)
-        return self.slab(pid, sides)
 
 
 @dataclass
@@ -289,38 +271,31 @@ class DynamicGeoSpar:
         packed = np.array(edges, dtype=np.int64)
         ids_a, ids_b = packed >> SHIFT, packed & MASK
         ws = self._weights(ids_a, ids_b)
-        h_keys = np.where(ids_a < ids_b, packed, ids_b << SHIFT | ids_a)
-        for entry, edge, key, w in zip(owners, edges, h_keys.tolist(),
-                                       ws.tolist()):
+        for entry, key, w in zip(owners, edges, ws.tolist()):
             if entry is not None:
-                idx = entry.pos.get(edge)
+                idx = entry.pos.get(key)
                 if idx is None:
-                    entry.add(edge, w)
+                    entry.add(key, w)
                 else:            # reweighted: the sample keeps its order
                     entry.raw[idx] = w
                 w *= entry.scale
             self._set_edge(key, w)
 
     def _build_pair(self, a_node, b_node):
-        nx, ny = a_node.count, b_node.count
-        s = self.sample_size(nx, ny)
-        total = nx * ny
+        a, b = self.tree.subtree_ids(a_node), self.tree.subtree_ids(b_node)
+        s = self.sample_size(len(a), len(b))
+        total = len(a) * len(b)
         if total <= s:
-            entry = WholePair(self.tree.subtree_ids(a_node),
-                              self.tree.subtree_ids(b_node))
+            entry = WholePair(a, b)
             self._queue_edges(None, entry.edges)
-            return entry
-        entry = PairSample(s, nx, ny, total / s)
-        kth = self.tree.kth_leaf
-        self._queue_edges(entry, [
-            kth(a_node, idx // ny).pid << SHIFT | kth(b_node, idx % ny).pid
-            for idx in sampling.draw_indices(total, s, self.rng)])
+        else:
+            entry = PairSample(a, b, total / s)
+            self._queue_edges(entry, sampling.draw_sample(a, b, s, self.rng))
         return entry
 
     def _drop_pair(self, key):
-        entry = self._store.pop(key)
-        for h_key in _h_keys(entry.edges):
-            self._set_edge(h_key, 0.0)
+        for e in self._store.pop(key).edges:
+            self._set_edge(e, 0.0)
 
     # -- update ---------------------------------------------------------------
 
@@ -342,37 +317,26 @@ class DynamicGeoSpar:
         new_path = {nd.tok for nd in tree.path_to_root(tree.point_index[i])}
         self.pset.set_point(i, z)
         report = UpdateReport(pairs_touched=len(keys))
-        # Phase one: release every edge changing owner (dropped pairs, and
-        # the moved point's edges inside surviving pairs).  Only then may
-        # other pairs claim the same edge keys: the final WSPD covers each
-        # id pair exactly once, so claims never collide with each other.
-        # Pairs go in key order, which fixes the order of RNG draws and of
-        # H writes.  old/new: whether each side holds the moved point
-        # before/after the move; old is None for a pair new to the WSPD.
+        # Pairs go in key order, which fixes the order of RNG draws.  Every
+        # claim of an edge is queued until the flush, and a pair's direct H
+        # writes touch only its own edges, so releasing and applying each
+        # pair in turn leaves no edge to two owners.  old/new: whether each
+        # side holds the moved point before/after the move; old is None for
+        # a pair new to the WSPD.
         store, live, by_tok = self._store, self.pairs.pairs, tree.by_tok
-        later = []
         for key in sorted(keys):
             if key not in live:
                 self._drop_pair(key)
                 report.pairs_removed += 1
                 continue
             ta, tb = key >> _SHIFT, key & _MASK
-            a_node, b_node = by_tok[ta], by_tok[tb]
             new = (ta in new_path, tb in new_path)
             old = (ta in old_path, tb in old_path) if key in store else None
             if old is not None and old != new:
-                entry = store[key]
-                if type(entry) is WholePair:
-                    edges = entry.release(i, old)
-                else:
-                    edges = entry.point_edges(i)
-                    for edge in edges:
-                        entry.discard(edge)
-                for h_key in _h_keys(edges):
-                    self._set_edge(h_key, 0.0)
-            later.append((key, a_node, b_node, old, new))
-        for key, a_node, b_node, old, new in later:
-            self._apply_change(key, a_node, b_node, old, new, i, report)
+                for e in store[key].release(i, old):
+                    self._set_edge(e, 0.0)
+            self._apply_change(key, by_tok[ta], by_tok[tb], old, new, i,
+                               report)
         self._flush_queued()
         report.churn = self._log_net_change()
         report.edges_changed = len(self._diff) - diff_mark
@@ -394,61 +358,51 @@ class DynamicGeoSpar:
                 self._queue_edges(entry, entry.point_edges(pid))
             report.pairs_reweighted += 1
             return
-        self._resample_pair(key, entry, a_node, b_node, new, pid, report)
+        self._resample_pair(key, entry, a_node.count, b_node.count, new, pid,
+                            report)
 
-    def _resample_pair(self, key, entry, a_node, b_node, new: tuple,
+    def _resample_pair(self, key, entry, nx: int, ny: int, new: tuple,
                        pid: int, report: UpdateReport):
-        nx, ny = a_node.count, b_node.count
+        """A pair whose sides gained or lost the moved point, nx x ny after
+        the move; the departed point's edges are already released."""
         s_new = self.sample_size(nx, ny)
         # hysteresis: a whole pair stays whole up to 4 * s, a sampled pair
         # stays sampled down to s
+        if type(entry) is WholePair and nx * ny > 4 * s_new:
+            entry = self._store[key] = self._sample_whole(entry)
+        entry.join(pid, new)
         if type(entry) is WholePair:
-            if nx * ny <= 4 * s_new:
-                # the departed point's slab is already released; only the
-                # arriving point's slab is new
-                self._queue_edges(None, entry.extend(pid, new))
-                report.pairs_extended += 1
-                return
-            entry = self._store[key] = self._sample_whole(entry, s_new)
-        elif nx * ny <= s_new:
+            # only the arriving point's slab is new
+            self._queue_edges(None, entry.slab(pid, new))
+            report.pairs_extended += 1
+        elif nx * ny > s_new:
+            self._fast_resample(entry, new, pid, s_new)
+            report.pairs_resampled += 1
+        else:
             self._drop_pair(key)
-            self._store[key] = self._build_pair(a_node, b_node)
+            entry = self._store[key] = WholePair(entry.a, entry.b)
+            self._queue_edges(None, entry.edges)
             report.pairs_rematerialized += 1
-            return
-        self._fast_resample(entry, a_node, b_node, new, pid, s_new)
-        report.pairs_resampled += 1
 
-    def _sample_whole(self, entry: WholePair, s_new: int) -> PairSample:
+    def _sample_whole(self, entry: WholePair) -> PairSample:
         """A whole pair's edges as a sample at scale 1, row by row, with
-        their raw weights read from H."""
-        sample = PairSample(s_new, len(entry.a), len(entry.b), 1.0)
-        edges = entry.edges
-        for edge, h_key in zip(edges, _h_keys(edges)):
-            sample.add(edge, self._h[h_key])
+        their raw weights read from H; the sample takes over its lists."""
+        sample = PairSample(entry.a, entry.b, 1.0)
+        for key in entry.edges:
+            sample.add(key, self._h[key])
         return sample
 
-    def _side(self, node):
-        kth = self.tree.kth_leaf
-        return node.count, lambda idx: kth(node, idx).pid
-
-    def _fast_resample(self, entry, a_node, b_node, new, pid, s_new):
-        nx, ny = a_node.count, b_node.count
-        in_a, in_b = new
-        total = nx * ny   # > s_new, or the pair would have been made whole
-        # the departed point's edges were evicted in the release phase
-        evicted, added = sampling.resample(
-            entry, self._side(a_node), self._side(b_node), pid, in_a, in_b,
-            s_new, self.rng)
-        for h_key in _h_keys(evicted):
-            self._set_edge(h_key, 0.0)
+    def _fast_resample(self, entry, new, pid, s_new):
+        total = len(entry.a) * len(entry.b)   # > s_new
+        evicted, added = sampling.resample(entry, pid, *new, s_new, self.rng)
+        for key in evicted:
+            self._set_edge(key, 0.0)
         if abs(entry.scale * s_new / total - 1.0) > SCALE_BAND * self.eps:
             entry.scale = total / s_new
             scale = entry.scale
-            for h_key, raw in zip(_h_keys(entry.edges), entry.raw):
-                self._set_edge(h_key, raw * scale)
+            for key, raw in zip(entry.edges, entry.raw):
+                self._set_edge(key, raw * scale)
         self._queue_edges(entry, added)
-        entry.s_target = s_new
-        entry.nx, entry.ny = nx, ny
 
     # -- read-out interfaces ----------------------------------------------------
 
@@ -486,9 +440,8 @@ class DynamicGeoSpar:
         edges.extend(whole)
         weights.extend(self._weights(packed >> SHIFT, packed & MASK).tolist())
         out = {}
-        for edge, w in zip(edges, weights):
-            i, j = edge >> SHIFT, edge & MASK
-            ekey = (i, j) if i < j else (j, i)
+        for key, w in zip(edges, weights):
+            ekey = key >> SHIFT, key & MASK
             if ekey in out:
                 raise AssertionError(f"edge {ekey} owned by two pairs")
             out[ekey] = w

@@ -115,6 +115,20 @@ class TestReplay:
         err = json.loads(capsys.readouterr().err)
         assert "line 1" in err["message"]
 
+    @pytest.mark.parametrize("op", ["mulv", "solveb"])
+    @pytest.mark.parametrize("index", [-1, 32])
+    def test_sparse_vector_index_preflight(self, workdir, capsys, op, index):
+        tmp_path, _ = workdir
+        lines = [json.dumps({"op": op, "nz": [[0, 1.0]]}),
+                 json.dumps({"op": op, "nz": [[1, 1.0], [index, 1.0]]})]
+        (tmp_path / "t.jsonl").write_text("\n".join(lines) + "\n")
+        rc = run(["replay", "--points", tmp_path / "pts.csv",
+                  "--trace", tmp_path / "t.jsonl",
+                  "--config", tmp_path / "cfg.txt"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "line 2" in err["message"]
+
     def test_out_of_region_preflight(self, workdir, capsys):
         tmp_path, _ = workdir
         (tmp_path / "t.jsonl").write_text(

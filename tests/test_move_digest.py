@@ -18,5 +18,6 @@ def test_move_digest_is_reproducible():
     first, second = _digest(), _digest()
     assert first["workload"] == "clustered-drift" and first["seed"] == 7
     assert first["moves"] > 0
-    assert len(first["digest"]) == 64
+    assert len(first["digest"]) == len(first["shape"]) == 64
+    assert first["shape"] != first["digest"]
     assert first == second

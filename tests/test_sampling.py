@@ -1,9 +1,12 @@
 """The sampling core on list-backed sides.
 
 `rand_sample` and `resample_fast` below drive `geospar.sampling` the way
-the sparsifier does: a side is (count, id_at) over a sorted id list, and a
-set change A x B -> A' x B' runs as single-point steps.  A sample holds
-packed edges; `pairs` decodes them to (a-side id, b-side id) in order.
+the sparsifier does: a sample keeps its sides as id lists, and a set
+change A x B -> A' x B' runs as single-point steps that remove a departed
+id from its list and append an arriving one.  A sample holds packed
+edges; `pairs` decodes them to (min id, max id) in order, which is
+(a-side id, b-side id) here, since every a-side id below is smaller than
+every b-side id.
 """
 
 import statistics
@@ -12,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geospar.sampling import MASK, SHIFT, PairSample, draw_indices, resample
+from geospar.sampling import MASK, SHIFT, PairSample, draw_sample, resample
 
 
 def cells(a, b):
@@ -20,43 +23,34 @@ def cells(a, b):
 
 
 def pairs(sample):
-    """The sample's edges as (a-side id, b-side id), in sample order."""
+    """The sample's edges as (min id, max id), in sample order."""
     return [(e >> SHIFT, e & MASK) for e in sample.edges]
-
-
-def side(ids):
-    return len(ids), ids.__getitem__
 
 
 def rand_sample(a, b, s, rng):
     """Uniform min(s, |A||B|)-edge sample of A x B, as the sparsifier
     builds a sampled pair."""
     a, b = sorted(a), sorted(b)
-    out = PairSample(s, len(a), len(b), 1.0)
-    for idx in draw_indices(len(a) * len(b), s, rng):
-        out.add(a[idx // len(b)] << SHIFT | b[idx % len(b)], 1.0)
+    out = PairSample(a, b, 1.0)
+    for edge in draw_sample(a, b, s, rng):
+        out.add(edge, 1.0)
     return out
 
 
 def resample_fast(sample, a, b, a2, b2, s, rng):
     """Carry `sample` of A x B over to A' x B' in single-point steps, as a
-    run of moves would: evict the departed ids' edges first, as the release
-    phase does, then resample once per arriving id (once with no arriving
-    id when none arrives).  Edits `sample` in place; returns the churn."""
+    run of moves would: release the departed ids first, then append each
+    arriving id to its side and resample (once with no arriving id when
+    none arrives).  Edits `sample` in place; returns the churn."""
     before = set(pairs(sample))
     for pid in sorted((a - a2) | (b - b2)):
-        for edge in sample.point_edges(pid):
-            sample.discard(edge)
-    cur_a, cur_b = sorted(a & a2), sorted(b & b2)
-    arrivals = ([(pid, cur_a) for pid in sorted(a2 - a)]
-                + [(pid, cur_b) for pid in sorted(b2 - b)])
-    for pid, ids in arrivals or [(None, None)]:
-        if ids is not None:
-            ids.append(pid)
-            ids.sort()
-        s_out = min(s, len(cur_a) * len(cur_b))
-        _, added = resample(sample, side(cur_a), side(cur_b), pid,
-                            ids is cur_a, ids is cur_b, s_out, rng)
+        sample.release(pid, (pid in a, pid in b))
+    arrivals = ([(pid, (True, False)) for pid in sorted(a2 - a)]
+                + [(pid, (False, True)) for pid in sorted(b2 - b)])
+    for pid, sides in arrivals or [(None, (False, False))]:
+        sample.join(pid, sides)
+        s_out = min(s, len(sample.a) * len(sample.b))
+        _, added = resample(sample, pid, *sides, s_out, rng)
         for edge in added:
             sample.add(edge, 1.0)
     return len(before.symmetric_difference(pairs(sample)))

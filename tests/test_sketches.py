@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from geospar import sketches
+from geospar.errors import IndexOutOfRange
 from geospar.kernels import (dense_laplacian, gaussian_kernel,
                              laplacian_from_edges, normalize_points)
 from geospar.sketches import (PINV_RCOND, _diff_sketch, _inverse, _net_edges,
@@ -80,6 +81,21 @@ class TestMultiply:
         before = st.query()
         st.update_v([])
         assert np.array_equal(st.query(), before)
+
+    def test_out_of_range_index_changes_nothing(self):
+        ps, rng = make_pset(seed=6)
+        mul = multiply_init(ps, gaussian_kernel(), rng.standard_normal(48),
+                            0.5, 0.05, 3, 6, allow_large_eps=True)
+        sol = solve_init(ps, gaussian_kernel(), rng.standard_normal(48),
+                         0.5, 0.05, 3, 6, allow_large_eps=True)
+        v, b, mz, sz = mul.v.copy(), sol.b.copy(), mul.query(), sol.query()
+        for update in (mul.update_v, sol.update_b):
+            for bad in (-1, 48):
+                with pytest.raises(IndexOutOfRange):
+                    update([(3, 1.0), (bad, 1.0)])
+        assert np.array_equal(mul.v, v) and np.array_equal(sol.b, b)
+        assert np.array_equal(mul.query(), mz)
+        assert np.array_equal(sol.query(), sz)
 
     def test_interleaved_updates_match_scratch(self):
         ps, rng = make_pset(seed=7)

@@ -42,16 +42,17 @@ def random_unit_move(rng, d=4):
     return rng.random(d) * 0.5 + 0.25
 
 
-def _dims(entry):
-    """The side sizes of a stored pair's biclique."""
-    if isinstance(entry, WholePair):
-        return len(entry.a), len(entry.b)
-    return entry.nx, entry.ny
+def _dims(g, key):
+    """The side sizes of a stored pair's biclique: its WSPD nodes' point
+    counts."""
+    a_node, b_node = (g.tree.by_tok[t] for t in wspd.unpack(key))
+    return a_node.count, b_node.count
 
 
-def _size(entry):
-    nx, ny = _dims(entry)
-    return nx * ny
+def _biggest(g):
+    """The stored pair with the largest biclique, as (key, entry)."""
+    key = max(g._store, key=lambda k: math.prod(_dims(g, k)))
+    return key, g._store[key]
 
 
 def _cells(entry):
@@ -109,13 +110,13 @@ class TestInitialize:
     def test_sample_size_formula(self):
         g, _ = make_dgs(seed=4)
         for key, entry in g._store.items():
-            nx, ny = _dims(entry)
+            nx, ny = _dims(g, key)
             s = g.sample_size(nx, ny)
             assert s == math.ceil(
                 g.c_s * g.eps ** -2 * g.n ** g.gamma
                 * (nx + ny) * math.log(nx + ny + 1))
+            assert (len(entry.a), len(entry.b)) == (nx, ny)
             if isinstance(entry, PairSample):
-                assert entry.s_target == s
                 assert len(entry) == s
                 assert entry.scale == nx * ny / s
             else:
@@ -125,7 +126,8 @@ class TestInitialize:
         g, _ = make_dgs(seed=5, n=128)
         # the budget is H's edge count at set-up: each pair's min(s, |X||Y|)
         assert g.edge_count == g.sparsity_budget == sum(
-            min(g.sample_size(*_dims(e)), _size(e)) for e in g._store.values())
+            min(g.sample_size(*_dims(g, k)), math.prod(_dims(g, k)))
+            for k in g._store)
 
     def test_budget_fixture(self, calibration):
         cal = calibration["sparsifier"]
@@ -250,9 +252,10 @@ class TestResamplingInVivo:
 
     def test_big_pair_sampled_and_spectrally_sound(self):
         g, _, _ = self._clustered()
-        big = max(g._store.values(), key=_size)
+        key, big = _biggest(g)
         assert isinstance(big, PairSample)
-        assert len(big) == big.s_target < big.nx * big.ny
+        nx, ny = _dims(g, key)
+        assert len(big) == g.sample_size(nx, ny) < nx * ny
         assert g.edge_count < g.n * (g.n - 1) // 2
         assert g.spectral_check().passed
 
@@ -303,10 +306,11 @@ def _clustered_moves(seed, n, count):
 
 
 def _assert_scales_in_band(g):
-    for entry in g._store.values():
+    for key, entry in g._store.items():
         if isinstance(entry, PairSample):
-            assert len(entry) == entry.s_target < entry.nx * entry.ny
-            assert (abs(entry.scale * len(entry) / (entry.nx * entry.ny) - 1)
+            nx, ny = _dims(g, key)
+            assert len(entry) == g.sample_size(nx, ny) < nx * ny
+            assert (abs(entry.scale * len(entry) / (nx * ny) - 1)
                     <= SCALE_BAND * g.eps)
 
 
@@ -346,14 +350,15 @@ class TestHysteresis:
         ps = normalize_points(raw)
         g = DynamicGeoSpar.initialize(ps, cauchy_kernel(), 0.5, 0.05, 3, 12345,
                                       allow_large_eps=True, c_s=0.1)
-        key, big = max(g._store.items(), key=lambda kv: _size(kv[1]))
-        assert (big.nx, big.ny) in ((240, 160), (160, 240))
+        key, big = _biggest(g)
+        assert _dims(g, key) in ((240, 160), (160, 240))
         for i in rng.choice(240, 10, replace=False):
             rep = g.update(int(i), _near(rng, ps, 5.0))
             assert rep.pairs_resampled >= 1
             assert g._store[key] is big and isinstance(big, PairSample)
             assert rep.churn < len(big) // 4
             _assert_scales_in_band(g)
+            _assert_point_index(g)
         assert g.fold_store() == g.edge_map()
         assert g.spectral_check().passed
 
@@ -361,7 +366,7 @@ class TestHysteresis:
         ps, moves = _clustered_moves(32, 200, 60)
         g = DynamicGeoSpar.initialize(ps, cauchy_kernel(), 0.5, 0.05, 3, 5,
                                       allow_large_eps=True, c_s=0.1)
-        big = max(g._store.values(), key=_size)
+        _, big = _biggest(g)
         assert isinstance(big, PairSample)
         hop_entries = []
         for step, (i, z) in enumerate(moves):
@@ -486,21 +491,20 @@ def _edges_by_point(edges):
 
 
 def _assert_point_index(g):
-    """A whole pair's id lists hold exactly its two nodes' ids; a sampled
-    pair has its two nodes' point counts, fewer edges than its biclique
-    and a per-point index equal to a scan of its edges.  The store holds
+    """Every pair's id lists hold exactly its two nodes' ids, once each; a
+    sampled pair holds s of its biclique's edges, fewer than all, and a
+    per-point index equal to a scan of its edges.  The store holds
     exactly the WSPD's pairs."""
     assert set(g._store) == g.pairs.pairs
     tree = g.tree
     for key, entry in g._store.items():
         a_node, b_node = (tree.by_tok[t] for t in wspd.unpack(key))
-        if isinstance(entry, WholePair):
-            assert set(entry.a) == set(tree.subtree_ids(a_node))
-            assert set(entry.b) == set(tree.subtree_ids(b_node))
-            assert _dims(entry) == (a_node.count, b_node.count)
-        else:
-            assert (entry.nx, entry.ny) == (a_node.count, b_node.count)
-            assert len(entry) == entry.s_target < entry.nx * entry.ny
+        for ids, node in ((entry.a, a_node), (entry.b, b_node)):
+            assert len(ids) == len(set(ids)) == node.count
+            assert set(ids) == set(tree.subtree_ids(node))
+        if isinstance(entry, PairSample):
+            nx, ny = a_node.count, b_node.count
+            assert len(entry) == g.sample_size(nx, ny) < nx * ny
             assert entry.by_point == _edges_by_point(entry.edges)
     assert g.fold_store() == g.edge_map()
 
@@ -543,7 +547,7 @@ class TestPointIndex:
         ps = normalize_points(raw)
         g = DynamicGeoSpar.initialize(ps, cauchy_kernel(), 0.5, 0.05, 3, 0,
                                       allow_large_eps=True, c_s=0.032)
-        key, pair = max(g._store.items(), key=lambda kv: _size(kv[1]))
+        key, pair = _biggest(g)
         assert isinstance(pair, WholePair)
         center = raw[:4].mean(axis=0)
         turned = None
@@ -556,8 +560,9 @@ class TestPointIndex:
                 # the same key now holds a sample of the grown biclique
                 turned = step
                 assert rep.pairs_resampled >= 1
-                assert pair.nx * pair.ny > 4 * pair.s_target
-                assert len(pair) == pair.s_target
+                nx, ny = _dims(g, key)
+                assert nx * ny > 4 * g.sample_size(nx, ny)
+                assert len(pair) == g.sample_size(nx, ny)
             else:
                 assert pair is before
             _assert_point_index(g)
