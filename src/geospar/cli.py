@@ -27,6 +27,11 @@ from .sparsifier import DynamicGeoSpar, FullyDynamicSparsifier
 # -- file formats --------------------------------------------------------------
 
 
+def _is_number(v) -> bool:
+    """An int or a float (not a bool) that a finite float can hold."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
 def read_points_csv(path) -> np.ndarray:
     """CSV point file: header '# dim=<d> n=<n>', one comma-separated row per point."""
     rows = []
@@ -48,6 +53,8 @@ def read_points_csv(path) -> np.ndarray:
                 vals = [float(v) for v in line.split(",")]
             except ValueError:
                 raise TraceError(f"{path}:{lineno}: malformed point row {line!r}")
+            if not all(map(_is_number, vals)):
+                raise TraceError(f"{path}:{lineno}: non-finite coordinate in {line!r}")
             if dim is not None and len(vals) != dim:
                 raise TraceError(
                     f"{path}:{lineno}: expected {dim} coordinates, got {len(vals)}")
@@ -180,7 +187,14 @@ def cmd_verify(args) -> int:
 def _preflight(ops, pset):
     for lineno, op in ops:
         if op["op"] != "move":
-            for i, _ in op["nz"]:
+            if not isinstance(op["nz"], list):
+                raise TraceError(f"trace line {lineno}: 'nz' is not a list")
+            for entry in op["nz"]:
+                if not (type(entry) is list and len(entry) == 2
+                        and _is_number(entry[1])):
+                    raise TraceError(f"trace line {lineno}: nz entry {entry!r}"
+                                     " is not an [index, number] pair")
+                i = entry[0]
                 if not isinstance(i, int) or not 0 <= i < pset.n:
                     raise TraceError(
                         f"trace line {lineno}: unknown point index {i}")
@@ -188,10 +202,11 @@ def _preflight(ops, pset):
         i = op["i"]
         if not isinstance(i, int) or not 0 <= i < pset.n:
             raise TraceError(f"trace line {lineno}: unknown point index {i}")
-        z = np.asarray(op["z"], dtype=np.float64)
-        if z.shape != (pset.dim,):
+        z = op["z"]
+        if not (type(z) is list and len(z) == pset.dim
+                and all(map(_is_number, z))):
             raise TraceError(f"trace line {lineno}: expected {pset.dim} coordinates")
-        zu = pset.transform_raw(z)
+        zu = pset.transform_raw(np.asarray(z, dtype=np.float64))
         if not np.all((zu >= 0.0) & (zu < 1.0)):
             raise TraceError(
                 f"trace line {lineno}: move leaves the bounding region")

@@ -130,24 +130,16 @@ def draw_sample(a: list, b: list, s: int, rng: np.random.Generator) -> list:
     """min(s, |a||b|) distinct uniform edges of a x b, packed, in ascending
     order of their index ia * |b| + ib.
 
-    Rejection sampling in O(min(s, total - s)) expected draws: above half
-    the biclique it rejects on the complement instead.
+    Rejection sampling: the sparsifier asks for at most half the biclique,
+    so the s edges take at most 2s expected draws.
     """
     nb = len(b)
     total = len(a) * nb
-    if s <= total // 2:
-        picked = set()
-        while len(picked) < s:
-            idx = int(rng.integers(0, total))
-            if idx not in picked:
-                picked.add(idx)
-    else:
-        excluded = set()
-        while len(excluded) < total - s:
-            idx = int(rng.integers(0, total))
-            if idx not in excluded:
-                excluded.add(idx)
-        picked = set(range(total)) - excluded
+    if s >= total:
+        return [edge(i, j) for i in a for j in b]
+    picked = set()
+    while len(picked) < s:
+        picked.add(int(rng.integers(0, total)))
     return [edge(a[idx // nb], b[idx % nb]) for idx in sorted(picked)]
 
 
@@ -170,7 +162,9 @@ def resample(sample: PairSample, pid: int, in_a: bool, in_b: bool,
     |A x B| is the output size.  The number x of fresh edges (those
     through an arriving point) is hypergeometric, as in a direct uniform
     s_out-sample of A x B.  The old sample is cut to s_out - x by uniform
-    evictions, or topped up with uniform cells of the shared part.
+    evictions, or topped up with uniform cells of the shared part.  The
+    sparsifier keeps s_out <= 3/4 |A x B|, so the draws' rejections of
+    cells already taken cost a constant factor.
 
     Evicted edges are removed from `sample`; added ones are not, since the
     caller weighs them.  Returns (evicted, added), lists of packed edges,

@@ -3,22 +3,26 @@
 Pipeline: project the points to k dimensions, build a compressed quad tree
 and a 2-WSPD over the projections, view every well-separated pair as a
 biclique in the original d-dimensional space, and keep a uniform edge
-sample per biclique, scaled by |X||Y|/s (small bicliques are kept whole,
-unscaled).  A point move re-runs only the affected WSPD generators
+sample per biclique, scaled by |X||Y|/s (a biclique of fewer than 2s
+cells is kept whole, unscaled).  A point move re-runs only the affected WSPD generators
 and converts each touched pair's old sample into a fresh uniform one with
 `sampling.resample` (a hypergeometric count of edges through the arriving
 point), so the sparsifier changes by few edges.  All draws go through
 `sampling`; this module weighs the drawn edges and logs the net change.
 
-A pair's state has hysteresis, so moves near a threshold do not flip it:
-a new pair (at set-up or on a move) is kept whole iff |X||Y| <= s, a
-sampled pair stays sampled while |X||Y| > s, and a whole pair stays whole
-while |X||Y| <= 4s.  A sampled pair keeps its scale while that is
-within SCALE_BAND * eps (theta * eps) of the exact |X||Y|/s, relative;
-only when the band is left is the whole sample rewritten at the exact
-scale.  Each pair's Laplacian is then its exactly scaled sample's times a
-factor in [1 - theta*eps, 1 + theta*eps], so an eps-sparsifier at exact
-scales stays a ((1 + eps)(1 + theta*eps) - 1)-sparsifier.
+A pair is sampled only where its sample is at most half its biclique: a
+new pair (at set-up or on a move) is sampled iff 2s <= |X||Y|.  A changed
+pair keeps its kind while it stays in that kind's band, so moves near the
+threshold do not flip it: a whole pair stays whole while |X||Y| <= 4s, and
+a sampled pair stays sampled while 4s <= 3|X||Y|, so every rejection loop
+in `sampling` runs at a fill of at most 3/4.  A pair past its band is
+built afresh from its own lists, as the other kind.  A sampled pair keeps
+its scale while that is within SCALE_BAND * eps (theta * eps) of the
+exact |X||Y|/s, relative; only when the band is left is the whole sample
+rewritten at the exact scale.  Each pair's Laplacian is then its exactly
+scaled sample's times a factor in [1 - theta*eps, 1 + theta*eps], so an
+eps-sparsifier at exact scales stays a
+((1 + eps)(1 + theta*eps) - 1)-sparsifier.
 
 Every pair keeps its two sides as id lists (`sampling.Biclique`).  A
 small biclique is kept whole as a `WholePair`: only the lists, so its
@@ -57,10 +61,8 @@ A pair whose sides gained or lost the point is first released: the
 point's edges leave H (found through a sampled pair's per-point index, or
 as a whole pair's slab, [pid] x b or a x [pid]) and the point leaves its
 old side's list.  The point is then appended to its new side's list,
-before its arriving slab is queued or `sampling.resample` draws.  A whole
-pair that turns sampled becomes a `PairSample` of its edges, with raw
-weights read from H, and a sampled pair that turns whole a `WholePair`;
-either takes over the other's lists, so neither walks the tree again.
+before its arriving slab is queued, `sampling.resample` draws or the
+pair is built afresh from its lists.
 """
 
 from __future__ import annotations
@@ -132,7 +134,8 @@ class UpdateReport:
     pairs_removed: int = 0         # pairs dropped from the WSPD
     pairs_added: int = 0           # pairs new to the WSPD, built afresh
     pairs_resampled: int = 0       # changed pairs left sampled (resample)
-    pairs_rematerialized: int = 0  # changed sampled pairs rebuilt whole
+    pairs_rematerialized: int = 0  # changed pairs rebuilt as the other
+    #                                kind, in either direction
     pairs_extended: int = 0        # changed whole pairs kept whole: the
     #                                departed and arriving slabs only
     pairs_reweighted: int = 0      # same ids, moved point's edges reweighed
@@ -184,12 +187,13 @@ class DynamicGeoSpar:
         proj = {i: self._project_unit(pset.points[i]) for i in range(self.n)}
         self.tree = CompressedQuadTree.build(proj, k)
         self.pairs = wspd.compute_wspd(self.tree)
-        by_tok = self.tree.by_tok
+        tree, by_tok = self.tree, self.tree.by_tok
         for key in sorted(self.pairs.pairs):
-            self._store[key] = self._build_pair(by_tok[key >> _SHIFT],
-                                                by_tok[key & _MASK])
+            self._store[key] = self._build_pair(
+                tree.subtree_ids(by_tok[key >> _SHIFT]),
+                tree.subtree_ids(by_tok[key & _MASK]))
         self._flush_queued()
-        # H's edge count at set-up: each pair holds min(s, |X||Y|) edges
+        # H's edge count at set-up: |X||Y| per whole pair, s per sampled one
         self.sparsity_budget = len(self._h)
         self._before = {}
         return self
@@ -281,11 +285,12 @@ class DynamicGeoSpar:
                 w *= entry.scale
             self._set_edge(key, w)
 
-    def _build_pair(self, a_node, b_node):
-        a, b = self.tree.subtree_ids(a_node), self.tree.subtree_ids(b_node)
+    def _build_pair(self, a: list, b: list):
+        """The pair a x b built afresh: sampled iff its sample is at most
+        half its biclique, whole otherwise."""
         s = self.sample_size(len(a), len(b))
         total = len(a) * len(b)
-        if total <= s:
+        if 2 * s > total:
             entry = WholePair(a, b)
             self._queue_edges(None, entry.edges)
         else:
@@ -345,7 +350,8 @@ class DynamicGeoSpar:
     def _apply_change(self, key, a_node, b_node, old, new, pid: int,
                       report: UpdateReport):
         if old is None:
-            self._store[key] = self._build_pair(a_node, b_node)
+            self._store[key] = self._build_pair(
+                self.tree.subtree_ids(a_node), self.tree.subtree_ids(b_node))
             report.pairs_added += 1
             return
         entry = self._store[key]
@@ -364,45 +370,33 @@ class DynamicGeoSpar:
     def _resample_pair(self, key, entry, nx: int, ny: int, new: tuple,
                        pid: int, report: UpdateReport):
         """A pair whose sides gained or lost the moved point, nx x ny after
-        the move; the departed point's edges are already released."""
-        s_new = self.sample_size(nx, ny)
-        # hysteresis: a whole pair stays whole up to 4 * s, a sampled pair
-        # stays sampled down to s
-        if type(entry) is WholePair and nx * ny > 4 * s_new:
-            entry = self._store[key] = self._sample_whole(entry)
+        the move; the departed point's edges are already released.  It is
+        extended, resampled, or rebuilt as the other kind."""
+        s, total = self.sample_size(nx, ny), nx * ny
+        whole = type(entry) is WholePair
+        # hysteresis: a whole pair stays whole while |X||Y| <= 4s and a
+        # sampled pair stays sampled while 4s <= 3|X||Y|
+        if (total > 4 * s) if whole else (4 * s > 3 * total):
+            self._drop_pair(key)
+            entry.join(pid, new)
+            self._store[key] = self._build_pair(entry.a, entry.b)
+            report.pairs_rematerialized += 1
+            return
         entry.join(pid, new)
-        if type(entry) is WholePair:
+        if whole:
             # only the arriving point's slab is new
             self._queue_edges(None, entry.slab(pid, new))
             report.pairs_extended += 1
-        elif nx * ny > s_new:
-            self._fast_resample(entry, new, pid, s_new)
-            report.pairs_resampled += 1
-        else:
-            self._drop_pair(key)
-            entry = self._store[key] = WholePair(entry.a, entry.b)
-            self._queue_edges(None, entry.edges)
-            report.pairs_rematerialized += 1
-
-    def _sample_whole(self, entry: WholePair) -> PairSample:
-        """A whole pair's edges as a sample at scale 1, row by row, with
-        their raw weights read from H; the sample takes over its lists."""
-        sample = PairSample(entry.a, entry.b, 1.0)
-        for key in entry.edges:
-            sample.add(key, self._h[key])
-        return sample
-
-    def _fast_resample(self, entry, new, pid, s_new):
-        total = len(entry.a) * len(entry.b)   # > s_new
-        evicted, added = sampling.resample(entry, pid, *new, s_new, self.rng)
-        for key in evicted:
-            self._set_edge(key, 0.0)
-        if abs(entry.scale * s_new / total - 1.0) > SCALE_BAND * self.eps:
-            entry.scale = total / s_new
-            scale = entry.scale
-            for key, raw in zip(entry.edges, entry.raw):
-                self._set_edge(key, raw * scale)
+            return
+        evicted, added = sampling.resample(entry, pid, *new, s, self.rng)
+        for e in evicted:
+            self._set_edge(e, 0.0)
+        if abs(entry.scale * s / total - 1.0) > SCALE_BAND * self.eps:
+            scale = entry.scale = total / s
+            for e, raw in zip(entry.edges, entry.raw):
+                self._set_edge(e, raw * scale)
         self._queue_edges(entry, added)
+        report.pairs_resampled += 1
 
     # -- read-out interfaces ----------------------------------------------------
 

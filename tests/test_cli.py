@@ -41,6 +41,20 @@ class TestPointsIo:
         with pytest.raises(TraceError, match=":3"):
             read_points_csv(tmp_path / "bad.csv")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_names_line(self, tmp_path, value):
+        (tmp_path / "bad.csv").write_text(f"# dim=2 n=2\n1.0,2.0\n{value},3.0\n")
+        with pytest.raises(TraceError, match="bad.csv:3"):
+            read_points_csv(tmp_path / "bad.csv")
+
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    def test_non_finite_coordinate_is_usage_error(self, tmp_path, capsys,
+                                                   command):
+        (tmp_path / "bad.csv").write_text("1.0,2.0\n3.0,nan\n0.5,0.5\n")
+        assert run([command, "--points", tmp_path / "bad.csv"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "TraceError" and "bad.csv:2" in err["message"]
+
     def test_header_count_mismatch(self, tmp_path):
         (tmp_path / "bad.csv").write_text("# dim=2 n=3\n1.0,2.0\n3.0,4.0\n")
         with pytest.raises(TraceError, match="n=3"):
@@ -128,6 +142,49 @@ class TestReplay:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert "line 2" in err["message"]
+
+    @pytest.mark.parametrize("op", ["mulv", "solveb"])
+    @pytest.mark.parametrize("entry", [
+        [1], [1, "x"], [1, 2.0, 3.0], 5, [1, None], [1, True], [1, "1.0"]],
+        ids=["short", "string", "long", "scalar", "null", "bool", "text"])
+    def test_sparse_vector_entry_preflight(self, workdir, capsys, op, entry):
+        tmp_path, _ = workdir
+        lines = [json.dumps({"op": op, "nz": [[0, 1.0]]}),
+                 json.dumps({"op": op, "nz": [[1, 1.0], entry]})]
+        (tmp_path / "t.jsonl").write_text("\n".join(lines) + "\n")
+        rc = run(["replay", "--points", tmp_path / "pts.csv",
+                  "--trace", tmp_path / "t.jsonl",
+                  "--config", tmp_path / "cfg.txt"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "TraceError" and "line 2" in err["message"]
+
+    @pytest.mark.parametrize("nz", [5, {"0": 1.0}])
+    def test_sparse_vector_not_a_list_preflight(self, workdir, capsys, nz):
+        tmp_path, _ = workdir
+        (tmp_path / "t.jsonl").write_text(
+            json.dumps({"op": "mulv", "nz": nz}) + "\n")
+        rc = run(["replay", "--points", tmp_path / "pts.csv",
+                  "--trace", tmp_path / "t.jsonl",
+                  "--config", tmp_path / "cfg.txt"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "line 1" in err["message"]
+
+    @pytest.mark.parametrize("z", [
+        ["a", 1.0, 1.0, 1.0], [[1.0], 1.0, 1.0, 1.0], [1.0, 1.0, 1.0],
+        [float("nan"), 1.0, 1.0, 1.0], "1,1,1,1"],
+        ids=["string", "nested", "short", "nan", "text"])
+    def test_move_target_preflight(self, workdir, capsys, z):
+        tmp_path, _ = workdir
+        (tmp_path / "t.jsonl").write_text(
+            json.dumps({"op": "move", "i": 0, "z": z}) + "\n")
+        rc = run(["replay", "--points", tmp_path / "pts.csv",
+                  "--trace", tmp_path / "t.jsonl",
+                  "--config", tmp_path / "cfg.txt"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "TraceError" and "line 1" in err["message"]
 
     def test_out_of_region_preflight(self, workdir, capsys):
         tmp_path, _ = workdir

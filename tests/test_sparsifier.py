@@ -116,18 +116,22 @@ class TestInitialize:
                 g.c_s * g.eps ** -2 * g.n ** g.gamma
                 * (nx + ny) * math.log(nx + ny + 1))
             assert (len(entry.a), len(entry.b)) == (nx, ny)
+            # at set-up a pair is whole iff its sample would exceed half
+            # its biclique
             if isinstance(entry, PairSample):
+                assert 2 * s <= nx * ny
                 assert len(entry) == s
                 assert entry.scale == nx * ny / s
             else:
-                assert nx * ny <= s
+                assert nx * ny < 2 * s
 
     def test_edge_count_within_budget(self):
         g, _ = make_dgs(seed=5, n=128)
-        # the budget is H's edge count at set-up: each pair's min(s, |X||Y|)
+        # the budget is H's edge count at set-up: |X||Y| per whole pair and
+        # s per sampled one
         assert g.edge_count == g.sparsity_budget == sum(
-            min(g.sample_size(*_dims(g, k)), math.prod(_dims(g, k)))
-            for k in g._store)
+            math.prod(_dims(g, k)) if isinstance(e, WholePair)
+            else g.sample_size(*_dims(g, k)) for k, e in g._store.items())
 
     def test_budget_fixture(self, calibration):
         cal = calibration["sparsifier"]
@@ -274,6 +278,38 @@ class TestResamplingInVivo:
         assert g.spectral_check().passed
 
 
+class TestFillRule:
+    """A pair is sampled only where its sample is at most half its
+    biclique, so a sample that would save few edges is kept whole."""
+
+    def test_pair_sampled_past_half_its_biclique_is_kept_whole(self):
+        # two Cauchy clusters of 100 at the default c_s: the cluster pair's
+        # sample would hold 0.62 of its 10,000 cells
+        rng = np.random.default_rng(0)
+        raw = np.vstack([rng.normal(0, 0.02, (100, 4)) + 0.3,
+                         rng.normal(0, 0.02, (100, 4)) + 5.0])
+        ps = normalize_points(raw)
+        g = DynamicGeoSpar.initialize(ps, cauchy_kernel(), 0.5, 0.05, 3, 0,
+                                      allow_large_eps=True)
+        key, big = _biggest(g)
+        nx, ny = _dims(g, key)
+        assert (nx, ny) == (100, 100)
+        assert 0.6 < g.sample_size(nx, ny) / (nx * ny) < 0.65
+        assert isinstance(big, WholePair)
+        # every pair is whole, so H is the kernel graph itself
+        assert all(isinstance(e, WholePair) for e in g._store.values())
+        assert g.edge_count == g.n * (g.n - 1) // 2
+        chk = g.spectral_check()
+        assert chk.passed
+        assert abs(chk.min_eig - 1.0) < 1e-9 and abs(chk.max_eig - 1.0) < 1e-9
+        # hops between the clusters keep it whole: |X||Y| stays below 4s
+        for i in (3, 150, 7):
+            g.update(i, _near(rng, ps, 5.0 if i < 100 else 0.3))
+            assert g._store[key] is big
+            _assert_point_index(g)
+        assert g.edge_count == g.n * (g.n - 1) // 2
+
+
 def _near(rng, ps, center):
     """A unit-frame point drawn around a raw-frame center (sigma 0.02)."""
     while True:
@@ -309,16 +345,17 @@ def _assert_scales_in_band(g):
     for key, entry in g._store.items():
         if isinstance(entry, PairSample):
             nx, ny = _dims(g, key)
-            assert len(entry) == g.sample_size(nx, ny) < nx * ny
+            assert len(entry) == g.sample_size(nx, ny)
+            assert 4 * len(entry) <= 3 * nx * ny
             assert (abs(entry.scale * len(entry) / (nx * ny) - 1)
                     <= SCALE_BAND * g.eps)
 
 
 class TestHysteresis:
     """A moved pair keeps its state: a sampled pair stays sampled while
-    |X||Y| > s and keeps its scale while that is within SCALE_BAND * eps of
-    |X||Y|/s; a whole pair stays whole while |X||Y| <= 4s.  So hops neither
-    densify H nor rewrite a whole sample."""
+    4s <= 3|X||Y| and keeps its scale while that is within SCALE_BAND * eps
+    of |X||Y|/s; a whole pair stays whole while |X||Y| <= 4s.  So hops
+    neither densify H nor rewrite a whole sample."""
 
     def test_hops_between_clusters_keep_h_sparse(self):
         rng = np.random.default_rng(0)
@@ -492,9 +529,9 @@ def _edges_by_point(edges):
 
 def _assert_point_index(g):
     """Every pair's id lists hold exactly its two nodes' ids, once each; a
-    sampled pair holds s of its biclique's edges, fewer than all, and a
-    per-point index equal to a scan of its edges.  The store holds
-    exactly the WSPD's pairs."""
+    sampled pair holds s of its biclique's edges, at most three quarters
+    of them, and a per-point index equal to a scan of its edges.  The
+    store holds exactly the WSPD's pairs."""
     assert set(g._store) == g.pairs.pairs
     tree = g.tree
     for key, entry in g._store.items():
@@ -504,7 +541,8 @@ def _assert_point_index(g):
             assert set(ids) == set(tree.subtree_ids(node))
         if isinstance(entry, PairSample):
             nx, ny = a_node.count, b_node.count
-            assert len(entry) == g.sample_size(nx, ny) < nx * ny
+            assert len(entry) == g.sample_size(nx, ny)
+            assert 4 * len(entry) <= 3 * nx * ny
             assert entry.by_point == _edges_by_point(entry.edges)
     assert g.fold_store() == g.edge_map()
 
@@ -557,9 +595,10 @@ class TestPointIndex:
                 center + rng.normal(0, 1e-4, 4)))
             pair = g._store[key]
             if isinstance(before, WholePair) and isinstance(pair, PairSample):
-                # the same key now holds a sample of the grown biclique
+                # the same key now holds a sample of the grown biclique,
+                # built afresh from the pair's lists
                 turned = step
-                assert rep.pairs_resampled >= 1
+                assert rep.pairs_rematerialized >= 1
                 nx, ny = _dims(g, key)
                 assert nx * ny > 4 * g.sample_size(nx, ny)
                 assert len(pair) == g.sample_size(nx, ny)
@@ -568,6 +607,42 @@ class TestPointIndex:
             _assert_point_index(g)
         # the pair turns sampled with hops left to resample it again
         assert turned is not None and turned < 19
+
+    def test_sampled_pair_past_three_quarters_turns_whole(self):
+        # a 12-point cluster far from a 188-point one; hops out of the small
+        # cluster shrink their sampled pair, which stays sampled past half
+        # its biclique and is rebuilt whole once 4s > 3|X||Y|
+        rng = np.random.default_rng(0)
+        raw = np.vstack([rng.normal(0, 0.02, (12, 4)) + 0.3,
+                         rng.normal(0, 0.02, (188, 4)) + 5.0])
+        ps = normalize_points(raw)
+        g = DynamicGeoSpar.initialize(ps, cauchy_kernel(), 0.5, 0.05, 3, 0,
+                                      allow_large_eps=True, c_s=0.032)
+        (key,) = [k for k in g._store if sorted(_dims(g, k)) == [12, 188]]
+        pair = g._store[key]
+        assert isinstance(pair, PairSample)
+        center = raw[12:].mean(axis=0)
+        turned = None
+        fills = []
+        for i in range(10):
+            before = pair
+            rep = g.update(i, ps.transform_raw(
+                center + rng.normal(0, 1e-4, 4)))
+            pair = g._store[key]
+            nx, ny = _dims(g, key)
+            fill = g.sample_size(nx, ny) / (nx * ny)
+            if isinstance(before, PairSample) and isinstance(pair, WholePair):
+                turned = i
+                assert rep.pairs_rematerialized >= 1
+                assert fill > 0.75
+            else:
+                assert pair is before
+                if isinstance(pair, PairSample):
+                    fills.append(fill)
+            _assert_point_index(g)
+        # it stayed sampled above half its biclique, then turned whole
+        assert max(fills) > 0.5
+        assert turned is not None and turned < 9
 
     def test_crossing_point_releases_exactly_its_slab(self):
         g, rng = make_dgs(seed=23, n=64)
