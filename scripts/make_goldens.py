@@ -6,6 +6,9 @@ booleans driven by the seeded RNG), never wall-clock numbers.  Run from
 the repository root after any intentional behavior change:
 
     python3 scripts/make_goldens.py
+
+Exits 1 when any CLI command it runs (build, replay, bench) exits
+non-zero; that command's golden is then left as it was.
 """
 
 import json
@@ -56,14 +59,16 @@ def make_config():
         "checkpoint = 10\n")
 
 
-def run_and_extract(argv, out_name):
+def run_and_extract(argv, out_name) -> int:
     tmp = FIX / ("_tmp_" + out_name)
     rc = cli_main(argv + ["--out", str(tmp)])
-    report = json.loads(tmp.read_text())
-    tmp.unlink()
-    golden = report["golden"]
-    (FIX / out_name).write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     print(out_name, "rc:", rc)
+    if rc == 0:
+        golden = json.loads(tmp.read_text())["golden"]
+        (FIX / out_name).write_text(
+            json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    tmp.unlink(missing_ok=True)
+    return rc
 
 
 def make_projection_golden():
@@ -78,22 +83,26 @@ def make_projection_golden():
     }, indent=2) + "\n")
 
 
-def main():
+def main() -> int:
     FIX.mkdir(parents=True, exist_ok=True)
     make_points_and_trace()
     make_config()
     cfg = str(FIX / "config_desk.txt")
     pts = str(FIX / "points_n128.csv")
-    run_and_extract(["build", "--points", pts, "--config", cfg],
-                    "golden_build.json")
-    run_and_extract(["replay", "--points", pts,
-                     "--trace", str(FIX / "trace_n128.jsonl"),
-                     "--config", cfg], "golden_replay.json")
-    run_and_extract(["bench", "--sizes", "48,96", "--moves", "15",
-                     "--repeats", "1", "--config", cfg], "golden_bench.json")
+    rcs = [
+        run_and_extract(["build", "--points", pts, "--config", cfg],
+                        "golden_build.json"),
+        run_and_extract(["replay", "--points", pts,
+                         "--trace", str(FIX / "trace_n128.jsonl"),
+                         "--config", cfg], "golden_replay.json"),
+        run_and_extract(["bench", "--sizes", "48,96", "--moves", "15",
+                         "--repeats", "1", "--config", cfg],
+                        "golden_bench.json"),
+    ]
     make_projection_golden()
     print("goldens written to", FIX)
+    return 1 if any(rcs) else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

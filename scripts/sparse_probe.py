@@ -26,6 +26,7 @@ Stdlib, numpy and geospar only.  Run from the repository root:
 """
 
 import argparse
+import itertools
 import json
 import statistics
 import sys
@@ -53,20 +54,35 @@ def near(rng, pset, center) -> np.ndarray:
             return z
 
 
-def probe(n: int, c_s: float, hops: int, seed: int, spectral: bool) -> dict:
+def clusters(n: int, seed: int):
+    """The probe's points and its endless stream of (point id, target) hops."""
     rng = np.random.default_rng(seed)
     centers = rng.random((CLUSTERS, D)) * 10.0
     raw = centers[np.arange(n) % CLUSTERS] + rng.normal(0.0, SIGMA, (n, D))
     pset = gs.normalize_points(raw)
+
+    def hops():
+        while True:
+            i = int(rng.integers(0, n))
+            yield i, near(rng, pset, centers[rng.integers(0, CLUSTERS)])
+
+    return pset, hops()
+
+
+def build(pset, c_s: float) -> gs.DynamicGeoSpar:
+    return gs.DynamicGeoSpar.initialize(pset, gs.cauchy_kernel(), 0.5, 0.05,
+                                        3, 12345, c_s=c_s,
+                                        allow_large_eps=True)
+
+
+def probe(n: int, c_s: float, hops: int, seed: int, spectral: bool) -> dict:
+    pset, stream = clusters(n, seed)
     t0 = time.perf_counter()
-    g = gs.DynamicGeoSpar.initialize(pset, gs.cauchy_kernel(), 0.5, 0.05, 3,
-                                     12345, c_s=c_s, allow_large_eps=True)
+    g = build(pset, c_s)
     setup_s = time.perf_counter() - t0
     g.get_diff()
     hop_s, churn = [], 0
-    for _ in range(hops):
-        i = int(rng.integers(0, n))
-        z = near(rng, pset, centers[rng.integers(0, CLUSTERS)])
+    for i, z in itertools.islice(stream, hops):
         t1 = time.perf_counter()
         churn += g.update(i, z).churn
         g.get_diff()

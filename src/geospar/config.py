@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
 
 from .errors import ConfigError
 from .kernels import KERNELS, KernelFunction
@@ -20,7 +19,6 @@ class RunConfig:
     delta: float = 0.05
     k: int = 3                    # projection dimension; 0 = auto-adversarial
     kernel: str = "gaussian"
-    kernel_l: Optional[float] = None   # override the kernel's Lipschitz L
     c_s: float = 0.25             # sample-size multiplier (calibrated)
     c_sk: float = 4.0             # sketch row multiplier
     seed: int = 0
@@ -30,12 +28,10 @@ class RunConfig:
 
     def make_kernel(self) -> KernelFunction:
         try:
-            kern = KERNELS[self.kernel]()
+            return KERNELS[self.kernel]()
         except KeyError:
             raise ConfigError(f"unknown kernel {self.kernel!r}; "
                               f"choose from {sorted(KERNELS)}") from None
-        l = self.kernel_l if self.kernel_l is not None else kern.lipschitz_L
-        return KernelFunction(kern.name, kern.f, kern.lipschitz_C, l)
 
     def resolve_k(self, n: int) -> int:
         if self.k == 0:
@@ -86,6 +82,4 @@ def _coerce(key: str, value: str):
             return _BOOL[value.lower()]
         except KeyError:
             raise ValueError(f"expected boolean, got {value!r}") from None
-    if key == "kernel_l":
-        return None if value.lower() == "none" else float(value)
     return float(value)

@@ -139,11 +139,18 @@ def _common_level(keys) -> int:
 
 @dataclass
 class MutationReport:
-    """What a single insert/delete did to the tree structure."""
+    """What a single insert/delete did to the tree structure.
+
+    `edited` maps the token of every node that was in the tree before the
+    mutation and whose children it edited to a copy of the children it had
+    (a spliced-out node included).  `reparented` holds the nodes that now
+    hang under a different parent.  Every node an insert creates (the new
+    leaf and any new internal node) lies on the new leaf's root path.
+    """
 
     case: str
-    created: list = field(default_factory=list)      # wsids now present
-    reparented: list = field(default_factory=list)   # (wsid, old parent wsid) pairs
+    edited: dict = field(default_factory=dict)      # token -> prior children
+    reparented: list = field(default_factory=list)  # nodes with a new parent
 
 
 @dataclass(frozen=True)
@@ -157,14 +164,13 @@ class LocateResult:
 
 
 class CompressedQuadTree:
-    __slots__ = ("k", "root", "point_index", "nodes", "by_tok", "_next_tok",
+    __slots__ = ("k", "root", "point_index", "by_tok", "_next_tok",
                  "_leaf_tok")
 
     def __init__(self, k: int):
         self.k = k
         self.root: Optional[Node] = None
         self.point_index: dict = {}   # pid -> leaf node
-        self.nodes: dict = {}         # wsid -> node
         self.by_tok: dict = {}        # token -> node
         self._next_tok = 0
         self._leaf_tok: dict = {}     # pid -> token, stable across moves
@@ -183,11 +189,9 @@ class CompressedQuadTree:
             self._next_tok += 1
             if node.pid is not None:
                 self._leaf_tok[node.pid] = node.tok
-        self.nodes[node.wsid] = node
         self.by_tok[node.tok] = node
 
     def _unregister(self, node: Node):
-        del self.nodes[node.wsid]
         del self.by_tok[node.tok]
 
     def _attach(self, parent: Node, child: Node):
@@ -294,7 +298,7 @@ class CompressedQuadTree:
 
         if self.root is None:
             self.root = leaf
-            report = MutationReport("NewRoot", created=[leaf.wsid])
+            report = MutationReport("NewRoot")
         elif loc.node is None:
             # joins the old root (leaf or out-of-cell subtree) under a new top
             report = self._insert_new_top(leaf)
@@ -303,9 +307,10 @@ class CompressedQuadTree:
             q = _quadrant(ikey, u.level)
             child = u.children.get(q)
             if child is None:
+                report = MutationReport("ChildOfExisting",
+                                        {u.tok: dict(u.children)})
                 self._attach(u, leaf)
                 self._bump_counts(u, +1)
-                report = MutationReport("ChildOfExisting", created=[leaf.wsid])
             else:
                 report = self._split_edge(u, child, leaf)
         self.point_index[pid] = leaf
@@ -326,9 +331,7 @@ class CompressedQuadTree:
         self._attach(top, old)
         self._attach(top, leaf)
         top.count = old.count + 1
-        return MutationReport("SplitCompressedEdge",
-                              created=[leaf.wsid, top.wsid],
-                              reparented=[(old.wsid, None)])
+        return MutationReport("SplitCompressedEdge", reparented=[old])
 
     def _split_edge(self, u: Node, child: Node, leaf: Node) -> MutationReport:
         """New internal node w between u and child; w = smallest cell holding
@@ -342,15 +345,14 @@ class CompressedQuadTree:
                 "distinct points not separable within 64 refinement levels")
         w = _make_cell(level, _cell_of(leaf.ikey, level), self.k)
         self._register(w)
+        edited = {u.tok: dict(u.children)}
         del u.children[child.q_in_parent]
         self._attach(u, w)
         self._attach(w, child)
         self._attach(w, leaf)
         w.count = child.count + 1
         self._bump_counts(u, +1)
-        return MutationReport("SplitCompressedEdge",
-                              created=[leaf.wsid, w.wsid],
-                              reparented=[(child.wsid, u.wsid)])
+        return MutationReport("SplitCompressedEdge", edited, [child])
 
     def delete(self, pid: int) -> MutationReport:
         leaf = self.point_index.get(pid)
@@ -362,10 +364,11 @@ class CompressedQuadTree:
         if g is None:
             self.root = None
             return MutationReport("RemoveRoot")
+        edited = {g.tok: dict(g.children)}
         del g.children[leaf.q_in_parent]
         self._bump_counts(g, -1)
         if len(g.children) >= 2:
-            return MutationReport("RemoveLeaf")
+            return MutationReport("RemoveLeaf", edited)
         # degree-1 chain: splice g out, lift the surviving child
         (survivor,) = g.children.values()
         self._unregister(g)
@@ -375,10 +378,10 @@ class CompressedQuadTree:
             survivor.parent = None
             survivor.q_in_parent = None
         else:
+            edited[gp.tok] = dict(gp.children)
             del gp.children[g.q_in_parent]
             self._attach(gp, survivor)
-        return MutationReport("RemoveAndSplice",
-                              reparented=[(survivor.wsid, g.wsid)])
+        return MutationReport("RemoveAndSplice", edited, [survivor])
 
     def _bump_counts(self, node: Node, delta: int):
         while node is not None:

@@ -7,12 +7,15 @@ one set of runs per internal node: a run's output depends only on the two
 subtrees below its sibling pair.  The pair list is therefore stored grouped
 by generator.
 
-A point move marks dirty the nodes on the old and new root paths of the
-moved point and of the cells it leaves and enters (the nodes whose subtree
-changed) plus every created or re-parented node.  A call with no dirty
-side has the same two subtrees before and after, and it is entered with
-its sides in the same order, which the sides' parents fix; the order
-matters because the separation test rounds differently on exact ties.
+A point move is a tree delete and insert, and each reports what it did:
+the nodes it re-parented and, for each node whose children it edited, the
+children it had.  The move marks dirty the nodes on the moved point's old
+and new root paths (the nodes whose subtree changed; every node the
+insert creates lies on the new path) plus every re-parented node.  A call
+with no dirty side has the same two subtrees before and after, and it is
+entered with its sides in the same order, which the sides' parents fix;
+the order matters because the separation test rounds differently on
+exact ties.
 Dissolved generators are dropped and new ones are run in full.  A
 surviving generator with a dirty side is re-walked only through its dirty
 calls (calls with a dirty side).  A node object in both trees keeps its
@@ -225,7 +228,9 @@ def _fork(a: Node, b: Node, s: float, dirty: set, old_kids: dict):
     the same separation test and split choice in each, and emits the same
     key: walking it once covers both walks.  Only the children of a node
     whose children the move changed (a token in `old_kids`, which maps it
-    to the children it had) can differ.  At a split of such a node, a child
+    to the children it had, as the tree's mutation reports copied them)
+    can differ; a node the move created is on the new path, so it is
+    dirty and never shared.  At a split of such a node, a child
     that is the same object in both trees stays shared; the others start
     (old_calls, new_calls), the calls of one tree only.  A shared emission
     and a clean shared call are the same in both trees, so they are
@@ -279,10 +284,13 @@ def _rewalk(a_old: Node, b_old: Node, a: Node, b: Node, s: float,
     """(dropped, gained) of a surviving generator across a point move.
 
     The calls the old and new trees share are walked once (`_fork`); a
-    generator with the moved leaf as a side shares none.  The calls of one
-    tree only are dirty-walked on that tree (the old one through
-    `old_kids`, which maps each node whose children the move changed to
-    the children it had).  A frontier call is clean, so it emits the same
+    generator with the moved leaf as a side shares none, since the old
+    side `a_old` or `b_old` is the moved point's old leaf and every other
+    side is the same node object in both trees.  The calls of one tree
+    only are dirty-walked on that tree (the old one through `old_kids`,
+    which maps each node whose children the move changed to the children
+    it had; a created node, on the new path, has no entry and is only
+    reached on the new side).  A frontier call is clean, so it emits the same
     pairs before and after the move; only the frontier calls that one side
     reaches and the other does not are run.  Keys emitted at dirty calls
     have a dirty side and frontier output has none, so the two never mix.
@@ -319,88 +327,47 @@ def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
     generators), plus every surviving pair with a side on the moved
     point's old or new root path.  Pairs re-emitted verbatim with
     untouched content are not reported.
+
+    The dirty set is the two root paths plus the nodes the delete and the
+    insert re-parented; the nodes the insert created lie on the new path.
+    The old children of the nodes whose children changed come from the
+    two mutation reports, the delete's copy winning where both edited a
+    node, since it was taken first.  The generators of dirty nodes are the
+    only ones the move can dissolve, and the sibling pairs of live dirty
+    nodes the only ones it can create or change.
     """
     leaf = tree.point_index.get(pid)
     if leaf is None:
         raise UnknownPoint(f"point id {pid} not present")
-    new_ikey = grid_key(new_vec)
-    old_ikey = leaf.ikey
-    loc_new = tree.locate_key(new_ikey)
-    if loc_new.is_leaf and loc_new.node is not leaf:
+    loc = tree.locate_key(grid_key(new_vec))
+    if loc.is_leaf and loc.node is not leaf:
         raise DuplicatePoint(
-            f"target location collides with point {loc_new.node.pid}")
+            f"target location collides with point {loc.node.pid}")
 
-    # chains of nodes whose subtree content will change (old tree view)
-    chain_p = tree.path_to_root(leaf)
-    chain_q = tree.path_to_root(loc_new.node) if loc_new.node is not None else []
-    old_nodes = {n.tok: n for n in chain_p}
-    old_nodes.update((n.tok, n) for n in chain_q)
-    moved = {n.tok for n in chain_p}
-    # every node whose children the mutation can change lies on these chains
-    old_kids = {t: dict(nd.children) for t, nd in old_nodes.items()
-                if not nd.is_leaf}
-    old_tok = {nd.wsid: t for t, nd in old_nodes.items()}
-
-    old_affected = set()
-    gens_by_node = pl.gens_by_node
-    for t in old_nodes:
-        old_affected |= gens_by_node.get(t, set())
-
+    moved = {n.tok for n in tree.path_to_root(leaf)}
     rep_d = tree.delete(pid)
     rep_i = tree.insert(pid, new_vec)
-    reparented = rep_d.reparented + rep_i.reparented
+    moved.update(n.tok for n in tree.path_to_root(tree.point_index[pid]))
+    # every node whose subtree or parent the move changed; below any other
+    # node the recursion runs the same before and after
+    dirty = moved.union(n.tok for n in rep_d.reparented + rep_i.reparented)
+    # the old children of every node whose children the move changed or
+    # that it removed; everywhere else the two trees have the same children
+    changed = rep_i.edited
+    changed.update(rep_d.edited)
 
-    # sibling relations dissolved by re-parenting
-    for c_id, old_par in reparented:
-        if old_par is None:
-            continue
-        c_tok = tree.nodes[c_id].tok
-        for sib in old_kids.get(old_tok.get(old_par), {}).values():
-            if sib.tok != c_tok:
-                gen = _pk(c_tok, sib.tok)
-                if gen in pl.by_gen:
-                    old_affected.add(gen)
-
-    # chains in the new tree
-    new_leaf = tree.point_index[pid]
-    chain_pn = tree.path_to_root(new_leaf)
-    loc_old = tree.locate_key(old_ikey)
-    chain_qn = tree.path_to_root(loc_old.node) if loc_old.node is not None else []
-    dirty_new = {n.tok for n in chain_pn} | {n.tok for n in chain_qn}
-    for wsid in rep_i.created + rep_d.created:
-        node = tree.nodes.get(wsid)
-        if node is not None:
-            dirty_new.add(node.tok)
-    moved.update(n.tok for n in chain_pn)
-
+    old_affected = set()
     new_needed = set()
+    gens_by_node = pl.gens_by_node
     by_tok = tree.by_tok
-    for t in dirty_new:
+    for t in dirty:
+        old_affected.update(gens_by_node.get(t, ()))
         node = by_tok.get(t)
         if node is None or node.parent is None:
             continue
         for sib in node.parent.children.values():
-            if sib.tok != t:
+            if sib is not node:
                 new_needed.add(_pk(t, sib.tok))
-    reparented_toks = set()
-    for c_id, _old_par in reparented:
-        node = tree.nodes.get(c_id)
-        if node is None:
-            continue
-        reparented_toks.add(node.tok)
-        if node.parent is None:
-            continue
-        for sib in node.parent.children.values():
-            if sib.tok != node.tok:
-                new_needed.add(_pk(node.tok, sib.tok))
-    # every node whose subtree or parent the move changed; below any other
-    # node the recursion runs the same before and after
-    dirty = dirty_new | old_nodes.keys() | reparented_toks
-    # the old children of every node whose children the move changed or
-    # that it removed; everywhere else the two trees have the same children
-    changed = {t: kids for t, kids in old_kids.items()
-               if by_tok.get(t) is not old_nodes[t]
-               or kids != old_nodes[t].children}
 
     removed = set()
     added = set()
@@ -418,7 +385,9 @@ def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
             pl.add_gen(gen, keys)
             added |= keys
             continue
-        dropped, gained = _rewalk(old_nodes.get(ta, a), old_nodes.get(tb, b),
+        # only the moved leaf is a new object under an old token
+        dropped, gained = _rewalk(leaf if ta == leaf.tok else a,
+                                  leaf if tb == leaf.tok else b,
                                   a, b, s, dirty, changed)
         keys = by_gen[gen]
         keys -= dropped

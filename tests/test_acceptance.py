@@ -8,9 +8,12 @@ production eps range).  Criteria with wall-clock budgets assert them.
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import importlib.util
+import itertools
 import json
 import statistics
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,12 +159,11 @@ def test_criterion_04_resampling_distribution():
     assert elapsed < 120.0
 
 
-def test_criterion_05_churn_bound():
-    t0 = time.perf_counter()
-    g, rng = _dgs(256, 0)
+def _assert_churn_below_cap(name, g, hops, t0, extra=""):
+    """Churn per move: median below 5% of H's edges, 95% of moves below."""
     churns = []
-    for _ in range(100):
-        rep = g.update(int(rng.integers(0, 256)), rng.random(4) * 0.5 + 0.25)
+    for i, z in hops:
+        rep = g.update(i, z)
         g.get_diff()
         churns.append(rep.churn)
     cap = 0.05 * g.edge_count
@@ -169,12 +171,41 @@ def test_criterion_05_churn_bound():
     med = statistics.median(churns)
     elapsed = time.perf_counter() - t0
     ok = med < cap and frac_below >= 0.95 and elapsed < 60.0
-    _report("05 churn-bound",
-            ok, f"median {med:.0f} vs cap {cap:.0f}, below-cap fraction "
-                f"{frac_below:.2f} (>= 0.95), {elapsed:.1f}s (< 60s)")
+    _report(name, ok, f"median {med:.0f} vs cap {cap:.0f}, below-cap "
+                      f"fraction {frac_below:.2f} (>= 0.95), {extra}"
+                      f"{elapsed:.1f}s (< 60s)")
     assert med < cap
     assert frac_below >= 0.95
     assert elapsed < 60.0
+
+
+def test_criterion_05_churn_bound():
+    # dense input: every pair is whole, so a move's churn is its n - 1 edges
+    t0 = time.perf_counter()
+    g, rng = _dgs(256, 0)
+    hops = ((int(rng.integers(0, 256)), rng.random(4) * 0.5 + 0.25)
+            for _ in range(100))
+    _assert_churn_below_cap("05 churn-bound", g, hops, t0)
+
+
+def test_criterion_05_churn_bound_sampled():
+    # scripts/sparse_probe.py's input: 8 tight clusters, hops between them,
+    # with c_s low enough that the cluster pairs are sampled
+    spec = importlib.util.spec_from_file_location(
+        "sparse_probe",
+        Path(__file__).resolve().parents[1] / "scripts" / "sparse_probe.py")
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    n = 512
+    t0 = time.perf_counter()
+    pset, hops = probe.clusters(n, 0)
+    g = probe.build(pset, 0.05)
+    g.get_diff()
+    edge_ratio = g.edge_count / (n * (n - 1) // 2)
+    _assert_churn_below_cap("05 churn-bound (sampled)", g,
+                            itertools.islice(hops, 100), t0,
+                            f"edge_ratio {edge_ratio:.3f} (< 0.5), ")
+    assert edge_ratio < 0.5
 
 
 def test_criterion_06_sketch_exactness():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -236,6 +237,23 @@ class TestBenchAndUjl:
         want = json.loads((fixtures_dir / "golden_bench.json").read_text())
         assert rep["golden"] == want
         assert len(rep["detail"]["rows"]) == 2
+
+    def test_bench_exit_code_ignores_the_timing_trend(self, workdir,
+                                                      monkeypatch):
+        # four clock reads per size: the set-up's start and end, then the
+        # moves' start and end; the second size's moves take twice as long
+        # for the same set-up time, so the ratio rises
+        tmp_path, _ = workdir
+        ticks = iter([0.0, 1.0, 1.0, 2.0, 10.0, 11.0, 11.0, 13.0])
+        monkeypatch.setattr(time, "perf_counter", lambda: next(ticks))
+        rc = run(["bench", "--sizes", "48,96", "--moves", "3",
+                  "--repeats", "1", "--config", tmp_path / "cfg.txt",
+                  "--out", tmp_path / "b.json"])
+        detail = json.loads((tmp_path / "b.json").read_text())["detail"]
+        ratios = [row["ratio"] for row in detail["rows"]]
+        assert ratios[1] > ratios[0]
+        assert detail["trend_ok"] is False
+        assert rc == 0
 
     def test_ujl_outputs_one_row_per_query(self, workdir):
         tmp_path, pts = workdir

@@ -30,7 +30,8 @@ rebuild_budget = 12
 
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "c.txt"
-    for line in ("epsilon = 0.5", "kernel_c = 2", "c_jl = 1"):
+    for line in ("epsilon = 0.5", "kernel_c = 2", "c_jl = 1",
+                 "kernel_l = 1.5"):
         path.write_text(line + "\n")
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(path)
@@ -51,9 +52,8 @@ def test_bad_value_reports_line(tmp_path):
 
 
 def test_kernel_resolution_and_overrides():
-    cfg = RunConfig(kernel="gravity", kernel_l=1.5)
-    kern = cfg.make_kernel()
-    assert kern.name == "gravity" and kern.lipschitz_L == 1.5
+    kern = RunConfig(kernel="gravity").make_kernel()
+    assert kern.name == "gravity"
     with pytest.raises(ConfigError):
         RunConfig(kernel="nope").make_kernel()
 

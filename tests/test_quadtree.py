@@ -87,9 +87,12 @@ class TestLocate:
 class TestInsertDelete:
     def test_insert_into_empty_quadrant_is_child_case(self):
         tree = build({0: [0.1, 0.1], 1: [0.9, 0.9]}, 2)
+        root = tree.root
+        before = dict(root.children)
         rep = tree.insert(2, [0.9, 0.1])
         assert rep.case == "ChildOfExisting"
-        assert rep.created == [(-1, 2)]
+        assert rep.edited == {root.tok: before} and rep.reparented == []
+        assert tree.point_index[2].parent is root
 
     def test_insert_near_cluster_splits_compressed_edge(self):
         # a tight 2-point cluster hangs off the root on a compressed edge;
@@ -99,11 +102,13 @@ class TestInsertDelete:
                       2: [0.3000001, 0.3000001]}, 2)
         cluster = tree.point_index[1].parent
         assert cluster.parent is tree.root and cluster.level > 1
+        n_nodes = len(tree.by_tok)
         rep = tree.insert(3, [0.34, 0.34])
         assert rep.case == "SplitCompressedEdge"
-        new_internal = [w for w in rep.created if w[0] >= 0]
-        assert len(new_internal) == 1
-        assert rep.reparented == [(cluster.wsid, tree.root.wsid)]
+        assert len(tree.by_tok) == n_nodes + 2  # the leaf and one cell
+        w = tree.point_index[3].parent
+        assert w.parent is tree.root and cluster.parent is w
+        assert rep.reparented == [cluster]
 
     def test_insert_equals_fresh_build(self):
         pts = random_points(30, 2, 5)
@@ -163,6 +168,82 @@ class TestInsertDelete:
                 pts[next_id] = vec
                 next_id += 1
         assert structurally_equal(tree, build(pts, 2))
+
+
+def snapshot(tree):
+    """token -> (node, copy of its children or None, parent)."""
+    return {t: (node, None if node.is_leaf else dict(node.children),
+                node.parent)
+            for t, node in tree.by_tok.items()}
+
+
+def assert_report_matches(tree, before, rep, pid=None):
+    """`edited` maps exactly the earlier internal nodes whose children
+    changed (a removed one included) to their prior children, and
+    `reparented` lists exactly the live nodes that got a new parent.  After
+    an insert of `pid`, every node new to the tree is on its root path."""
+    edited = {t: kids for t, (node, kids, _) in before.items()
+              if kids is not None and node.children != kids}
+    assert rep.edited == edited
+    moved = [node for t, (node, _, parent) in before.items()
+             if tree.by_tok.get(t) is node and node.parent is not parent]
+    assert rep.reparented == moved
+    if pid is not None:
+        path = {node.tok for node in tree.path_to_root(tree.point_index[pid])}
+        assert tree.by_tok.keys() - before.keys() <= path
+
+
+class TestMutationReport:
+    @pytest.mark.parametrize("pts,op,case", [
+        # one more child of the root cell
+        ({0: [0.1, 0.1], 1: [0.9, 0.9]}, ("insert", [0.9, 0.1]),
+         "ChildOfExisting"),
+        # a cell between the root and the 2-point cluster
+        ({0: [0.9, 0.9], 1: [0.3, 0.3], 2: [0.3000001, 0.3000001]},
+         ("insert", [0.34, 0.34]), "SplitCompressedEdge"),
+        # the root sits below level 0; a far point needs a new top
+        ({0: [0.1, 0.1], 1: [0.11, 0.11]}, ("insert", [0.9, 0.9]),
+         "SplitCompressedEdge"),
+        # the root keeps two children
+        ({0: [0.1, 0.1], 1: [0.9, 0.9], 2: [0.9, 0.1]}, ("delete", 2),
+         "RemoveLeaf"),
+        # the cluster cell is spliced out of the root
+        ({0: [0.9, 0.9], 1: [0.3, 0.3], 2: [0.3000001, 0.3000001]},
+         ("delete", 1), "RemoveAndSplice"),
+        # the root is spliced out; the survivor becomes the root
+        ({0: [0.1, 0.1], 1: [0.9, 0.9]}, ("delete", 0), "RemoveAndSplice"),
+    ], ids=["child", "inner-split", "new-top", "remove-leaf", "splice",
+            "splice-root"])
+    def test_report_names_edited_and_reparented_nodes(self, pts, op, case):
+        tree = build(pts, 2)
+        before = snapshot(tree)
+        if op[0] == "insert":
+            rep = tree.insert(99, op[1])
+            assert_report_matches(tree, before, rep, 99)
+        else:
+            rep = tree.delete(op[1])
+            assert_report_matches(tree, before, rep)
+        assert rep.case == case
+        # each case edits or re-parents something
+        assert rep.edited or rep.reparented
+
+    def test_report_matches_on_random_moves(self):
+        pts = random_points(60, 2, 11)
+        tree = build(dict(pts), 2)
+        rng = np.random.default_rng(12)
+        cases = set()
+        for _ in range(150):
+            pid = int(rng.integers(0, 60))
+            before = snapshot(tree)
+            rep = tree.delete(pid)
+            assert_report_matches(tree, before, rep)
+            cases.add(rep.case)
+            before = snapshot(tree)
+            rep = tree.insert(pid, rng.random(2))
+            assert_report_matches(tree, before, rep, pid)
+            cases.add(rep.case)
+        assert cases >= {"RemoveLeaf", "RemoveAndSplice", "ChildOfExisting",
+                         "SplitCompressedEdge"}, cases
 
 
 class TestDepthBound:

@@ -111,7 +111,7 @@ class TestWellSeparated:
         # adjacent half-unit cells: ball gap is negative
         tree = build({0: [0.1, 0.1], 1: [0.26, 0.26], 2: [0.6, 0.1],
                       3: [0.9, 0.4]}, 2)
-        internal = [n for n in tree.nodes.values()
+        internal = [n for n in tree.by_tok.values()
                     if not n.is_leaf and n.level == 1]
         if len(internal) >= 2:
             assert not well_separated(internal[0], internal[1], 2.0)
@@ -267,7 +267,8 @@ def mutation_cases(monkeypatch):
     def record(report):
         case = report.case
         if case == "SplitCompressedEdge":
-            new_top = report.reparented[0][1] is None
+            # a new top has no parent; an inner edge's new cell has one
+            new_top = report.reparented[0].parent.parent is None
             case += " (new top)" if new_top else " (inner edge)"
         seen.add(case)
         return report
@@ -339,8 +340,9 @@ def test_rewalk_exact_on_a_separation_tie():
     }
     tree = build(pts, 3)
     pl = compute_wspd(tree)
-    y = tree.nodes[(4, (3, 3, 2))]
-    c = tree.nodes[(6, (10, 7, 18))]
+    by_wsid = {node.wsid: node for node in tree.by_tok.values()}
+    y = by_wsid[(4, (3, 3, 2))]
+    c = by_wsid[(6, (10, 7, 18))]
     leaf_pairs = {_pk(tree.point_index[i].tok, c.tok) for i in (1, 2)}
     assert leaf_pairs <= pl.pairs
     find_modified_pairs(tree, pl, 6, [2.5 / 16, 2.5 / 16, 2.5 / 16])
