@@ -1,19 +1,17 @@
 """Dynamic spectral sparsifiers and Laplacian sketches for kernel graphs."""
 
 from .config import RunConfig, adversarial_k, parse_config
-from .distance import UltraJlStore, ujl_init, ujl_query, ujl_update, ultra_k
+from .distance import UltraJlStore, ujl_init, ultra_k
 from .kernels import (
     KERNELS,
     KernelFunction,
     PointSet,
     aspect_ratio,
-    brute_force_leverage_scores,
     cauchy_kernel,
     check_spectral_sparsifier,
     dense_laplacian,
     gaussian_kernel,
     gravity_kernel,
-    kernel_weight,
     laplacian_from_edges,
     normalize_points,
 )
@@ -24,7 +22,7 @@ from .projection import (
     make_ultra_jl,
     sketch_rows,
 )
-from .quadtree import CompressedQuadTree, MutationReport, build, structurally_equal
+from .quadtree import CompressedQuadTree, MutationReport
 from .sampling import PairSample
 from .sketches import (
     AuditReport,

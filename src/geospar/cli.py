@@ -120,7 +120,7 @@ def _load_config(args) -> RunConfig:
 def _init_sparsifier(points_raw, cfg: RunConfig):
     pset = normalize_points(points_raw)
     kernel = cfg.make_kernel()
-    k = cfg.resolve_k(pset.n)
+    k = cfg.resolve_k(pset.n, pset.dim)
     dgs = DynamicGeoSpar.initialize(
         pset, kernel, cfg.eps, cfg.delta, k, cfg.seed,
         c_s=cfg.c_s, allow_large_eps=cfg.allow_large_eps)
@@ -226,7 +226,7 @@ def cmd_replay(args) -> int:
     pset = normalize_points(raw)
     _preflight(ops, pset)
     kernel = cfg.make_kernel()
-    k = cfg.resolve_k(pset.n)
+    k = cfg.resolve_k(pset.n, pset.dim)
     t0 = time.perf_counter()
     wrapper = FullyDynamicSparsifier(
         pset, kernel, cfg.eps, cfg.delta, k, cfg.seed,
@@ -353,8 +353,8 @@ def cmd_bench(args) -> int:
             kernel = cfg.make_kernel()
             t0 = time.perf_counter()
             dgs = DynamicGeoSpar.initialize(
-                pset, kernel, cfg.eps, cfg.delta, cfg.resolve_k(n), cfg.seed,
-                c_s=cfg.c_s, allow_large_eps=cfg.allow_large_eps)
+                pset, kernel, cfg.eps, cfg.delta, cfg.resolve_k(n, pset.dim),
+                cfg.seed, c_s=cfg.c_s, allow_large_eps=cfg.allow_large_eps)
             init_times.append(time.perf_counter() - t0)
             churn_total = 0
             t1 = time.perf_counter()

@@ -6,11 +6,13 @@ froze them is visible in one place rather than scattered as magic numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
 from .kernels import KERNELS, KernelFunction
+from .projection import DEFAULT_C_SK
 
 
 @dataclass
@@ -20,7 +22,7 @@ class RunConfig:
     k: int = 3                    # projection dimension; 0 = auto-adversarial
     kernel: str = "gaussian"
     c_s: float = 0.25             # sample-size multiplier (calibrated)
-    c_sk: float = 4.0             # sketch row multiplier
+    c_sk: float = DEFAULT_C_SK    # sketch row multiplier
     seed: int = 0
     checkpoint: int = 10          # verification stride during replay
     rebuild_budget: int = 0       # updates per rebuild; 0 = n // 2
@@ -33,16 +35,17 @@ class RunConfig:
             raise ConfigError(f"unknown kernel {self.kernel!r}; "
                               f"choose from {sorted(KERNELS)}") from None
 
-    def resolve_k(self, n: int) -> int:
+    def resolve_k(self, n: int, d: int) -> int:
         if self.k == 0:
-            return adversarial_k(n)
+            return adversarial_k(n, d)
         return self.k
 
 
-def adversarial_k(n: int) -> int:
-    """k = ceil(sqrt(log2 n)), the adversarially robust projection dimension."""
-    import math
-    return max(1, math.ceil(math.sqrt(math.log2(max(n, 2)))))
+def adversarial_k(n: int, d: int) -> int:
+    """The adversarially robust projection dimension: ceil(sqrt(log2 n)),
+    capped at d - 1 because the projection must lower the dimension, and
+    at least 1."""
+    return max(1, min(d - 1, math.ceil(math.sqrt(math.log2(max(n, 2))))))
 
 
 _BOOL = {"true": True, "1": True, "yes": True,

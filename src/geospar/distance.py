@@ -68,10 +68,3 @@ def ujl_init(points, eps: float, seed: int) -> UltraJlStore:
     jl = make_ultra_jl(d, k, seed)
     return UltraJlStore(points, jl)
 
-
-def ujl_update(store: UltraJlStore, i: int, z):
-    store.update(i, z)
-
-
-def ujl_query(store: UltraJlStore, q) -> np.ndarray:
-    return store.query(q)

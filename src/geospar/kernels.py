@@ -1,15 +1,18 @@
 """Points, kernel functions, and dense spectral oracles.
 
-Everything here runs at desk scale (n up to a few hundred) and is used by
-the verification CLI and the test suite as the ground truth against which
-the dynamic structures are checked.
+`normalize_points` carries raw input into the unit box the library works
+in, `KernelFunction.eval_sqdist` weighs every edge the sparsifier writes,
+and `laplacian_from_edges` turns an edge list into a Laplacian.  The dense
+oracles (`dense_laplacian`, `check_spectral_sparsifier`, `aspect_ratio`)
+run at desk scale (n up to a few hundred): the verification CLI and the
+test suite check the dynamic structures against them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -18,7 +21,6 @@ from .errors import (
     DuplicatePoint,
     EmptyInput,
     NumericalFailure,
-    SingularMatrix,
 )
 
 MARGIN = 0.25  # offset of the scaled bounding box inside [0,1)^d
@@ -46,9 +48,6 @@ class PointSet:
         """Map a raw-coordinate vector through the recorded bounding transform."""
         z = np.asarray(z, dtype=np.float64)
         return (z - self.raw_min) * self.scale + MARGIN
-
-    def set_point(self, i: int, z_unit: np.ndarray) -> None:
-        self.points[i] = z_unit
 
     def copy(self) -> "PointSet":
         return PointSet(self.points.copy(), self.dim, self.scale, self.raw_min.copy())
@@ -100,12 +99,6 @@ class KernelFunction:
     lipschitz_C: float
     lipschitz_L: float
 
-    def eval(self, u, v) -> float:
-        u = np.asarray(u, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        t = float(np.sum((u - v) ** 2))
-        return float(self.f(t))
-
     def eval_sqdist(self, t):
         """Vectorized evaluation on squared distances."""
         return self.f(np.asarray(t, dtype=np.float64))
@@ -131,11 +124,6 @@ KERNELS = {
     "gravity": gravity_kernel,
     "cauchy": cauchy_kernel,
 }
-
-
-def kernel_weight(kernel: KernelFunction, u, v) -> float:
-    """Edge weight K(u, v) = f(||u-v||^2).  Requires u != v."""
-    return kernel.eval(u, v)
 
 
 def aspect_ratio(points: np.ndarray) -> float:
@@ -229,21 +217,3 @@ def check_spectral_sparsifier(lap_g: np.ndarray, lap_h: np.ndarray, eps: float,
     passed = (lo >= 1.0 - eps - tol) and (hi <= 1.0 + eps + tol)
     return SpectralCheck(passed, lo, hi, eps, tol)
 
-
-def brute_force_leverage_scores(lap: np.ndarray, edges: Sequence) -> list:
-    """Weighted leverage scores w_e * (mu_i - mu_j)^T L^+ (mu_i - mu_j).
-
-    Test oracle only; needs a connected graph.
-    """
-    lap = np.asarray(lap, dtype=np.float64)
-    n = lap.shape[0]
-    eigvals = np.linalg.eigvalsh(lap)
-    zero_cut = 1e-9 * max(1.0, float(abs(eigvals).max()))
-    if int(np.sum(eigvals < zero_cut)) > 1:
-        raise SingularMatrix("graph is disconnected")
-    pinv = np.linalg.pinv(lap)
-    out = []
-    for i, j, w in edges:
-        chi = pinv[i, i] - 2.0 * pinv[i, j] + pinv[j, j]
-        out.append(float(w) * float(chi))
-    return out

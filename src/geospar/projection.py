@@ -49,7 +49,6 @@ class SketchMatrix:
     matrix: np.ndarray
     m: int
     n: int
-    seed_entropy: tuple
 
     def apply(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -66,7 +65,7 @@ def sketch_rows(n: int, eps: float, delta: float, c_sk: float = DEFAULT_C_SK) ->
 def _sketch_from_seedseq(n: int, m: int, ss: np.random.SeedSequence) -> SketchMatrix:
     rng = np.random.Generator(np.random.PCG64(ss))
     mat = rng.standard_normal((m, n)) / math.sqrt(m)
-    return SketchMatrix(mat, m, n, tuple(ss.entropy) if isinstance(ss.entropy, (list, tuple)) else (ss.entropy,))
+    return SketchMatrix(mat, m, n)
 
 
 def make_sketch_pair(n: int, eps: float, delta: float, seed: int,

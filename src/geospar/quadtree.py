@@ -153,16 +153,6 @@ class MutationReport:
     reparented: list = field(default_factory=list)  # nodes with a new parent
 
 
-@dataclass(frozen=True)
-class LocateResult:
-    kind: str          # "leaf" or "under"
-    node: Optional[Node]
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.kind == "leaf"
-
-
 class CompressedQuadTree:
     __slots__ = ("k", "root", "point_index", "by_tok", "_next_tok",
                  "_leaf_tok")
@@ -255,34 +245,28 @@ class CompressedQuadTree:
 
     # -- queries -----------------------------------------------------------
 
-    def locate_key(self, ikey: tuple) -> LocateResult:
-        """Leaf holding the key, or the deepest internal node whose cell
-        contains it (None when no such node exists)."""
+    def locate_key(self, ikey: tuple) -> Optional[Node]:
+        """The leaf holding the key, else the deepest internal node whose
+        cell contains it, else None.  A leaf is returned only on an exact
+        hit, so `is_leaf` on the result tells the two cases apart."""
         node = self.root
         if node is None:
-            return LocateResult("under", None)
+            return None
         if node.is_leaf:
-            if node.ikey == ikey:
-                return LocateResult("leaf", node)
-            return LocateResult("under", None)
+            return node if node.ikey == ikey else None
         if not _in_cell(ikey, node.level, node.org):
-            return LocateResult("under", None)
+            return None
         while True:
             q = _quadrant(ikey, node.level)
             child = node.children.get(q)
             if child is None:
-                return LocateResult("under", node)
+                return node
             if child.is_leaf:
-                if child.ikey == ikey:
-                    return LocateResult("leaf", child)
-                return LocateResult("under", node)
+                return child if child.ikey == ikey else node
             if _in_cell(ikey, child.level, child.org):
                 node = child
             else:
-                return LocateResult("under", node)
-
-    def locate(self, vec) -> LocateResult:
-        return self.locate_key(grid_key(vec))
+                return node
 
     # -- mutations ---------------------------------------------------------
 
@@ -290,20 +274,19 @@ class CompressedQuadTree:
         if pid in self.point_index:
             raise DuplicatePoint(f"point id {pid} already present")
         ikey = grid_key(vec)
-        loc = self.locate_key(ikey)
-        if loc.is_leaf:
+        u = self.locate_key(ikey)
+        if u is not None and u.is_leaf:
             raise DuplicatePoint(
-                f"point {pid} shares a level-{MAX_LEVEL} cell with {loc.node.pid}")
+                f"point {pid} shares a level-{MAX_LEVEL} cell with {u.pid}")
         leaf = _make_leaf(pid, ikey, vec)
 
         if self.root is None:
             self.root = leaf
             report = MutationReport("NewRoot")
-        elif loc.node is None:
+        elif u is None:
             # joins the old root (leaf or out-of-cell subtree) under a new top
             report = self._insert_new_top(leaf)
         else:
-            u = loc.node
             q = _quadrant(ikey, u.level)
             child = u.children.get(q)
             if child is None:
@@ -446,10 +429,3 @@ def _cell_corner(node: Node) -> tuple:
     shift = MAX_LEVEL - node.level
     return tuple(o << shift for o in node.org)
 
-
-def build(points: dict, k: int) -> CompressedQuadTree:
-    return CompressedQuadTree.build(points, k)
-
-
-def structurally_equal(a: CompressedQuadTree, b: CompressedQuadTree) -> bool:
-    return a.dump() == b.dump()

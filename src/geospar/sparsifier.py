@@ -92,7 +92,6 @@ from .kernels import (
 from .projection import make_ultra_jl
 from .quadtree import CompressedQuadTree
 from .sampling import MASK, SHIFT, Biclique, PairSample, edge
-from .wspd import _MASK, _SHIFT  # WSPD pair keys
 
 # theta: a sampled pair keeps its scale while that is within SCALE_BAND * eps
 # of the exact |X||Y|/s, relative
@@ -190,8 +189,8 @@ class DynamicGeoSpar:
         tree, by_tok = self.tree, self.tree.by_tok
         for key in sorted(self.pairs.pairs):
             self._store[key] = self._build_pair(
-                tree.subtree_ids(by_tok[key >> _SHIFT]),
-                tree.subtree_ids(by_tok[key & _MASK]))
+                tree.subtree_ids(by_tok[key >> SHIFT]),
+                tree.subtree_ids(by_tok[key & MASK]))
         self._flush_queued()
         # H's edge count at set-up: |X||Y| per whole pair, s per sampled one
         self.sparsity_budget = len(self._h)
@@ -320,7 +319,7 @@ class DynamicGeoSpar:
         old_path = {nd.tok for nd in tree.path_to_root(tree.point_index[i])}
         keys = wspd.find_modified_pairs(tree, self.pairs, i, q_new)
         new_path = {nd.tok for nd in tree.path_to_root(tree.point_index[i])}
-        self.pset.set_point(i, z)
+        self.pset.points[i] = z
         report = UpdateReport(pairs_touched=len(keys))
         # Pairs go in key order, which fixes the order of RNG draws.  Every
         # claim of an edge is queued until the flush, and a pair's direct H
@@ -334,7 +333,7 @@ class DynamicGeoSpar:
                 self._drop_pair(key)
                 report.pairs_removed += 1
                 continue
-            ta, tb = key >> _SHIFT, key & _MASK
+            ta, tb = key >> SHIFT, key & MASK
             new = (ta in new_path, tb in new_path)
             old = (ta in old_path, tb in old_path) if key in store else None
             if old is not None and old != new:
@@ -496,7 +495,8 @@ class FullyDynamicSparsifier:
 
 def adversarial_mode(cfg: RunConfig, n: int, d: int, alpha: float,
                      budget_c: float = 4.0) -> RunConfig:
-    """Preset for adversarially robust operation: k = ceil(sqrt(log2 n)).
+    """Preset for adversarially robust operation: `cfg` with k set to
+    `adversarial_k(n, d)`, ceil(sqrt(log2 n)) capped at d - 1.
 
     Warns (never raises) when d * log2(alpha) exceeds budget_c * log2(n),
     the regime where the robustness guarantee degrades.
@@ -507,4 +507,4 @@ def adversarial_mode(cfg: RunConfig, n: int, d: int, alpha: float,
             f"d*log2(alpha) = {d * math.log2(alpha):.1f} > "
             f"{budget_c} * log2(n) = {budget_c * math.log2(n):.1f}",
             RuntimeWarning, stacklevel=2)
-    return replace(cfg, k=adversarial_k(n))
+    return replace(cfg, k=adversarial_k(n, d))

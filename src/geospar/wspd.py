@@ -37,7 +37,8 @@ reads each side's node, point count and whether it holds the moved point
 from the tree, and whether a key is old or new from its own store and
 the pair set.
 
-Hot-path keys are packed ints built from per-tree node tokens; canonical
+Hot-path keys are per-tree node tokens packed as `sampling.edge` packs
+two point ids (the smaller token in the high bits); canonical
 (level, origin) identities are used for split tie-breaking and for
 comparing pair lists across different tree instances.
 """
@@ -48,19 +49,13 @@ import math
 
 from .errors import DuplicatePoint, EmptyInput, UnknownPoint
 from .quadtree import CompressedQuadTree, Node, grid_key
+from .sampling import MASK, SHIFT, edge
 
 SEPARATION = 2.0
 
-_SHIFT = 32
-_MASK = (1 << _SHIFT) - 1
-
-
-def _pk(ta: int, tb: int) -> int:
-    return (ta << _SHIFT) | tb if ta < tb else (tb << _SHIFT) | ta
-
 
 def unpack(key: int):
-    return key >> _SHIFT, key & _MASK
+    return key >> SHIFT, key & MASK
 
 
 def well_separated(u: Node, v: Node, s: float = SEPARATION) -> bool:
@@ -100,7 +95,7 @@ def _walk(a: Node, b: Node, s: float, out: set, dirty=None, kids=None,
         u, v = call
         tu = u.tok
         tv = v.tok
-        key = (tu << _SHIFT) | tv if tu < tv else (tv << _SHIFT) | tu
+        key = (tu << SHIFT) | tv if tu < tv else (tv << SHIFT) | tu
         if dirty is not None and tu not in dirty and tv not in dirty:
             frontier[key] = call
             continue
@@ -177,7 +172,7 @@ class WspdPairList:
         index = self.node_index
         for key in removed - added:
             pairs.discard(key)
-            for side in (key >> _SHIFT, key & _MASK):
+            for side in (key >> SHIFT, key & MASK):
                 bucket = index.get(side)
                 if bucket is not None:
                     bucket.discard(key)
@@ -185,8 +180,8 @@ class WspdPairList:
                         del index[side]
         for key in added - removed:
             pairs.add(key)
-            index.setdefault(key >> _SHIFT, set()).add(key)
-            index.setdefault(key & _MASK, set()).add(key)
+            index.setdefault(key >> SHIFT, set()).add(key)
+            index.setdefault(key & MASK, set()).add(key)
 
     def canonical_pairs(self, tree: CompressedQuadTree) -> set:
         """Pairs as unordered (level, origin)/(-1, pid) identity pairs,
@@ -194,8 +189,8 @@ class WspdPairList:
         out = set()
         by_tok = tree.by_tok
         for key in self.pairs:
-            wa = by_tok[key >> _SHIFT].wsid
-            wb = by_tok[key & _MASK].wsid
+            wa = by_tok[key >> SHIFT].wsid
+            wb = by_tok[key & MASK].wsid
             out.add((wa, wb) if wa <= wb else (wb, wa))
         return out
 
@@ -215,7 +210,7 @@ def compute_wspd(tree: CompressedQuadTree, s: float = SEPARATION) -> WspdPairLis
             stack.append(kids[i])
             for j in range(i + 1, len(kids)):
                 keys = _run_generator(kids[i], kids[j], s)
-                pl.add_gen(_pk(kids[i].tok, kids[j].tok), keys)
+                pl.add_gen(edge(kids[i].tok, kids[j].tok), keys)
                 pl.apply(set(), keys)
     return pl
 
@@ -339,10 +334,10 @@ def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
     leaf = tree.point_index.get(pid)
     if leaf is None:
         raise UnknownPoint(f"point id {pid} not present")
-    loc = tree.locate_key(grid_key(new_vec))
-    if loc.is_leaf and loc.node is not leaf:
+    hit = tree.locate_key(grid_key(new_vec))
+    if hit is not None and hit.is_leaf and hit is not leaf:
         raise DuplicatePoint(
-            f"target location collides with point {loc.node.pid}")
+            f"target location collides with point {hit.pid}")
 
     moved = {n.tok for n in tree.path_to_root(leaf)}
     rep_d = tree.delete(pid)
@@ -367,7 +362,7 @@ def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
             continue
         for sib in node.parent.children.values():
             if sib is not node:
-                new_needed.add(_pk(t, sib.tok))
+                new_needed.add(edge(t, sib.tok))
 
     removed = set()
     added = set()
@@ -376,8 +371,8 @@ def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
     for gen in old_affected - new_needed:  # dissolved sibling pairs
         removed |= pl.pop_gen(gen)
     for gen in new_needed:
-        ta = gen >> _SHIFT
-        tb = gen & _MASK
+        ta = gen >> SHIFT
+        tb = gen & MASK
         a = by_tok[ta]
         b = by_tok[tb]
         if gen not in by_gen:

@@ -97,14 +97,14 @@ def test_criterion_03_wspd_oracle_equivalence():
     for seed in range(SEEDS):
         rng = np.random.default_rng(seed)
         pts = {i: rng.random(K) for i in range(n)}
-        tree = quadtree.build(dict(pts), K)
+        tree = quadtree.CompressedQuadTree.build(dict(pts), K)
         pl = wspd.compute_wspd(tree)
         for _ in range(500):
             pid = int(rng.integers(0, n))
             z = rng.random(K)
             wspd.find_modified_pairs(tree, pl, pid, z)
             pts[pid] = z
-        fresh_tree = quadtree.build(pts, K)
+        fresh_tree = quadtree.CompressedQuadTree.build(pts, K)
         fresh = wspd.compute_wspd(fresh_tree)
         assert (pl.canonical_pairs(tree)
                 == fresh.canonical_pairs(fresh_tree)), f"seed {seed}"

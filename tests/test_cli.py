@@ -85,6 +85,17 @@ class TestBuild:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run(["build", "--points", tmp_path / "nope.csv"]) == 2
 
+    def test_adversarial_k_accepts_low_dimension(self, tmp_path):
+        # k = 0 asks for ceil(sqrt(log2 600)) = 4, capped at d - 1 = 3
+        rng = np.random.default_rng(0)
+        write_points_csv(tmp_path / "pts.csv", rng.random((600, 4)))
+        (tmp_path / "cfg.txt").write_text(CFG.replace("k = 3", "k = 0"))
+        rc = run(["build", "--points", tmp_path / "pts.csv",
+                  "--config", tmp_path / "cfg.txt",
+                  "--out", tmp_path / "r.json"])
+        assert rc == 0
+        assert json.loads((tmp_path / "r.json").read_text())["golden"]["k"] == 3
+
 
 class TestReplay:
     def test_empty_trace_matches_build_state(self, workdir):

@@ -60,5 +60,13 @@ def test_kernel_resolution_and_overrides():
 
 def test_auto_adversarial_k():
     cfg = RunConfig(k=0)
-    assert cfg.resolve_k(256) == adversarial_k(256) == 3
-    assert RunConfig(k=5).resolve_k(256) == 5
+    assert cfg.resolve_k(256, 4) == adversarial_k(256, 4) == 3
+    assert RunConfig(k=5).resolve_k(256, 8) == 5
+
+
+def test_adversarial_k_is_capped_below_d():
+    # ceil(sqrt(log2 1100)) = 4, but the projection must lower d
+    assert adversarial_k(1100, 8) == 4
+    assert adversarial_k(1100, 4) == 3
+    assert adversarial_k(1100, 2) == 1
+    assert RunConfig(k=0).resolve_k(1100, 4) == 3

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geospar.distance import UltraJlStore, ujl_init, ujl_query, ujl_update, ultra_k
+from geospar.distance import UltraJlStore, ujl_init, ultra_k
 from geospar.errors import DimensionMismatch, IndexOutOfRange
 
 
@@ -24,7 +24,7 @@ class TestInit:
 
     def test_query_on_own_point_is_zero(self):
         store, pts, _ = make_store(seed=1)
-        u = ujl_query(store, pts[5])
+        u = store.query(pts[5])
         assert u[5] == 0.0
 
     def test_warns_when_d_far_from_log_n(self):
@@ -37,25 +37,25 @@ class TestUpdate:
     def test_update_reflected_in_query(self):
         store, pts, rng = make_store(seed=3)
         z = rng.standard_normal(8)
-        ujl_update(store, 7, z)
-        u = ujl_query(store, z)
+        store.update(7, z)
+        u = store.query(z)
         assert u[7] == pytest.approx(0.0, abs=1e-12)
 
     def test_noop_update(self):
         store, pts, _ = make_store(seed=4)
         before = store.proj.copy()
-        ujl_update(store, 3, pts[3])
+        store.update(3, pts[3])
         assert np.array_equal(store.proj, before)
 
     def test_index_out_of_range(self):
         store, _, _ = make_store()
         with pytest.raises(IndexOutOfRange):
-            ujl_update(store, 999, np.zeros(8))
+            store.update(999, np.zeros(8))
 
     def test_dimension_mismatch(self):
         store, _, _ = make_store()
         with pytest.raises(DimensionMismatch):
-            ujl_query(store, np.zeros(5))
+            store.query(np.zeros(5))
 
     def test_batch_recompute_after_updates(self):
         store, pts, rng = make_store(seed=5)
@@ -63,7 +63,7 @@ class TestUpdate:
         for _ in range(100):
             i = int(rng.integers(0, 256))
             z = rng.standard_normal(8)
-            ujl_update(store, i, z)
+            store.update(i, z)
             current[i] = z
         fresh = np.vstack([store.jl.project(p) for p in current])
         assert np.array_equal(store.proj, fresh)
@@ -73,7 +73,7 @@ class TestQuery:
     def test_scaling_linearity(self):
         store, pts, _ = make_store(seed=6)
         q = np.zeros(8)
-        u1 = ujl_query(store, q)
+        u1 = store.query(q)
         doubled = ujl_init(pts * 2.0, 0.1, 6)
         # same seed means the same projection matrix, so distances double
         store2 = UltraJlStore(pts * 2.0, store.jl)

@@ -7,16 +7,38 @@ from geospar.errors import DuplicatePoint, EmptyInput, SingularMatrix
 from geospar.kernels import (
     KERNELS,
     aspect_ratio,
-    brute_force_leverage_scores,
     cauchy_kernel,
     check_spectral_sparsifier,
     dense_laplacian,
     gaussian_kernel,
     gravity_kernel,
-    kernel_weight,
     laplacian_from_edges,
     normalize_points,
 )
+
+
+def kernel_weight(kernel, u, v):
+    """Edge weight K(u, v) = f(||u-v||^2), through `eval_sqdist`."""
+    diff = np.asarray(u, dtype=np.float64) - np.asarray(v, dtype=np.float64)
+    return kernel.eval_sqdist(np.sum(diff * diff))
+
+
+def brute_force_leverage_scores(lap, edges) -> list:
+    """Weighted leverage scores w_e * (mu_i - mu_j)^T L^+ (mu_i - mu_j).
+
+    Dense oracle; needs a connected graph.
+    """
+    lap = np.asarray(lap, dtype=np.float64)
+    eigvals = np.linalg.eigvalsh(lap)
+    zero_cut = 1e-9 * max(1.0, float(abs(eigvals).max()))
+    if int(np.sum(eigvals < zero_cut)) > 1:
+        raise SingularMatrix("graph is disconnected")
+    pinv = np.linalg.pinv(lap)
+    out = []
+    for i, j, w in edges:
+        chi = pinv[i, i] - 2.0 * pinv[i, j] + pinv[j, j]
+        out.append(float(w) * float(chi))
+    return out
 
 
 class TestNormalizePoints:

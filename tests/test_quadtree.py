@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from geospar.errors import DuplicatePoint, PointOutOfRange, UnknownPoint
 from geospar.kernels import aspect_ratio
-from geospar.quadtree import build, structurally_equal
+from geospar.quadtree import CompressedQuadTree, grid_key
 
 
 def random_points(n, k, seed):
@@ -17,13 +17,13 @@ def random_points(n, k, seed):
 
 class TestBuild:
     def test_single_point_is_leaf_root(self):
-        tree = build({0: [0.3, 0.7]}, 2)
+        tree = CompressedQuadTree.build({0: [0.3, 0.7]}, 2)
         assert tree.root.is_leaf
         assert tree.dump() == "0 (0, 0) 1"
 
     def test_two_opposite_corners(self):
         # subdividing [0,1)^2 once separates them: two leaves at level 1
-        tree = build({0: [0.01, 0.01], 1: [0.99, 0.99]}, 2)
+        tree = CompressedQuadTree.build({0: [0.01, 0.01], 1: [0.99, 0.99]}, 2)
         root = tree.root
         assert not root.is_leaf and root.level == 0
         kids = root.child_list()
@@ -32,21 +32,21 @@ class TestBuild:
 
     def test_order_independent(self):
         pts = random_points(50, 2, 0)
-        t1 = build(pts, 2)
+        t1 = CompressedQuadTree.build(pts, 2)
         order = np.random.default_rng(1).permutation(50)
-        t2 = build({int(i): pts[int(i)] for i in order}, 2)
-        assert structurally_equal(t1, t2)
+        t2 = CompressedQuadTree.build({int(i): pts[int(i)] for i in order}, 2)
+        assert t1.dump() == t2.dump()
 
     def test_rejects_out_of_range(self):
         with pytest.raises(PointOutOfRange):
-            build({0: [0.5], 1: [1.0]}, 1)
+            CompressedQuadTree.build({0: [0.5], 1: [1.0]}, 1)
 
     def test_rejects_coincident(self):
         with pytest.raises(DuplicatePoint):
-            build({0: [0.5, 0.5], 1: [0.5, 0.5]}, 2)
+            CompressedQuadTree.build({0: [0.5, 0.5], 1: [0.5, 0.5]}, 2)
 
     def test_counts_match_subtree_sizes(self):
-        tree = build(random_points(40, 3, 2), 3)
+        tree = CompressedQuadTree.build(random_points(40, 3, 2), 3)
         stack = [tree.root]
         while stack:
             node = stack.pop()
@@ -61,32 +61,32 @@ class TestBuild:
 class TestLocate:
     def test_existing_point_found(self):
         pts = random_points(25, 2, 3)
-        tree = build(pts, 2)
+        tree = CompressedQuadTree.build(pts, 2)
         for pid, vec in pts.items():
-            res = tree.locate(vec)
-            assert res.is_leaf and res.node.pid == pid
+            res = tree.locate_key(grid_key(vec))
+            assert res.is_leaf and res.pid == pid
 
     def test_locate_is_pure(self):
-        tree = build(random_points(10, 2, 4), 2)
+        tree = CompressedQuadTree.build(random_points(10, 2, 4), 2)
         probe = [0.123, 0.456]
-        r1 = tree.locate(probe)
-        r2 = tree.locate(probe)
-        assert r1.kind == r2.kind and r1.node is r2.node
+        r1 = tree.locate_key(grid_key(probe))
+        r2 = tree.locate_key(grid_key(probe))
+        assert r1 is r2
 
     def test_empty_region_matches_fresh_build(self):
         pts = {0: np.array([0.1, 0.1]), 1: np.array([0.9, 0.9])}
-        tree = build(dict(pts), 2)
+        tree = CompressedQuadTree.build(dict(pts), 2)
         probe = np.array([0.6, 0.2])
-        res = tree.locate(probe)
-        assert res.kind == "under"
+        res = tree.locate_key(grid_key(probe))
+        assert res is None or not res.is_leaf
         tree.insert(2, probe)
-        fresh = build({**pts, 2: probe}, 2)
-        assert structurally_equal(tree, fresh)
+        fresh = CompressedQuadTree.build({**pts, 2: probe}, 2)
+        assert tree.dump() == fresh.dump()
 
 
 class TestInsertDelete:
     def test_insert_into_empty_quadrant_is_child_case(self):
-        tree = build({0: [0.1, 0.1], 1: [0.9, 0.9]}, 2)
+        tree = CompressedQuadTree.build({0: [0.1, 0.1], 1: [0.9, 0.9]}, 2)
         root = tree.root
         before = dict(root.children)
         rep = tree.insert(2, [0.9, 0.1])
@@ -98,7 +98,7 @@ class TestInsertDelete:
         # a tight 2-point cluster hangs off the root on a compressed edge;
         # a point near (but outside) the cluster cell must split that edge
         # with exactly one new internal node
-        tree = build({0: [0.9, 0.9], 1: [0.30, 0.30],
+        tree = CompressedQuadTree.build({0: [0.9, 0.9], 1: [0.30, 0.30],
                       2: [0.3000001, 0.3000001]}, 2)
         cluster = tree.point_index[1].parent
         assert cluster.parent is tree.root and cluster.level > 1
@@ -112,49 +112,49 @@ class TestInsertDelete:
 
     def test_insert_equals_fresh_build(self):
         pts = random_points(30, 2, 5)
-        tree = build(dict(pts), 2)
+        tree = CompressedQuadTree.build(dict(pts), 2)
         rng = np.random.default_rng(6)
         for new_id in range(30, 45):
             vec = rng.random(2)
             tree.insert(new_id, vec)
             pts[new_id] = vec
-            assert structurally_equal(tree, build(pts, 2))
+            assert tree.dump() == CompressedQuadTree.build(pts, 2).dump()
 
     def test_insert_duplicate_rejected(self):
-        tree = build({0: [0.25, 0.25], 1: [0.75, 0.75]}, 2)
+        tree = CompressedQuadTree.build({0: [0.25, 0.25], 1: [0.75, 0.75]}, 2)
         with pytest.raises(DuplicatePoint):
             tree.insert(2, [0.25, 0.25])
         with pytest.raises(DuplicatePoint):
             tree.insert(0, [0.4, 0.4])
 
     def test_delete_only_point_leaves_empty_tree(self):
-        tree = build({0: [0.5]}, 1)
+        tree = CompressedQuadTree.build({0: [0.5]}, 1)
         tree.delete(0)
         assert tree.root is None and tree.n == 0
 
     def test_delete_unknown_raises(self):
-        tree = build({0: [0.1], 1: [0.9]}, 1)
+        tree = CompressedQuadTree.build({0: [0.1], 1: [0.9]}, 1)
         with pytest.raises(UnknownPoint):
             tree.delete(5)
 
     def test_insert_then_delete_roundtrip(self):
         pts = random_points(20, 3, 7)
-        tree = build(pts, 3)
+        tree = CompressedQuadTree.build(pts, 3)
         before = tree.dump()
         tree.insert(99, [0.111, 0.222, 0.333])
         tree.delete(99)
         assert tree.dump() == before
 
     def test_locate_after_insert_is_leaf(self):
-        tree = build(random_points(15, 2, 8), 2)
+        tree = CompressedQuadTree.build(random_points(15, 2, 8), 2)
         vec = np.array([0.42, 0.137])
         tree.insert(77, vec)
-        res = tree.locate(vec)
-        assert res.is_leaf and res.node.pid == 77
+        res = tree.locate_key(grid_key(vec))
+        assert res.is_leaf and res.pid == 77
 
     def test_random_mutation_sequence_matches_rebuild(self):
         pts = random_points(100, 2, 9)
-        tree = build(dict(pts), 2)
+        tree = CompressedQuadTree.build(dict(pts), 2)
         rng = np.random.default_rng(10)
         next_id = 100
         for _ in range(200):
@@ -167,7 +167,7 @@ class TestInsertDelete:
                 tree.insert(next_id, vec)
                 pts[next_id] = vec
                 next_id += 1
-        assert structurally_equal(tree, build(pts, 2))
+        assert tree.dump() == CompressedQuadTree.build(pts, 2).dump()
 
 
 def snapshot(tree):
@@ -215,7 +215,7 @@ class TestMutationReport:
     ], ids=["child", "inner-split", "new-top", "remove-leaf", "splice",
             "splice-root"])
     def test_report_names_edited_and_reparented_nodes(self, pts, op, case):
-        tree = build(pts, 2)
+        tree = CompressedQuadTree.build(pts, 2)
         before = snapshot(tree)
         if op[0] == "insert":
             rep = tree.insert(99, op[1])
@@ -229,7 +229,7 @@ class TestMutationReport:
 
     def test_report_matches_on_random_moves(self):
         pts = random_points(60, 2, 11)
-        tree = build(dict(pts), 2)
+        tree = CompressedQuadTree.build(dict(pts), 2)
         rng = np.random.default_rng(12)
         cases = set()
         for _ in range(150):
@@ -251,7 +251,7 @@ class TestDepthBound:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_depth_at_most_log_alpha_plus_two(self, seed, k):
         pts = random_points(60, k, seed)
-        tree = build(pts, k)
+        tree = CompressedQuadTree.build(pts, k)
         alpha = aspect_ratio(np.array([pts[i] for i in sorted(pts)]))
         depth = 0
         stack = [(tree.root, 1)]
@@ -271,7 +271,7 @@ class TestDepthBound:
                 min_size=1, max_size=40))
 def test_canonicity_under_arbitrary_op_sequences(ops):
     pts = {0: np.array([0.25, 0.25]), 1: np.array([0.7, 0.7])}
-    tree = build(dict(pts), 2)
+    tree = CompressedQuadTree.build(dict(pts), 2)
     next_id = 2
     for is_insert, x, y in ops:
         if is_insert or len(pts) <= 1:
@@ -286,5 +286,5 @@ def test_canonicity_under_arbitrary_op_sequences(ops):
             pid = sorted(pts)[int(x * len(pts)) % len(pts)]
             tree.delete(pid)
             del pts[pid]
-    assert structurally_equal(tree, build(pts, 2))
+    assert tree.dump() == CompressedQuadTree.build(pts, 2).dump()
     assert sorted(tree.point_index) == sorted(pts)

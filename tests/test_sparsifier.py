@@ -16,7 +16,6 @@ from geospar.kernels import (
     KernelFunction,
     cauchy_kernel,
     gaussian_kernel,
-    kernel_weight,
     normalize_points,
 )
 from geospar.sampling import MASK, SHIFT, PairSample
@@ -79,7 +78,8 @@ class TestInitialize:
         assert g.edge_count == 1
         ((edge, w),) = g.edge_map().items()
         assert edge == (0, 1)
-        assert w == kernel_weight(gaussian_kernel(), ps.points[0], ps.points[1])
+        assert w == gaussian_kernel().eval_sqdist(
+            np.sum((ps.points[0] - ps.points[1]) ** 2))
         (entry,) = g._store.values()
         assert isinstance(entry, WholePair)
         assert sorted(entry.a + entry.b) == [0, 1]
@@ -201,7 +201,7 @@ class TestUpdate:
         for _ in range(40):
             g.update(int(rng.integers(0, g.n)), random_unit_move(rng))
         proj = {i: g._project_unit(g.pset.points[i]) for i in range(g.n)}
-        fresh_tree = quadtree.build(proj, g.k)
+        fresh_tree = quadtree.CompressedQuadTree.build(proj, g.k)
         fresh = wspd.compute_wspd(fresh_tree)
         assert (g.pairs.canonical_pairs(g.tree)
                 == fresh.canonical_pairs(fresh_tree))

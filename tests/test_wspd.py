@@ -7,9 +7,9 @@ import pytest
 from geospar import wspd
 from geospar.errors import DuplicatePoint, UnknownPoint
 from geospar.kernels import aspect_ratio
-from geospar.quadtree import CompressedQuadTree, build
+from geospar.quadtree import CompressedQuadTree
+from geospar.sampling import edge
 from geospar.wspd import (
-    _pk,
     _run_generator,
     compute_wspd,
     find_modified_pairs,
@@ -48,7 +48,7 @@ def assert_exact_coverage(tree, pl):
 
 class TestComputeWspd:
     def test_two_points_single_pair(self):
-        tree = build({0: [0.1, 0.2], 1: [0.8, 0.9]}, 2)
+        tree = CompressedQuadTree.build({0: [0.1, 0.2], 1: [0.8, 0.9]}, 2)
         pl = compute_wspd(tree)
         assert len(pl) == 1
         (key,) = pl.pairs
@@ -56,13 +56,13 @@ class TestComputeWspd:
         assert tree.by_tok[ta].is_leaf and tree.by_tok[tb].is_leaf
 
     def test_three_collinear_points_covered_once(self):
-        tree = build({0: [0.0], 1: [0.5], 2: [0.51]}, 1)
+        tree = CompressedQuadTree.build({0: [0.0], 1: [0.5], 2: [0.51]}, 1)
         pl = compute_wspd(tree)
         assert_exact_coverage(tree, pl)
 
     def test_interaction_product_counts(self):
         # sum over pairs of |A||B| equals n(n-1)/2 exactly
-        tree = build(make_instance(100, 2, 0), 2)
+        tree = CompressedQuadTree.build(make_instance(100, 2, 0), 2)
         pl = compute_wspd(tree)
         total = 0
         for key in pl.pairs:
@@ -72,7 +72,7 @@ class TestComputeWspd:
 
     @pytest.mark.parametrize("n,k,seed", [(30, 1, 1), (60, 2, 2), (40, 3, 3)])
     def test_coverage_and_separation(self, n, k, seed):
-        tree = build(make_instance(n, k, seed), k)
+        tree = CompressedQuadTree.build(make_instance(n, k, seed), k)
         pl = compute_wspd(tree)
         assert_exact_coverage(tree, pl)
         for key in pl.pairs:
@@ -82,7 +82,7 @@ class TestComputeWspd:
     def test_membership_bound(self, calibration):
         cal = calibration["sparsifier"]
         pts = make_instance(150, 3, 4)
-        tree = build(pts, 3)
+        tree = CompressedQuadTree.build(pts, 3)
         pl = compute_wspd(tree)
         alpha = aspect_ratio(np.array([pts[i] for i in sorted(pts)]))
         per_point = {}
@@ -96,20 +96,20 @@ class TestComputeWspd:
 
 class TestWellSeparated:
     def test_singletons_always_separated(self):
-        tree = build({0: [0.2, 0.2], 1: [0.200001, 0.2]}, 2)
+        tree = CompressedQuadTree.build({0: [0.2, 0.2], 1: [0.200001, 0.2]}, 2)
         leaves = [tree.point_index[0], tree.point_index[1]]
         for s in (1.0, 2.0, 100.0):
             assert well_separated(leaves[0], leaves[1], s)
 
     def test_same_node_never_separated(self):
-        tree = build({0: [0.2, 0.2], 1: [0.9, 0.9]}, 2)
+        tree = CompressedQuadTree.build({0: [0.2, 0.2], 1: [0.9, 0.9]}, 2)
         assert not well_separated(tree.root, tree.root, 2.0)
         leaf = tree.point_index[0]
         assert not well_separated(leaf, leaf, 2.0)
 
     def test_adjacent_cells_not_separated_at_two(self):
         # adjacent half-unit cells: ball gap is negative
-        tree = build({0: [0.1, 0.1], 1: [0.26, 0.26], 2: [0.6, 0.1],
+        tree = CompressedQuadTree.build({0: [0.1, 0.1], 1: [0.26, 0.26], 2: [0.6, 0.1],
                       3: [0.9, 0.4]}, 2)
         internal = [n for n in tree.by_tok.values()
                     if not n.is_leaf and n.level == 1]
@@ -120,21 +120,21 @@ class TestWellSeparated:
 class TestFindModifiedPairs:
     def test_move_to_same_location_is_noop(self):
         pts = make_instance(20, 2, 5)
-        tree = build(pts, 2)
+        tree = CompressedQuadTree.build(pts, 2)
         pl = compute_wspd(tree)
         before = pl.canonical_pairs(tree)
         find_modified_pairs(tree, pl, 3, pts[3])
         assert pl.canonical_pairs(tree) == before
 
     def test_unknown_point_raises(self):
-        tree = build(make_instance(5, 2, 6), 2)
+        tree = CompressedQuadTree.build(make_instance(5, 2, 6), 2)
         pl = compute_wspd(tree)
         with pytest.raises(UnknownPoint):
             find_modified_pairs(tree, pl, 99, [0.5, 0.5])
 
     def test_collision_raises(self):
         pts = make_instance(5, 2, 7)
-        tree = build(pts, 2)
+        tree = CompressedQuadTree.build(pts, 2)
         pl = compute_wspd(tree)
         with pytest.raises(DuplicatePoint):
             find_modified_pairs(tree, pl, 0, pts[1])
@@ -144,14 +144,14 @@ class TestFindModifiedPairs:
         # set-difference of the two from-scratch pair lists
         pts = {0: np.array([0.05, 0.05]), 1: np.array([0.07, 0.05]),
                2: np.array([0.9, 0.9])}
-        tree = build(dict(pts), 2)
+        tree = CompressedQuadTree.build(dict(pts), 2)
         pl = compute_wspd(tree)
         old_path = path_toks(tree, 2)
         before = set(pl.pairs)
         target = np.array([0.1, 0.08])
         reported = find_modified_pairs(tree, pl, 2, target)
         pts[2] = target
-        fresh_tree = build(pts, 2)
+        fresh_tree = CompressedQuadTree.build(pts, 2)
         fresh = compute_wspd(fresh_tree)
         assert pl.canonical_pairs(tree) == fresh.canonical_pairs(fresh_tree)
         assert before ^ pl.pairs  # the hand move restructures
@@ -159,7 +159,7 @@ class TestFindModifiedPairs:
 
     def test_oracle_equivalence_every_step(self):
         pts = make_instance(80, 3, 8)
-        tree = build(dict(pts), 3)
+        tree = CompressedQuadTree.build(dict(pts), 3)
         pl = compute_wspd(tree)
         rng = np.random.default_rng(9)
         for step in range(150):
@@ -167,13 +167,13 @@ class TestFindModifiedPairs:
             z = rng.random(3)
             find_modified_pairs(tree, pl, pid, z)
             pts[pid] = z
-            fresh_tree = build(pts, 3)
+            fresh_tree = CompressedQuadTree.build(pts, 3)
             fresh = compute_wspd(fresh_tree)
             assert pl.canonical_pairs(tree) == fresh.canonical_pairs(fresh_tree)
 
     def test_coverage_and_index_after_mutations(self):
         pts = make_instance(40, 2, 10)
-        tree = build(dict(pts), 2)
+        tree = CompressedQuadTree.build(dict(pts), 2)
         pl = compute_wspd(tree)
         rng = np.random.default_rng(11)
         for step in range(30):
@@ -194,7 +194,7 @@ class TestFindModifiedPairs:
     def test_modified_pair_count_bound(self, calibration):
         cal = calibration["sparsifier"]
         pts = make_instance(200, 3, 12)
-        tree = build(dict(pts), 3)
+        tree = CompressedQuadTree.build(dict(pts), 3)
         pl = compute_wspd(tree)
         alpha = aspect_ratio(np.array([pts[i] for i in sorted(pts)]))
         bound = cal["modified_pairs_constant"] * 2 ** 3 * max(1.0, math.log2(alpha))
@@ -214,7 +214,7 @@ def sibling_gens(tree):
             kids = node.child_list()
             for i, a in enumerate(kids):
                 for b in kids[i + 1:]:
-                    gens.add(_pk(a.tok, b.tok))
+                    gens.add(edge(a.tok, b.tok))
     return gens
 
 
@@ -303,7 +303,7 @@ def test_dirty_rewalk_matches_full_runs(mutation_cases):
                 pts = {i: center + rng.normal(0.0, 1e-3, k) for i in range(n)}
             else:
                 pts = {i: rng.random(k) for i in range(n)}
-            tree = build(dict(pts), k)
+            tree = CompressedQuadTree.build(dict(pts), k)
             pl = compute_wspd(tree)
             for step in range(80):
                 pid = int(rng.integers(0, n))
@@ -338,16 +338,16 @@ def test_rewalk_exact_on_a_separation_tie():
         5: [0.03, 0.2, 0.45],
         6: [0.2, 0.2, 0.45],
     }
-    tree = build(pts, 3)
+    tree = CompressedQuadTree.build(pts, 3)
     pl = compute_wspd(tree)
     by_wsid = {node.wsid: node for node in tree.by_tok.values()}
     y = by_wsid[(4, (3, 3, 2))]
     c = by_wsid[(6, (10, 7, 18))]
-    leaf_pairs = {_pk(tree.point_index[i].tok, c.tok) for i in (1, 2)}
+    leaf_pairs = {edge(tree.point_index[i].tok, c.tok) for i in (1, 2)}
     assert leaf_pairs <= pl.pairs
     find_modified_pairs(tree, pl, 6, [2.5 / 16, 2.5 / 16, 2.5 / 16])
     assert y.parent.wsid == (3, (1, 1, 1))
-    assert _pk(y.tok, c.tok) in pl.pairs
+    assert edge(y.tok, c.tok) in pl.pairs
     assert not leaf_pairs & pl.pairs
     assert_pair_list_matches_full_runs(tree, pl)
 
@@ -410,7 +410,7 @@ def test_rewalk_forks_on_long_paths(clustered, rewalk_routes):
         pts = {i: center + rng.normal(0.0, 1e-3, k) for i in range(n)}
     else:
         pts = {i: rng.random(k) for i in range(n)}
-    tree = build(dict(pts), k)
+    tree = CompressedQuadTree.build(dict(pts), k)
     pl = compute_wspd(tree)
     spread = 1e-3 if clustered else 1.0
     for step in range(25):
