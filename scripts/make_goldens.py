@@ -2,8 +2,11 @@
 """Regenerate the golden fixtures under tests/fixtures/.
 
 Goldens hold only the deterministic report sections (counts and pass/fail
-booleans driven by the seeded RNG), never wall-clock numbers.  Run from
-the repository root after any intentional behavior change:
+booleans driven by the seeded RNG), never wall-clock numbers, plus the
+seed-7 move digests of scripts/move_digest.py (move_digests.json), which
+pin every move's edge map, diff log and report on the benchmark's three
+workloads.  Run from the repository root after any intentional behavior
+change:
 
     python3 scripts/make_goldens.py
 
@@ -19,8 +22,10 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "scripts"))
 
 import geospar as gs
+import move_digest
 from geospar.cli import main as cli_main, write_points_csv
 
 FIX = ROOT / "tests" / "fixtures"
@@ -83,6 +88,13 @@ def make_projection_golden():
     }, indent=2) + "\n")
 
 
+def make_move_digests():
+    digests = {name: move_digest.digest(name, 7)
+               for name in move_digest.WORKLOADS}
+    (FIX / "move_digests.json").write_text(
+        json.dumps(digests, indent=2, sort_keys=True) + "\n")
+
+
 def main() -> int:
     FIX.mkdir(parents=True, exist_ok=True)
     make_points_and_trace()
@@ -100,6 +112,7 @@ def main() -> int:
                         "golden_bench.json"),
     ]
     make_projection_golden()
+    make_move_digests()
     print("goldens written to", FIX)
     return 1 if any(rcs) else 0
 

@@ -160,13 +160,23 @@ def dense_laplacian(points: np.ndarray, kernel: KernelFunction) -> np.ndarray:
 
 
 def laplacian_from_edges(n: int, edges) -> np.ndarray:
-    """Laplacian of an explicit weighted edge list [(i, j, w), ...]."""
+    """Laplacian of an explicit weighted edge list [(i, j, w), ...] (or an
+    m x 3 array of such rows).
+
+    The edges are sorted by (min id, max id) before they are summed, so
+    each diagonal entry adds its weights in one canonical order: the
+    result does not depend on the order of the list, bit for bit.
+    """
+    rows = np.asarray(edges, dtype=np.float64).reshape(-1, 3)
+    ids = rows[:, :2].astype(np.int64)
+    lo, hi = ids.min(axis=1), ids.max(axis=1)
+    order = np.lexsort((hi, lo))
+    lo, hi, w = lo[order], hi[order], rows[order, 2]
     lap = np.zeros((n, n), dtype=np.float64)
-    for i, j, w in edges:
-        lap[i, i] += w
-        lap[j, j] += w
-        lap[i, j] -= w
-        lap[j, i] -= w
+    np.add.at(lap, (np.concatenate([lo, hi]), np.concatenate([lo, hi])),
+              np.concatenate([w, w]))
+    np.subtract.at(lap, (lo, hi), w)
+    np.subtract.at(lap, (hi, lo), w)
     return lap
 
 

@@ -34,14 +34,31 @@ and H all hold an edge as one packed int, `sampling.edge(i, j)` = min id
 << 32 | max id, as the WSPD keys do with tokens.  H and the samples'
 indexes are then dicts of ints and floats, which the garbage collector
 never tracks; `edge_map`, `fold_store`, `get_laplacian` and the diff log
-decode the keys to (i, j) with i < j.  Every new weight comes from one
-path: edges drawn by sampled builds and resamples, whole bicliques, the
-arriving point's slab of a whole pair and the moved point's edges in pairs
-that keep their ids (reweights) are queued and weighed in one batched
-kernel evaluation at the end of set-up and of each move, then written in
-queue order.  Kernel values do not depend on the batch, and no other pair
-touches a queued key, so every weight is the same as if each edge were
-weighed on the spot.
+decode the keys to (i, j) with i < j.
+
+Every edge a pair claims goes through one queue: edges drawn by sampled
+builds and resamples, whole bicliques, the arriving point's slab of a
+whole pair and the moved point's edges in pairs that keep their ids
+(reweights).  The queue is flushed once, at the end of set-up and of each
+move, and the flush writes each edge once, in queue order.  A queued edge
+that the move released (below) and that does not pass through the moved
+point keeps the raw weight it carried: its ends did not move, so its
+kernel value is the one it had.  Every other queued edge is weighed in one
+batched kernel evaluation.  Kernel values do not depend on the batch, and
+no other pair touches a queued key, so every weight is the same as if
+each edge were weighed on the spot.
+
+A move removes no edge on the spot.  Dropping a pair (it left the WSPD, or
+it is rebuilt as the other kind) releases all its edges, each with its raw
+weight; a pair whose sides gained or lost the moved point releases the
+point's edges there (found through a sampled pair's per-point index, or as
+a whole pair's slab, [pid] x b or a x [pid]), and the point leaves its old
+side's list.  Released edges stay in H until the flush.  A claim there
+takes an edge out of the released set, and only the edges no pair claimed
+are zeroed, after the writes.  So an edge that only changes owner between
+two pairs costs no kernel evaluation and no H write, and each of the moved
+point's edges is written once.  Only a resample's evictions and a rescale
+write H directly, and they touch only their own pair's edges.
 
 The diff log is net per move: H writes remember each key's weight from
 before the move, and one pass at its end logs (i, j, -old) then
@@ -49,20 +66,25 @@ before the move, and one pass at its end logs (i, j, -old) then
 the log onto an older edge map rebuilds the current one exactly.  An edge
 that only changes owner between two WSPD pairs never reaches the log.
 
-The WSPD hands a move back as a set of pair keys, and the sparsifier reads
-each pair's state itself, in key order: it is old if the store holds its
-key and new if the WSPD does, its sides' point counts are their nodes'
-counts, and a side holds the moved point before (after) the move if its
-token is on the point's root path before (after) it.  A pair old and new
-whose sides hold the point as before kept its ids: only the point's
-edges there are reweighed.
+The WSPD hands a move back as a set of pair keys and a map of token
+renames, and the sparsifier reads each pair's state itself: it is old if
+the store holds its key and new if the WSPD does, its sides' point counts
+are their nodes' counts, and a side holds the moved point before (after)
+the move if its token is on the point's root path before (after) it.  A
+pair old and new whose sides hold the point as before kept its ids: only
+the point's edges there are reweighed.
 
-A pair whose sides gained or lost the point is first released: the
-point's edges leave H (found through a sampled pair's per-point index, or
-as a whole pair's slab, [pid] x b or a x [pid]) and the point leaves its
-old side's list.  The point is then appended to its new side's list,
-before its arriving slab is queued, `sampling.resample` draws or the
-pair is built afresh from its lists.
+A rename maps a node the move replaced to the node in its place, which
+holds the same ids apart from the moved point.  A dropped whole pair whose
+renamed key is added, and which a fresh build would keep whole
+(2s > |X||Y|), is re-keyed: its entry moves to the new key, with its sides
+swapped if the rename swapped the packed key's halves, and only the moved
+point's slab changes, as in an extended pair.  It still counts as one pair
+removed and one added.  Every other pair goes in key order, which fixes the
+order of RNG draws, as do sampled pairs under a renamed key, which are
+built afresh.  The moved point is appended to its new side's list before
+its arriving slab is queued, `sampling.resample` draws or the pair is
+built afresh from its lists.
 """
 
 from __future__ import annotations
@@ -132,6 +154,8 @@ class UpdateReport:
     pairs_touched: int = 0         # WSPD pairs added, removed or changed
     pairs_removed: int = 0         # pairs dropped from the WSPD
     pairs_added: int = 0           # pairs new to the WSPD, built afresh
+    #                                or re-keyed; a re-keyed pair (renamed
+    #                                whole pair) counts as removed + added
     pairs_resampled: int = 0       # changed pairs left sampled (resample)
     pairs_rematerialized: int = 0  # changed pairs rebuilt as the other
     #                                kind, in either direction
@@ -154,6 +178,9 @@ class DynamicGeoSpar:
     def initialize(cls, pset: PointSet, kernel: KernelFunction, eps: float,
                    delta: float, k: int, seed: int, *, c_s: float = 0.25,
                    allow_large_eps: bool = False) -> "DynamicGeoSpar":
+        """Build the sparsifier of `pset`'s kernel graph.  The structure
+        owns a copy of the points (`self.pset`), which its moves update;
+        the caller's PointSet is never written."""
         if pset.n < 2:
             raise EmptyInput("need at least 2 points")
         hi = 1.0 if allow_large_eps else 0.1
@@ -162,7 +189,7 @@ class DynamicGeoSpar:
         if not 0.0 < delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         self = object.__new__(cls)
-        self.pset = pset
+        self.pset = pset.copy()
         self.kernel = kernel
         self.eps = eps
         self.delta = delta
@@ -183,6 +210,7 @@ class DynamicGeoSpar:
         self._store = {}
         self._before = {}         # H key -> its weight before the operation
         self._queued = ([], [])   # owner sample (None: whole), packed edge
+        self._released = {}       # released H key -> raw weight, or None
         proj = {i: self._project_unit(pset.points[i]) for i in range(self.n)}
         self.tree = CompressedQuadTree.build(proj, k)
         self.pairs = wspd.compute_wspd(self.tree)
@@ -255,26 +283,44 @@ class DynamicGeoSpar:
         owners.extend([entry] * len(edges))
         queued.extend(edges)
 
-    def _flush_queued(self):
-        """Weigh every queued edge with one kernel evaluation, then write
-        them to H, and a sampled pair's also to its sample, at the sample's
-        scale, in queue order.
+    def _release(self, edges):
+        """Release edges through the moved point: the flush weighs them
+        if a pair claims them and zeroes them if none does."""
+        self._released.update(dict.fromkeys(edges))
+
+    def _flush_queued(self, pid: Optional[int] = None):
+        """Settle the operation's edges: weigh every queued edge that needs
+        it with one kernel evaluation, write the queue to H, and a sampled
+        pair's edges also to its sample, at the sample's scale, in queue
+        order, then zero the released edges no pair claimed.
 
         The queue holds drawn and whole-pair edges, which are added, and
         the moved point's edges in pairs whose ids did not change, which
-        are reweighed in place.  Runs once at the end of set-up and of each
-        move.  No other pair of the operation claims a queued key, and no
-        edit of its sample follows, so deferring the write changes neither
-        a weight nor a sample's edge order.
+        are reweighed in place.  A queued edge that another pair released
+        and that does not pass through the moved point `pid` keeps the raw
+        weight it carried: its ends did not move.  Runs once at the end of
+        set-up and of each move.  No other pair of the operation claims a
+        queued key, and no edit of its sample follows, so deferring the
+        write changes neither a weight nor a sample's edge order.
         """
         owners, edges = self._queued
-        if not owners:
+        released = self._released
+        if not owners and not released:
             return
         self._queued = ([], [])
-        packed = np.array(edges, dtype=np.int64)
-        ids_a, ids_b = packed >> SHIFT, packed & MASK
-        ws = self._weights(ids_a, ids_b)
-        for entry, key, w in zip(owners, edges, ws.tolist()):
+        if not released:
+            packed = np.array(edges, dtype=np.int64)
+            ws = self._weights(packed >> SHIFT, packed & MASK).tolist()
+        else:
+            self._released = {}
+            ws = [released.pop(e, None) for e in edges]
+            weigh = [x for x, raw in enumerate(ws) if raw is None
+                     or edges[x] >> SHIFT == pid or edges[x] & MASK == pid]
+            packed = np.array([edges[x] for x in weigh], dtype=np.int64)
+            fresh = self._weights(packed >> SHIFT, packed & MASK).tolist()
+            for x, w in zip(weigh, fresh):
+                ws[x] = w
+        for entry, key, w in zip(owners, edges, ws):
             if entry is not None:
                 idx = entry.pos.get(key)
                 if idx is None:
@@ -283,6 +329,8 @@ class DynamicGeoSpar:
                     entry.raw[idx] = w
                 w *= entry.scale
             self._set_edge(key, w)
+        for key in released:
+            self._set_edge(key, 0.0)
 
     def _build_pair(self, a: list, b: list):
         """The pair a x b built afresh: sampled iff its sample is at most
@@ -298,8 +346,55 @@ class DynamicGeoSpar:
         return entry
 
     def _drop_pair(self, key):
-        for e in self._store.pop(key).edges:
-            self._set_edge(e, 0.0)
+        """Release every edge of the pair under `key`, with its raw
+        weight."""
+        entry = self._store.pop(key)
+        if type(entry) is WholePair:
+            h = self._h
+            self._released.update([(e, h.get(e, 0.0)) for e in entry.edges])
+        else:
+            self._released.update(zip(entry.edges, entry.raw))
+
+    def _rekey_whole(self, keys: set, renames: dict, old_path: set,
+                     new_path: set, pid: int, report: UpdateReport) -> set:
+        """Move each dropped whole pair whose renamed key is added, and
+        which a fresh build would keep whole, to that key; return the keys
+        left to apply.
+
+        The two keys' sides hold the same ids apart from `pid`, so only the
+        moved point's slab changes, as in an extended pair: the departed
+        slab is released and the arriving one queued.  A rename can swap
+        the packed key's halves, and with them the entry's sides.
+        """
+        store, live, by_tok = self._store, self.pairs.pairs, self.tree.by_tok
+        done = set()
+        for key in keys:
+            if key in live:
+                continue
+            ta, tb = key >> SHIFT, key & MASK
+            if ta not in renames and tb not in renames:
+                continue
+            na, nb = renames.get(ta, ta), renames.get(tb, tb)
+            new_key = edge(na, nb)
+            if (new_key not in live or new_key in store
+                    or type(store[key]) is not WholePair):
+                continue
+            nx, ny = by_tok[na].count, by_tok[nb].count
+            if 2 * self.sample_size(nx, ny) <= nx * ny:
+                continue
+            entry = store.pop(key)
+            self._release(entry.release(pid, (ta in old_path,
+                                              tb in old_path)))
+            if new_key >> SHIFT != na:
+                entry.a, entry.b = entry.b, entry.a
+            new = (new_key >> SHIFT in new_path, new_key & MASK in new_path)
+            entry.join(pid, new)
+            self._queue_edges(None, entry.slab(pid, new))
+            store[new_key] = entry
+            done.update((key, new_key))
+            report.pairs_removed += 1
+            report.pairs_added += 1
+        return keys - done
 
     # -- update ---------------------------------------------------------------
 
@@ -317,16 +412,20 @@ class DynamicGeoSpar:
         diff_mark = len(self._diff)
         tree = self.tree
         old_path = {nd.tok for nd in tree.path_to_root(tree.point_index[i])}
-        keys = wspd.find_modified_pairs(tree, self.pairs, i, q_new)
+        keys, renames = wspd.find_modified_pairs(tree, self.pairs, i, q_new)
         new_path = {nd.tok for nd in tree.path_to_root(tree.point_index[i])}
         self.pset.points[i] = z
         report = UpdateReport(pairs_touched=len(keys))
-        # Pairs go in key order, which fixes the order of RNG draws.  Every
-        # claim of an edge is queued until the flush, and a pair's direct H
-        # writes touch only its own edges, so releasing and applying each
-        # pair in turn leaves no edge to two owners.  old/new: whether each
-        # side holds the moved point before/after the move; old is None for
-        # a pair new to the WSPD.
+        # Re-keyed whole pairs go first; they draw nothing.  The other pairs
+        # go in key order, which fixes the order of RNG draws.  Every claim
+        # and every release of an edge waits for the flush, and a pair's
+        # direct H writes touch only its own edges, so releasing and
+        # applying each pair in turn leaves no edge to two owners.
+        # old/new: whether each side holds the moved point before/after the
+        # move; old is None for a pair new to the WSPD.
+        if renames:
+            keys = self._rekey_whole(keys, renames, old_path, new_path, i,
+                                     report)
         store, live, by_tok = self._store, self.pairs.pairs, tree.by_tok
         for key in sorted(keys):
             if key not in live:
@@ -337,11 +436,10 @@ class DynamicGeoSpar:
             new = (ta in new_path, tb in new_path)
             old = (ta in old_path, tb in old_path) if key in store else None
             if old is not None and old != new:
-                for e in store[key].release(i, old):
-                    self._set_edge(e, 0.0)
+                self._release(store[key].release(i, old))
             self._apply_change(key, by_tok[ta], by_tok[tb], old, new, i,
                                report)
-        self._flush_queued()
+        self._flush_queued(i)
         report.churn = self._log_net_change()
         report.edges_changed = len(self._diff) - diff_mark
         return report
@@ -407,8 +505,11 @@ class DynamicGeoSpar:
         return out
 
     def get_laplacian(self) -> np.ndarray:
-        return laplacian_from_edges(
-            self.n, [(k >> SHIFT, k & MASK, w) for k, w in self._h.items()])
+        h = self._h
+        keys = np.fromiter(h, np.int64, len(h))
+        return laplacian_from_edges(self.n, np.column_stack(
+            [keys >> SHIFT, keys & MASK, np.fromiter(h.values(), np.float64,
+                                                     len(h))]))
 
     def edge_map(self) -> dict:
         """H as {(i, j): weight}, i < j."""

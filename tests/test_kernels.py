@@ -201,6 +201,43 @@ class TestSpectralCheck:
                 assert 1 - eps - 1e-6 <= ratio <= 1 + eps + 1e-6
 
 
+class TestLaplacianFromEdges:
+    def test_bit_equal_in_any_edge_order(self):
+        # every diagonal entry sums its weights in one canonical order, so
+        # shuffling the list or flipping an edge's ends changes no bit
+        rng = np.random.default_rng(11)
+        pts = rng.random((24, 3))
+        k = gaussian_kernel()
+        edges = [(i, j, kernel_weight(k, pts[i], pts[j]))
+                 for i in range(24) for j in range(i + 1, 24)
+                 if rng.random() < 0.6]
+        lap = laplacian_from_edges(24, edges)
+        assert np.allclose(lap, dense_laplacian_of(24, edges))
+        for _ in range(5):
+            order = rng.permutation(len(edges))
+            shuffled = [edges[x] if rng.random() < 0.5
+                        else (edges[x][1], edges[x][0], edges[x][2])
+                        for x in order]
+            assert np.array_equal(laplacian_from_edges(24, shuffled), lap)
+            assert np.array_equal(
+                laplacian_from_edges(24, np.array(shuffled)), lap)
+
+    def test_empty_list_gives_zero_matrix(self):
+        assert np.array_equal(laplacian_from_edges(3, []), np.zeros((3, 3)))
+
+
+def dense_laplacian_of(n, edges):
+    """The Laplacian of an edge list, summed entry by entry in list
+    order."""
+    lap = np.zeros((n, n))
+    for i, j, w in edges:
+        lap[i, i] += w
+        lap[j, j] += w
+        lap[i, j] -= w
+        lap[j, i] -= w
+    return lap
+
+
 class TestLeverageScores:
     def test_triangle_equal_weights(self):
         edges = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]

@@ -3,7 +3,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "move_digest.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "move_digest.py"
+PINNED = ROOT / "tests" / "fixtures" / "move_digests.json"
 
 
 def _digest():
@@ -21,3 +23,6 @@ def test_move_digest_is_reproducible():
     assert len(first["digest"]) == len(first["shape"]) == 64
     assert first["shape"] != first["digest"]
     assert first == second
+    # the pinned digest, written by scripts/make_goldens.py: a change to
+    # any move's edge map, diff log or report fails here
+    assert first == json.loads(PINNED.read_text())["clustered-drift"]

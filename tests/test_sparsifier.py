@@ -16,9 +16,11 @@ from geospar.kernels import (
     KernelFunction,
     cauchy_kernel,
     gaussian_kernel,
+    laplacian_from_edges,
     normalize_points,
 )
-from geospar.sampling import MASK, SHIFT, PairSample
+from geospar.sampling import MASK, SHIFT, PairSample, edge
+from geospar.sketches import multiply_init
 from geospar.sparsifier import (
     SCALE_BAND,
     DynamicGeoSpar,
@@ -86,6 +88,24 @@ class TestInitialize:
 
     def test_fold_equals_h_exactly(self):
         g, _ = make_dgs(seed=1)
+        assert g.fold_store() == g.edge_map()
+
+    def test_owns_a_copy_of_its_points(self):
+        # two structures built on one PointSet do not move each other's
+        # points, and the caller's PointSet is left as it was
+        rng = np.random.default_rng(40)
+        ps = normalize_points(rng.random((48, 4)) * 10.0)
+        start = ps.points.copy()
+        g = DynamicGeoSpar.initialize(ps, gaussian_kernel(), 0.5, 0.05, 3, 0,
+                                      allow_large_eps=True)
+        mul = multiply_init(ps, gaussian_kernel(), rng.standard_normal(48),
+                            0.5, 0.05, 3, 1, allow_large_eps=True)
+        mul.update_g(3, np.full(4, 0.6))
+        assert np.array_equal(g.pset.points, start)
+        assert np.array_equal(mul.dgs.pset.points[3], np.full(4, 0.6))
+        g.update(5, np.full(4, 0.4))
+        assert np.array_equal(mul.dgs.pset.points[5], start[5])
+        assert np.array_equal(ps.points, start)
         assert g.fold_store() == g.edge_map()
 
     def test_eps_range_enforced_by_default(self):
@@ -233,10 +253,103 @@ class TestUpdate:
         g.update(5, random_unit_move(rng))
         lap = g.get_laplacian()
         assert np.allclose(lap @ np.ones(g.n), 0.0, atol=1e-9)
-        from geospar.kernels import laplacian_from_edges
         lap2 = laplacian_from_edges(
             g.n, [(i, j, w) for (i, j), w in g.fold_store().items()])
         assert np.array_equal(lap, lap2)
+
+    def test_get_laplacian_matches_fold_over_seeds(self):
+        # H lists its edges in the order of their writes and fold_store in
+        # the pairs' order; the Laplacian depends on neither, bit for bit
+        for seed in range(8):
+            g, rng = make_dgs(seed=seed, n=32)
+            for _ in range(3):
+                g.update(int(rng.integers(0, g.n)), random_unit_move(rng))
+                lap = laplacian_from_edges(
+                    g.n, [(i, j, w) for (i, j), w in g.fold_store().items()])
+                assert np.array_equal(g.get_laplacian(), lap), seed
+
+
+class _CountingKernel:
+    """Delegates to a kernel and counts the edges `eval_sqdist` weighs."""
+
+    def __init__(self, base):
+        self.base = base
+        self.edges = 0
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+    def eval_sqdist(self, t):
+        self.edges += int(np.size(t))
+        return self.base.eval_sqdist(t)
+
+
+class TestMovePaysForChange:
+    """A move weighs only the edges whose weight changed: an edge that
+    changes owner between two pairs carries its weight, and a dropped
+    whole pair whose renamed key is added moves there."""
+
+    def test_kernel_weighs_exactly_the_churn(self):
+        g, rng = make_dgs(seed=41, n=128)
+        assert all(isinstance(e, WholePair) for e in g._store.values())
+        g.kernel = counted = _CountingKernel(g.kernel)
+        for _ in range(30):
+            counted.edges = 0
+            rep = g.update(int(rng.integers(0, g.n)), random_unit_move(rng))
+            assert counted.edges == rep.churn == g.n - 1
+            assert rep.pairs_added > 0
+            g.get_diff()
+        assert g.fold_store() == g.edge_map()
+
+    def test_renamed_whole_pair_keeps_its_entry(self, monkeypatch):
+        renames_seen = []
+        real = wspd.find_modified_pairs
+
+        def spy(*args):
+            keys, renames = real(*args)
+            renames_seen.append(renames)
+            return keys, renames
+
+        monkeypatch.setattr(wspd, "find_modified_pairs", spy)
+        g, rng = make_dgs(seed=42, n=64)
+        base, diffs = g.edge_map(), []
+        kinds, swapped, moved = set(), 0, 0
+        for _ in range(300):
+            before = dict(g._store)
+            g.update(int(rng.integers(0, g.n)), random_unit_move(rng))
+            diffs.extend(g.get_diff())
+            renames = renames_seen.pop()
+            tree = g.tree
+            for key, entry in before.items():
+                ta, tb = wspd.unpack(key)
+                na, nb = renames.get(ta, ta), renames.get(tb, tb)
+                new_key = edge(na, nb)
+                if (new_key == key or key in g._store or new_key in before
+                        or new_key not in g._store):
+                    continue
+                # a dropped pair whose renamed key was added, kept whole
+                assert isinstance(g._store[new_key], WholePair)
+                assert g._store[new_key] is entry
+                a_node, b_node = (tree.by_tok[t]
+                                  for t in wspd.unpack(new_key))
+                assert set(entry.a) == set(tree.subtree_ids(a_node))
+                assert set(entry.b) == set(tree.subtree_ids(b_node))
+                # a renamed token still in the tree was re-parented by the
+                # insert; one that is gone was spliced out by the delete
+                kinds.update("split" if t in tree.by_tok else "splice"
+                             for t in (ta, tb) if t in renames)
+                swapped += new_key >> SHIFT != na
+                moved += 1
+            assert g.fold_store() == g.edge_map()
+            assert wspd.compute_wspd(tree).pairs == g.pairs.pairs
+            if kinds == {"split", "splice"} and swapped and moved >= 20:
+                break
+        assert kinds == {"split", "splice"} and swapped > 0
+        assert apply_diff(base, diffs) == g.edge_map()
+        proj = {i: g._project_unit(g.pset.points[i]) for i in range(g.n)}
+        fresh_tree = quadtree.CompressedQuadTree.build(proj, g.k)
+        assert (g.pairs.canonical_pairs(g.tree)
+                == wspd.compute_wspd(fresh_tree).canonical_pairs(fresh_tree))
 
 
 class TestResamplingInVivo:

@@ -149,7 +149,7 @@ class TestFindModifiedPairs:
         old_path = path_toks(tree, 2)
         before = set(pl.pairs)
         target = np.array([0.1, 0.08])
-        reported = find_modified_pairs(tree, pl, 2, target)
+        reported, _ = find_modified_pairs(tree, pl, 2, target)
         pts[2] = target
         fresh_tree = CompressedQuadTree.build(pts, 2)
         fresh = compute_wspd(fresh_tree)
@@ -202,7 +202,7 @@ class TestFindModifiedPairs:
         for _ in range(50):
             pid = int(rng.integers(0, 200))
             z = rng.random(3)
-            reported = find_modified_pairs(tree, pl, pid, z)
+            reported, _ = find_modified_pairs(tree, pl, pid, z)
             pts[pid] = z
             assert len(reported) <= bound
 
@@ -310,7 +310,7 @@ def test_dirty_rewalk_matches_full_runs(mutation_cases):
                 z = move_target(rng, pts, pid, k, center)
                 old_path = path_toks(tree, pid)
                 before = set(pl.pairs)
-                reported = find_modified_pairs(tree, pl, pid, z)
+                reported, _ = find_modified_pairs(tree, pl, pid, z)
                 pts[pid] = z
                 assert_pair_list_matches_full_runs(tree, pl)
                 assert_reported_bounds(tree, pl, pid, old_path, before,
