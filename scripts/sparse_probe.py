@@ -14,7 +14,8 @@ centers, the points and the hops.  Prints one JSON object:
 - sampled_pairs: pairs held as samples after the hops;
 - fill_min, fill_max: the least and greatest share of its biclique a
   sampled pair holds, len(sample) / |X||Y| (null with no sampled pair);
-- fold_exact: whether H equals a fold of the pairs after the hops;
+- fold_exact: whether H equals a fold of the pairs after the hops (the
+  exit code is 1 when it does not);
 - spectral: with --spectral, the dense spectral check after the hops
   ({passed, min_eig, max_eig, eps}); null without.  It costs seconds at
   n = 1024 and grows as n^3.
@@ -39,7 +40,6 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import geospar as gs  # noqa: E402
-from geospar.sampling import PairSample  # noqa: E402
 
 D = 4
 CLUSTERS = 8
@@ -87,8 +87,7 @@ def probe(n: int, c_s: float, hops: int, seed: int, spectral: bool) -> dict:
         churn += g.update(i, z).churn
         g.get_diff()
         hop_s.append(time.perf_counter() - t1)
-    fills = [len(e) / (len(e.a) * len(e.b)) for e in g._store.values()
-             if isinstance(e, PairSample)]
+    fills = [len(e) / (len(e.a) * len(e.b)) for e in g._store.values()]
     check = g.spectral_check().as_dict() if spectral else None
     return {
         "n": n, "c_s": c_s, "hops": hops, "seed": seed,
@@ -116,9 +115,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.n < 2 * CLUSTERS or args.hops < 0 or args.c_s <= 0.0:
         ap.error(f"need --n >= {2 * CLUSTERS}, --hops >= 0 and --c-s > 0")
-    print(json.dumps(probe(args.n, args.c_s, args.hops, args.seed,
-                           args.spectral)))
-    return 0
+    rep = probe(args.n, args.c_s, args.hops, args.seed, args.spectral)
+    print(json.dumps(rep))
+    return 0 if rep["fold_exact"] else 1
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Adversarially robust all-points distance estimation.
 
-Project once to k = round(sqrt(log2 n)) dimensions; answer a query q with
+Project once to k = round(sqrt(log2 n)) dimensions, at most d - 1 so that
+the map lowers the dimension; answer a query q with
 u_i = n^(1/k) * sqrt(d/k) * ||x~_i - Pi q||.  The estimates overestimate
 with high probability; how much they can overestimate is a calibrated
 constant (the upper exponent hides in the projection's distortion).
@@ -51,14 +52,15 @@ class UltraJlStore:
 
 
 def ujl_init(points, eps: float, seed: int) -> UltraJlStore:
-    """Build the store; k is derived from n, the projection from the seed.
+    """Build the store; k is `ultra_k(n)` capped at d - 1 (the map must
+    lower the dimension), the projection is drawn from the seed.
 
     ``eps`` is not used: the estimate's distortion is a calibrated
     constant, not a function of eps.
     """
     points = np.asarray(points, dtype=np.float64)
     n, d = points.shape
-    k = ultra_k(n)
+    k = max(1, min(ultra_k(n), d - 1))
     log2n = math.log2(max(n, 2))
     if not 0.5 * log2n <= d <= 8.0 * log2n:
         warnings.warn(

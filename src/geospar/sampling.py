@@ -1,10 +1,10 @@
 """Uniform biclique edge sampling: the one core the sparsifier and the
 tests both run.
 
-Every WSPD pair, whole or sampled, keeps the two sides of its biclique as
-plain id lists, `a` and `b`, so a draw of side index idx is ``side[idx]``
-and no draw walks the quad tree.  The sparsifier fills the lists from the
-tree when it builds a pair and keeps them current under moves: a release
+A sampled WSPD pair keeps the two sides of its biclique as plain id
+lists, `a` and `b`, so a draw of side index idx is ``side[idx]`` and no
+draw walks the quad tree.  The sparsifier fills the lists from the tree
+when it builds a sample and keeps them current under moves: a release
 removes the moved point from its old side, and the point is appended to
 its new side before `resample` draws.  The tests drive the same functions
 on lists of their own.  All randomness flows through an explicit numpy
@@ -32,44 +32,24 @@ def edge(i: int, j: int) -> int:
     return i << SHIFT | j if i < j else j << SHIFT | i
 
 
-class Biclique:
-    """The biclique a x b of one WSPD pair, as the id lists of its sides.
-
-    `sides`, below, is a pair of flags saying whether the a side or the b
-    side holds a point; at most one does.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: list, b: list):
-        self.a, self.b = a, b
-
-    def leave(self, pid: int, sides: tuple):
-        """Remove `pid` from its side."""
-        if any(sides):
-            (self.a if sides[0] else self.b).remove(pid)
-
-    def join(self, pid: int, sides: tuple):
-        """Append `pid` to its side."""
-        if any(sides):
-            (self.a if sides[0] else self.b).append(pid)
-
-
-class PairSample(Biclique):
+class PairSample:
     """Edge sample of one sampled biclique, indexed for O(churn) edits.
 
     `edges` holds the packed edges and `raw` their raw kernel weights,
     index for index; `pos` maps an edge to that index.  A discard moves the
     last edge (and its weight) into the freed slot, so both arrays stay
     dense and aligned.  `by_point` maps an id to the set of its edges, so
-    a move finds the moved point's edges without a scan.  The biclique's
-    side sizes are len(a) and len(b).
+    a move finds the moved point's edges without a scan.  `a` and `b` are
+    the id lists of the biclique's sides.
+
+    `sides`, below, is a pair of flags saying whether the a side or the b
+    side holds a point; at most one does.
     """
 
-    __slots__ = ("edges", "pos", "raw", "by_point", "scale")
+    __slots__ = ("a", "b", "edges", "pos", "raw", "by_point", "scale")
 
     def __init__(self, a: list, b: list, scale: float):
-        super().__init__(a, b)
+        self.a, self.b = a, b
         self.edges = array("q")   # packed edges
         self.raw = array("d")     # raw kernel weight of edges[idx]
         self.pos = {}             # edge -> index in edges and raw
@@ -116,13 +96,19 @@ class PairSample(Biclique):
         with them in turn does not depend on set layout."""
         return sorted(self.by_point.get(pid, ()))
 
+    def join(self, pid: int, sides: tuple):
+        """Append `pid` to its side."""
+        if any(sides):
+            (self.a if sides[0] else self.b).append(pid)
+
     def release(self, pid: int, sides: tuple) -> list:
         """Evict `pid`'s edges and remove it from its side; return the
         evicted edges."""
         edges = self.point_edges(pid)
         for e in edges:
             self.discard(e)
-        self.leave(pid, sides)
+        if any(sides):
+            (self.a if sides[0] else self.b).remove(pid)
         return edges
 
 

@@ -4,61 +4,67 @@ Pipeline: project the points to k dimensions, build a compressed quad tree
 and a 2-WSPD over the projections, view every well-separated pair as a
 biclique in the original d-dimensional space, and keep a uniform edge
 sample per biclique, scaled by |X||Y|/s (a biclique of fewer than 2s
-cells is kept whole, unscaled).  A point move re-runs only the affected WSPD generators
-and converts each touched pair's old sample into a fresh uniform one with
-`sampling.resample` (a hypergeometric count of edges through the arriving
-point), so the sparsifier changes by few edges.  All draws go through
-`sampling`; this module weighs the drawn edges and logs the net change.
+cells is kept whole, unscaled).  A point move re-runs only the affected
+WSPD generators and converts each touched sampled pair's old sample into
+a fresh uniform one with `sampling.resample` (a hypergeometric count of
+edges through the arriving point), so the sparsifier changes by few
+edges.  All draws go through `sampling`; this module weighs the drawn
+edges and logs the net change.
 
 A pair is sampled only where its sample is at most half its biclique: a
 new pair (at set-up or on a move) is sampled iff 2s <= |X||Y|.  A changed
 pair keeps its kind while it stays in that kind's band, so moves near the
 threshold do not flip it: a whole pair stays whole while |X||Y| <= 4s, and
 a sampled pair stays sampled while 4s <= 3|X||Y|, so every rejection loop
-in `sampling` runs at a fill of at most 3/4.  A pair past its band is
-built afresh from its own lists, as the other kind.  A sampled pair keeps
-its scale while that is within SCALE_BAND * eps (theta * eps) of the
-exact |X||Y|/s, relative; only when the band is left is the whole sample
-rewritten at the exact scale.  Each pair's Laplacian is then its exactly
-scaled sample's times a factor in [1 - theta*eps, 1 + theta*eps], so an
-eps-sparsifier at exact scales stays a
-((1 + eps)(1 + theta*eps) - 1)-sparsifier.
+in `sampling` runs at a fill of at most 3/4.  The rule reads the sides'
+point counts off their tree nodes.  A sampled pair keeps its scale while
+that is within SCALE_BAND * eps (theta * eps) of the exact |X||Y|/s,
+relative; only when the band is left is the whole sample rewritten at the
+exact scale.  Each pair's Laplacian is then its exactly scaled sample's
+times a factor in [1 - theta*eps, 1 + theta*eps], so an eps-sparsifier at
+exact scales stays a ((1 + eps)(1 + theta*eps) - 1)-sparsifier.
 
-Every pair keeps its two sides as id lists (`sampling.Biclique`).  A
-small biclique is kept whole as a `WholePair`: only the lists, so its
-edges are a x b and the graph H is the only store of their (unscaled)
-weights.  A sampled pair is a `sampling.PairSample`, which also keeps its
-edges with their raw kernel weights, and draws its cells from the lists;
-H maps an unordered id pair to raw * scale.  The samples, the write queue
-and H all hold an edge as one packed int, `sampling.edge(i, j)` = min id
-<< 32 | max id, as the WSPD keys do with tokens.  H and the samples'
-indexes are then dicts of ints and floats, which the garbage collector
-never tracks; `edge_map`, `fold_store`, `get_laplacian` and the diff log
-decode the keys to (i, j) with i < j.
+A whole pair is its WSPD key alone: the store holds only the sampled
+pairs, as `sampling.PairSample`s, and a live key the store does not hold
+is whole.  Its edges are its biclique's cells, with their raw kernel
+weights in H.  A sample keeps its two sides as id lists, its edges and
+their raw weights; H maps an unordered id pair to raw * scale.  The
+samples, the write queue and H all hold an edge as one packed int,
+`sampling.edge(i, j)` = min id << 32 | max id, as the WSPD keys do with
+tokens.  H and the samples' indexes are then dicts of ints and floats,
+which the garbage collector never tracks; `edge_map`, `fold_store`,
+`get_laplacian` and the diff log decode the keys to (i, j) with i < j.
 
-Every edge a pair claims goes through one queue: edges drawn by sampled
-builds and resamples, whole bicliques, the arriving point's slab of a
-whole pair and the moved point's edges in pairs that keep their ids
-(reweights).  The queue is flushed once, at the end of set-up and of each
-move, and the flush writes each edge once, in queue order.  A queued edge
-that the move released (below) and that does not pass through the moved
-point keeps the raw weight it carried: its ends did not move, so its
-kernel value is the one it had.  Every other queued edge is weighed in one
-batched kernel evaluation.  Kernel values do not depend on the batch, and
-no other pair touches a queued key, so every weight is the same as if
-each edge were weighed on the spot.
+The WSPD covers every pair of points exactly once (Callahan and Kosaraju,
+JACM 1995), before a move and after it.  A pair the move keeps covers the
+same cells apart from those through the moved point p, so the pairs it
+drops and the pairs it adds cover the same cells apart from p's.  An edge
+that avoids p therefore keeps its weight unless it passes between a
+whole pair and a sampled one: only where a sampled pair is born, dropped
+or flips kind does a move list cells, from the tree or from the sample's
+lists.  A born sample (new, or a whole pair turned sampled) releases its
+cells' edges from H and draws its own; a dropped sample (gone, or turned
+whole) releases its edges, and its cells that no born sample took are
+claimed whole.  p's edges are settled apart: every edge (p, j) goes to
+the whole pairs unless j is on the other side of a sampled pair that
+holds p after the move, and where p arrived in such a pair, its edges
+there leave H unless the pair draws them.  An all-whole move thus
+queues p's n - 1 edges and nothing else.  `fold_store` lists every
+whole pair's cells from the tree, an oracle independent of the moves.
 
-A move removes no edge on the spot.  Dropping a pair (it left the WSPD, or
-it is rebuilt as the other kind) releases all its edges, each with its raw
-weight; a pair whose sides gained or lost the moved point releases the
-point's edges there (found through a sampled pair's per-point index, or as
-a whole pair's slab, [pid] x b or a x [pid]), and the point leaves its old
-side's list.  Released edges stay in H until the flush.  A claim there
-takes an edge out of the released set, and only the edges no pair claimed
-are zeroed, after the writes.  So an edge that only changes owner between
-two pairs costs no kernel evaluation and no H write, and each of the moved
-point's edges is written once.  Only a resample's evictions and a rescale
-write H directly, and they touch only their own pair's edges.
+Every edge a move claims goes through one queue: edges drawn by sampled
+builds and resamples, the moved point's edges in a sample that keeps its
+ids (reweights), p's edges in whole pairs and a dropped sample's cells.
+The queue is flushed once, at the end of set-up and of each move, and
+the flush writes each edge once, in queue order.  A queued edge that the
+move released and that does not pass through p keeps the raw weight it
+carried: its ends did not move, so its kernel value is the one it had.
+Every other queued edge is weighed in one batched kernel evaluation.
+Kernel values do not depend on the batch, and no other pair touches a
+queued key, so every weight is the same as if each edge were weighed on
+the spot.  Released edges stay in H until the flush; only those no pair
+claimed are zeroed, after the writes.  A resample's evictions and a
+rescale write H directly, and they touch only their own pair's edges.
 
 The diff log is net per move: H writes remember each key's weight from
 before the move, and one pass at its end logs (i, j, -old) then
@@ -66,25 +72,15 @@ before the move, and one pass at its end logs (i, j, -old) then
 the log onto an older edge map rebuilds the current one exactly.  An edge
 that only changes owner between two WSPD pairs never reaches the log.
 
-The WSPD hands a move back as a set of pair keys and a map of token
-renames, and the sparsifier reads each pair's state itself: it is old if
-the store holds its key and new if the WSPD does, its sides' point counts
-are their nodes' counts, and a side holds the moved point before (after)
-the move if its token is on the point's root path before (after) it.  A
-pair old and new whose sides hold the point as before kept its ids: only
-the point's edges there are reweighed.
-
-A rename maps a node the move replaced to the node in its place, which
-holds the same ids apart from the moved point.  A dropped whole pair whose
-renamed key is added, and which a fresh build would keep whole
-(2s > |X||Y|), is re-keyed: its entry moves to the new key, with its sides
-swapped if the rename swapped the packed key's halves, and only the moved
-point's slab changes, as in an extended pair.  It still counts as one pair
-removed and one added.  Every other pair goes in key order, which fixes the
-order of RNG draws, as do sampled pairs under a renamed key, which are
-built afresh.  The moved point is appended to its new side's list before
-its arriving slab is queued, `sampling.resample` draws or the pair is
-built afresh from its lists.
+The WSPD hands a move back as the set of pair keys it may have changed
+and, among them, the keys new to the pair set; the sparsifier reads the
+rest itself.  A key is dropped if the WSPD no longer holds it, its sides'
+point counts are their nodes' counts, and a side holds the moved point
+before (after) the move if its token is on the point's root path before
+(after) it.  A kept pair whose sides hold the point as before kept its
+ids: only a sample's edges through the point are reweighed.  Pairs go in
+key order, which fixes the order of RNG draws.  The moved point is
+appended to its new side's list before `sampling.resample` draws.
 """
 
 from __future__ import annotations
@@ -113,35 +109,16 @@ from .kernels import (
 )
 from .projection import make_ultra_jl
 from .quadtree import CompressedQuadTree
-from .sampling import MASK, SHIFT, Biclique, PairSample, edge
+from .sampling import MASK, SHIFT, PairSample, edge
 
 # theta: a sampled pair keeps its scale while that is within SCALE_BAND * eps
 # of the exact |X||Y|/s, relative
 SCALE_BAND = 0.1
 
 
-class WholePair(Biclique):
-    """A biclique kept whole: its edges are a x b, and H is the only store
-    of their weights (at scale 1)."""
-
-    __slots__ = ()
-
-    @property
-    def edges(self) -> list:
-        """The packed edges a x b, row by row."""
-        return [edge(i, j) for i in self.a for j in self.b]
-
-    def slab(self, pid: int, sides: tuple) -> list:
-        """The packed edges through `pid`: [pid] x b or a x [pid]."""
-        if sides[0]:
-            return [edge(pid, j) for j in self.b]
-        return [edge(pid, j) for j in self.a] if sides[1] else []
-
-    def release(self, pid: int, sides: tuple) -> list:
-        """Remove `pid` from its side; return the slab it leaves."""
-        edges = self.slab(pid, sides)
-        self.leave(pid, sides)
-        return edges
+def _cells(a: list, b: list, pid: int = -1) -> list:
+    """The packed edges a x b that do not pass through `pid`, row by row."""
+    return [edge(i, j) for i in a if i != pid for j in b if j != pid]
 
 
 @dataclass
@@ -153,14 +130,11 @@ class UpdateReport:
 
     pairs_touched: int = 0         # WSPD pairs added, removed or changed
     pairs_removed: int = 0         # pairs dropped from the WSPD
-    pairs_added: int = 0           # pairs new to the WSPD, built afresh
-    #                                or re-keyed; a re-keyed pair (renamed
-    #                                whole pair) counts as removed + added
+    pairs_added: int = 0           # pairs new to the WSPD
     pairs_resampled: int = 0       # changed pairs left sampled (resample)
-    pairs_rematerialized: int = 0  # changed pairs rebuilt as the other
-    #                                kind, in either direction
-    pairs_extended: int = 0        # changed whole pairs kept whole: the
-    #                                departed and arriving slabs only
+    pairs_rematerialized: int = 0  # changed pairs turned the other kind,
+    #                                in either direction
+    pairs_extended: int = 0        # changed whole pairs kept whole
     pairs_reweighted: int = 0      # same ids, moved point's edges reweighed
     edges_changed: int = 0         # diff entries appended, churn..2*churn
     churn: int = 0                 # edges whose weight changed; a change
@@ -207,7 +181,7 @@ class DynamicGeoSpar:
         self._proj_scale = 1.0 / (2.0 * bound * (1.0 + 1e-9))
         self._h = {}
         self._diff = []
-        self._store = {}
+        self._store = {}          # sampled pair key -> PairSample
         self._before = {}         # H key -> its weight before the operation
         self._queued = ([], [])   # owner sample (None: whole), packed edge
         self._released = {}       # released H key -> raw weight, or None
@@ -216,9 +190,12 @@ class DynamicGeoSpar:
         self.pairs = wspd.compute_wspd(self.tree)
         tree, by_tok = self.tree, self.tree.by_tok
         for key in sorted(self.pairs.pairs):
-            self._store[key] = self._build_pair(
-                tree.subtree_ids(by_tok[key >> SHIFT]),
-                tree.subtree_ids(by_tok[key & MASK]))
+            a = tree.subtree_ids(by_tok[key >> SHIFT])
+            b = tree.subtree_ids(by_tok[key & MASK])
+            if 2 * self.sample_size(len(a), len(b)) <= len(a) * len(b):
+                self._store[key] = self._draw_pair(a, b)
+            else:
+                self._queue_edges(None, _cells(a, b))
         self._flush_queued()
         # H's edge count at set-up: |X||Y| per whole pair, s per sampled one
         self.sparsity_budget = len(self._h)
@@ -294,12 +271,12 @@ class DynamicGeoSpar:
         pair's edges also to its sample, at the sample's scale, in queue
         order, then zero the released edges no pair claimed.
 
-        The queue holds drawn and whole-pair edges, which are added, and
-        the moved point's edges in pairs whose ids did not change, which
-        are reweighed in place.  A queued edge that another pair released
-        and that does not pass through the moved point `pid` keeps the raw
-        weight it carried: its ends did not move.  Runs once at the end of
-        set-up and of each move.  No other pair of the operation claims a
+        The queue holds drawn edges and whole pairs' edges, which are
+        written to H, and the moved point's edges in samples whose ids did
+        not change, which are reweighed in place.  A queued edge that a
+        pair released and that does not pass through the moved point `pid`
+        keeps the raw weight it carried: its ends did not move.  Runs once
+        at the end of set-up and of each move.  No other pair of the operation claims a
         queued key, and no edit of its sample follows, so deferring the
         write changes neither a weight nor a sample's edge order.
         """
@@ -332,69 +309,53 @@ class DynamicGeoSpar:
         for key in released:
             self._set_edge(key, 0.0)
 
-    def _build_pair(self, a: list, b: list):
-        """The pair a x b built afresh: sampled iff its sample is at most
-        half its biclique, whole otherwise."""
+    def _draw_pair(self, a: list, b: list) -> PairSample:
+        """A fresh uniform sample of a x b, its drawn edges queued."""
         s = self.sample_size(len(a), len(b))
-        total = len(a) * len(b)
-        if 2 * s > total:
-            entry = WholePair(a, b)
-            self._queue_edges(None, entry.edges)
-        else:
-            entry = PairSample(a, b, total / s)
-            self._queue_edges(entry, sampling.draw_sample(a, b, s, self.rng))
+        entry = PairSample(a, b, len(a) * len(b) / s)
+        self._queue_edges(entry, sampling.draw_sample(a, b, s, self.rng))
         return entry
 
-    def _drop_pair(self, key):
-        """Release every edge of the pair under `key`, with its raw
-        weight."""
+    def _sample_pair(self, key, pid: int) -> PairSample:
+        """Sample the pair under `key`, which was whole or is new: its
+        cells, listed from the tree, leave H, and a fresh sample is drawn.
+        A cell's edge in H is released with its H weight, which a whole
+        pair's raw weight is; where a dropped sample releases it, before
+        or after, the sample's raw weight stands.  The moved point's edges
+        are settled with its others."""
+        tree, by_tok = self.tree, self.tree.by_tok
+        a = tree.subtree_ids(by_tok[key >> SHIFT])
+        b = tree.subtree_ids(by_tok[key & MASK])
+        h, released = self._h, self._released
+        for e in _cells(a, b, pid):
+            if e in h:
+                released.setdefault(e, h[e])
+        self._store[key] = entry = self._draw_pair(a, b)
+        return entry
+
+    def _drop_sample(self, key):
+        """Release every edge of the sample under `key`, with its raw
+        weight, and return the sample."""
         entry = self._store.pop(key)
-        if type(entry) is WholePair:
-            h = self._h
-            self._released.update([(e, h.get(e, 0.0)) for e in entry.edges])
-        else:
-            self._released.update(zip(entry.edges, entry.raw))
+        self._released.update(zip(entry.edges, entry.raw))
+        return entry
 
-    def _rekey_whole(self, keys: set, renames: dict, old_path: set,
-                     new_path: set, pid: int, report: UpdateReport) -> set:
-        """Move each dropped whole pair whose renamed key is added, and
-        which a fresh build would keep whole, to that key; return the keys
-        left to apply.
-
-        The two keys' sides hold the same ids apart from `pid`, so only the
-        moved point's slab changes, as in an extended pair: the departed
-        slab is released and the arriving one queued.  A rename can swap
-        the packed key's halves, and with them the entry's sides.
-        """
-        store, live, by_tok = self._store, self.pairs.pairs, self.tree.by_tok
-        done = set()
-        for key in keys:
-            if key in live:
-                continue
-            ta, tb = key >> SHIFT, key & MASK
-            if ta not in renames and tb not in renames:
-                continue
-            na, nb = renames.get(ta, ta), renames.get(tb, tb)
-            new_key = edge(na, nb)
-            if (new_key not in live or new_key in store
-                    or type(store[key]) is not WholePair):
-                continue
-            nx, ny = by_tok[na].count, by_tok[nb].count
-            if 2 * self.sample_size(nx, ny) <= nx * ny:
-                continue
-            entry = store.pop(key)
-            self._release(entry.release(pid, (ta in old_path,
-                                              tb in old_path)))
-            if new_key >> SHIFT != na:
-                entry.a, entry.b = entry.b, entry.a
-            new = (new_key >> SHIFT in new_path, new_key & MASK in new_path)
-            entry.join(pid, new)
-            self._queue_edges(None, entry.slab(pid, new))
-            store[new_key] = entry
-            done.update((key, new_key))
-            report.pairs_removed += 1
-            report.pairs_added += 1
-        return keys - done
+    def _settle_point(self, pid: int, held: list):
+        """Queue the moved point's edges in whole pairs and release those
+        in H that a sampled pair it arrived in now owns.  `held` lists the
+        other side of each sampled pair that holds `pid` after the move,
+        with whether `pid` arrived there; (pid, j) is whole unless j is on
+        one of those sides."""
+        skip = {pid}
+        h, gone = self._h, []
+        for other, arrived in held:
+            skip.update(other)
+            if arrived:
+                gone.extend([e for e in [edge(pid, j) for j in other]
+                             if e in h])
+        self._release(gone)
+        self._queue_edges(None, [edge(pid, j) for j in range(self.n)
+                                 if j not in skip])
 
     # -- update ---------------------------------------------------------------
 
@@ -412,79 +373,85 @@ class DynamicGeoSpar:
         diff_mark = len(self._diff)
         tree = self.tree
         old_path = {nd.tok for nd in tree.path_to_root(tree.point_index[i])}
-        keys, renames = wspd.find_modified_pairs(tree, self.pairs, i, q_new)
+        keys, fresh = wspd.find_modified_pairs(tree, self.pairs, i, q_new)
         new_path = {nd.tok for nd in tree.path_to_root(tree.point_index[i])}
         self.pset.points[i] = z
         report = UpdateReport(pairs_touched=len(keys))
-        # Re-keyed whole pairs go first; they draw nothing.  The other pairs
-        # go in key order, which fixes the order of RNG draws.  Every claim
-        # and every release of an edge waits for the flush, and a pair's
-        # direct H writes touch only its own edges, so releasing and
-        # applying each pair in turn leaves no edge to two owners.
-        # old/new: whether each side holds the moved point before/after the
-        # move; old is None for a pair new to the WSPD.
-        if renames:
-            keys = self._rekey_whole(keys, renames, old_path, new_path, i,
-                                     report)
+        # Pairs go in key order, which fixes the order of RNG draws.  Every
+        # claim and every release of an edge waits for the flush, and a
+        # pair's direct H writes touch only its own edges, so the pairs can
+        # go one at a time.  old/new: whether each side holds the moved
+        # point before/after the move; old is None for a new pair.
         store, live, by_tok = self._store, self.pairs.pairs, tree.by_tok
+        held, born, dropped = [], [], []
         for key in sorted(keys):
+            entry = store.get(key)
             if key not in live:
-                self._drop_pair(key)
+                if entry is not None:
+                    dropped.append(self._drop_sample(key))
                 report.pairs_removed += 1
                 continue
             ta, tb = key >> SHIFT, key & MASK
             new = (ta in new_path, tb in new_path)
-            old = (ta in old_path, tb in old_path) if key in store else None
-            if old is not None and old != new:
-                self._release(store[key].release(i, old))
-            self._apply_change(key, by_tok[ta], by_tok[tb], old, new, i,
-                               report)
+            old = None if key in fresh else (ta in old_path, tb in old_path)
+            if old == new:
+                # same ids, the moved point changed position: queue its
+                # sampled edges for the move's batched evaluation
+                if entry is not None:
+                    self._queue_edges(entry, entry.point_edges(i))
+                    if any(new):
+                        held.append((entry.b if new[0] else entry.a, False))
+                report.pairs_reweighted += 1
+                continue
+            a_node, b_node = by_tok[ta], by_tok[tb]
+            nx, ny = a_node.count, b_node.count
+            s, total = self.sample_size(nx, ny), nx * ny
+            if old is None:
+                report.pairs_added += 1
+                if 2 * s <= total:
+                    entry = self._sample_pair(key, i)
+                    born.append(entry)
+            elif entry is None:
+                # a whole pair stays whole while |X||Y| <= 4s
+                if total > 4 * s:
+                    entry = self._sample_pair(key, i)
+                    born.append(entry)
+                    report.pairs_rematerialized += 1
+                else:
+                    report.pairs_extended += 1
+            else:
+                self._release(entry.release(i, old))
+                # a sampled pair stays sampled while 4s <= 3|X||Y|
+                if 4 * s > 3 * total:
+                    dropped.append(self._drop_sample(key))
+                    entry = None
+                    report.pairs_rematerialized += 1
+                else:
+                    entry.join(i, new)
+                    self._resample_pair(entry, s, total, new, i)
+                    report.pairs_resampled += 1
+            if entry is not None and any(new):
+                held.append((entry.b if new[0] else entry.a, True))
+        self._settle_point(i, held)
+        if dropped:
+            # a dropped sample's cells are whole now, unless a born sample
+            # took them
+            taken = set()
+            for entry in born:
+                taken.update(_cells(entry.a, entry.b, i))
+            for entry in dropped:
+                cells = _cells(entry.a, entry.b, i)
+                self._queue_edges(None, [e for e in cells if e not in taken])
         self._flush_queued(i)
         report.churn = self._log_net_change()
         report.edges_changed = len(self._diff) - diff_mark
         return report
 
-    def _apply_change(self, key, a_node, b_node, old, new, pid: int,
-                      report: UpdateReport):
-        if old is None:
-            self._store[key] = self._build_pair(
-                self.tree.subtree_ids(a_node), self.tree.subtree_ids(b_node))
-            report.pairs_added += 1
-            return
-        entry = self._store[key]
-        if old == new:
-            # same id universe, the moved point changed position: queue its
-            # edges for the move's batched evaluation, which reweighs them
-            if type(entry) is WholePair:
-                self._queue_edges(None, entry.slab(pid, old))
-            else:
-                self._queue_edges(entry, entry.point_edges(pid))
-            report.pairs_reweighted += 1
-            return
-        self._resample_pair(key, entry, a_node.count, b_node.count, new, pid,
-                            report)
-
-    def _resample_pair(self, key, entry, nx: int, ny: int, new: tuple,
-                       pid: int, report: UpdateReport):
-        """A pair whose sides gained or lost the moved point, nx x ny after
-        the move; the departed point's edges are already released.  It is
-        extended, resampled, or rebuilt as the other kind."""
-        s, total = self.sample_size(nx, ny), nx * ny
-        whole = type(entry) is WholePair
-        # hysteresis: a whole pair stays whole while |X||Y| <= 4s and a
-        # sampled pair stays sampled while 4s <= 3|X||Y|
-        if (total > 4 * s) if whole else (4 * s > 3 * total):
-            self._drop_pair(key)
-            entry.join(pid, new)
-            self._store[key] = self._build_pair(entry.a, entry.b)
-            report.pairs_rematerialized += 1
-            return
-        entry.join(pid, new)
-        if whole:
-            # only the arriving point's slab is new
-            self._queue_edges(None, entry.slab(pid, new))
-            report.pairs_extended += 1
-            return
+    def _resample_pair(self, entry: PairSample, s: int, total: int,
+                       new: tuple, pid: int):
+        """Turn a kept sample whose sides gained or lost the moved point
+        into a uniform s-sample of its total cells; the departed point's
+        edges are already released."""
         evicted, added = sampling.resample(entry, pid, *new, s, self.rng)
         for e in evicted:
             self._set_edge(e, 0.0)
@@ -493,7 +460,6 @@ class DynamicGeoSpar:
             for e, raw in zip(entry.edges, entry.raw):
                 self._set_edge(e, raw * scale)
         self._queue_edges(entry, added)
-        report.pairs_resampled += 1
 
     # -- read-out interfaces ----------------------------------------------------
 
@@ -521,12 +487,18 @@ class DynamicGeoSpar:
 
     def fold_store(self) -> dict:
         """Recompute H from the pairs (consistency oracle): a sampled pair's
-        raw weights times its scale, and a whole pair's edges weighed anew
-        at the current points, in one kernel evaluation."""
+        raw weights times its scale, and every other live pair's cells,
+        listed from the tree, weighed anew at the current points in one
+        kernel evaluation."""
+        store, tree, by_tok = self._store, self.tree, self.tree.by_tok
+        if not store.keys() <= self.pairs.pairs:
+            raise AssertionError("a sample outlived its WSPD pair")
         edges, weights, whole = [], [], []
-        for entry in self._store.values():
-            if type(entry) is WholePair:
-                whole.extend(entry.edges)
+        for key in self.pairs.pairs:
+            entry = store.get(key)
+            if entry is None:
+                whole.extend(_cells(tree.subtree_ids(by_tok[key >> SHIFT]),
+                                    tree.subtree_ids(by_tok[key & MASK])))
             else:
                 edges.extend(entry.edges)
                 weights.extend([raw * entry.scale for raw in entry.raw])

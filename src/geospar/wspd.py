@@ -32,11 +32,10 @@ equality is the master oracle in the test suite.
 
 A move edits the generators' key sets, then commits its net change to the
 pair set and node index in one `WspdPairList.apply`: a key that moves
-between two generators stays.  It hands back pair keys and the token
-renames the mutation reports show (a node the move replaced, mapped to
-the node in its place).  The caller reads each side's node, point count
-and whether it holds the moved point from the tree, and whether a key is
-old or new from its own store and the pair set.
+between two generators stays.  It hands back the keys it may have
+changed and, among them, the keys new to the pair set.  The caller reads
+each side's node, point count and whether it holds the moved point from
+the tree.
 
 Hot-path keys are per-tree node tokens packed as `sampling.edge` packs
 two point ids (the smaller token in the high bits); canonical
@@ -318,21 +317,12 @@ def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
                         pid: int, new_vec) -> tuple:
     """Move point `pid` to `new_vec`; update tree and pair list in place.
 
-    Returns (keys, renames).  `keys` holds the keys of the pairs the move
+    Returns (keys, fresh).  `keys` holds the keys of the pairs the move
     may have changed: every pair removed or added (a key can be both, when
-    it moves between two generators), plus every surviving pair with a
-    side on the moved point's old or new root path.  Pairs re-emitted
-    verbatim with untouched content are not reported.
-
-    `renames` maps the token of each node the move replaced to the token
-    of the node that took its place, read off the two mutation reports.
-    A node the delete spliced out maps to its surviving child, and a child
-    the insert re-parented maps to the node the insert put above it; when
-    the insert splits the edge above the delete's survivor, the spliced
-    node maps on to that new node.  The two nodes of a rename hold the
-    same point ids apart from `pid`, so a pair dropped under the old token
-    may reappear under the new one with the same ids, give or take the
-    moved point.
+    it moves between two generators, and then it stays), plus every
+    surviving pair with a side on the moved point's old or new root path.
+    Pairs re-emitted verbatim with untouched content are not reported.
+    `fresh` is the subset of `keys` new to the pair set.
 
     The dirty set is the two root paths plus the nodes the delete and the
     insert re-parented; the nodes the insert created lie on the new path.
@@ -351,13 +341,8 @@ def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
             f"target location collides with point {hit.pid}")
 
     moved = {n.tok for n in tree.path_to_root(leaf)}
-    spliced = leaf.parent
     rep_d = tree.delete(pid)
     rep_i = tree.insert(pid, new_vec)
-    renames = {n.tok: n.parent.tok for n in rep_i.reparented}
-    if rep_d.case == "RemoveAndSplice":
-        (survivor,) = rep_d.reparented
-        renames[spliced.tok] = renames.get(survivor.tok, survivor.tok)
     moved.update(n.tok for n in tree.path_to_root(tree.point_index[pid]))
     # every node whose subtree or parent the move changed; below any other
     # node the recursion runs the same before and after
@@ -412,4 +397,4 @@ def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
     node_index = pl.node_index
     for t in moved:
         reported.update(node_index.get(t, ()))
-    return reported, renames
+    return reported, added - removed

@@ -17,6 +17,14 @@ class TestInit:
         assert ultra_k(1024) == 3  # round(sqrt(10)) = 3
         assert ultra_k(2) == 1
 
+    def test_k_capped_below_d(self):
+        # ultra_k reaches 4 at n >= 4871; the map must still lower d = 4
+        pts = np.random.default_rng(8).random((5000, 4))
+        assert ultra_k(5000) == 4
+        with pytest.warns(RuntimeWarning):  # d = 4 is far from log2 n
+            store = ujl_init(pts, 0.1, 0)
+        assert store.k == 3 and store.proj.shape == (5000, 3)
+
     def test_projections_consistent_bit_exact(self):
         store, pts, _ = make_store()
         for i in range(0, 256, 17):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -35,3 +36,12 @@ def test_sparse_probe_dense_without_spectral():
     assert rep["sampled_pairs"] == 0
     assert rep["fill_min"] is None and rep["fill_max"] is None
     assert rep["edge_ratio"] == 1.0 and rep["fold_exact"] is True
+
+
+def test_sparse_probe_exits_1_when_fold_differs(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("sparse_probe", PROBE)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    monkeypatch.setattr(mod, "probe", lambda *args: {"fold_exact": False})
+    assert mod.main(["--n", "64"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"fold_exact": False}

@@ -25,7 +25,6 @@ from geospar.sparsifier import (
     SCALE_BAND,
     DynamicGeoSpar,
     FullyDynamicSparsifier,
-    WholePair,
     adversarial_mode,
 )
 from test_sampling import pairs
@@ -51,14 +50,26 @@ def _dims(g, key):
 
 
 def _biggest(g):
-    """The stored pair with the largest biclique, as (key, entry)."""
-    key = max(g._store, key=lambda k: math.prod(_dims(g, k)))
-    return key, g._store[key]
+    """The live pair with the largest biclique, as (key, its sample or None
+    if it is whole)."""
+    key = max(g.pairs.pairs, key=lambda k: math.prod(_dims(g, k)))
+    return key, g._store.get(key)
 
 
-def _cells(entry):
-    """A whole pair's edges as (a-side id, b-side id), row by row."""
-    return [(i, j) for i in entry.a for j in entry.b]
+def _sides(g, key):
+    """A live pair's two sides' ids, listed from the tree."""
+    return [g.tree.subtree_ids(g.tree.by_tok[t]) for t in wspd.unpack(key)]
+
+
+def _cells(g, key):
+    """A live pair's cells as (a-side id, b-side id), row by row."""
+    a, b = _sides(g, key)
+    return [(i, j) for i in a for j in b]
+
+
+def _whole_keys(g):
+    """The live pairs kept whole: those the store holds no sample of."""
+    return g.pairs.pairs - g._store.keys()
 
 
 def apply_diff(edge_map, diff):
@@ -82,9 +93,8 @@ class TestInitialize:
         assert edge == (0, 1)
         assert w == gaussian_kernel().eval_sqdist(
             np.sum((ps.points[0] - ps.points[1]) ** 2))
-        (entry,) = g._store.values()
-        assert isinstance(entry, WholePair)
-        assert sorted(entry.a + entry.b) == [0, 1]
+        # the one pair is whole: a key with no stored sample
+        assert g._store == {} and len(g.pairs) == 1
 
     def test_fold_equals_h_exactly(self):
         g, _ = make_dgs(seed=1)
@@ -124,21 +134,22 @@ class TestInitialize:
         # pair list equals a fresh WSPD of the tree
         fresh = wspd.compute_wspd(g.tree)
         assert fresh.pairs == g.pairs.pairs
-        # every stored pair has a sample entry and vice versa
-        assert set(g._store) == set(g.pairs.pairs)
+        # every stored sample belongs to a live pair
+        assert g._store.keys() <= g.pairs.pairs
 
     def test_sample_size_formula(self):
         g, _ = make_dgs(seed=4)
-        for key, entry in g._store.items():
+        for key in g.pairs.pairs:
+            entry = g._store.get(key)
             nx, ny = _dims(g, key)
             s = g.sample_size(nx, ny)
             assert s == math.ceil(
                 g.c_s * g.eps ** -2 * g.n ** g.gamma
                 * (nx + ny) * math.log(nx + ny + 1))
-            assert (len(entry.a), len(entry.b)) == (nx, ny)
             # at set-up a pair is whole iff its sample would exceed half
             # its biclique
-            if isinstance(entry, PairSample):
+            if entry is not None:
+                assert (len(entry.a), len(entry.b)) == (nx, ny)
                 assert 2 * s <= nx * ny
                 assert len(entry) == s
                 assert entry.scale == nx * ny / s
@@ -150,8 +161,8 @@ class TestInitialize:
         # the budget is H's edge count at set-up: |X||Y| per whole pair and
         # s per sampled one
         assert g.edge_count == g.sparsity_budget == sum(
-            math.prod(_dims(g, k)) if isinstance(e, WholePair)
-            else g.sample_size(*_dims(g, k)) for k, e in g._store.items())
+            math.prod(_dims(g, k)) if k not in g._store
+            else g.sample_size(*_dims(g, k)) for k in g.pairs.pairs)
 
     def test_budget_fixture(self, calibration):
         cal = calibration["sparsifier"]
@@ -285,62 +296,100 @@ class _CountingKernel:
 
 
 class TestMovePaysForChange:
-    """A move weighs only the edges whose weight changed: an edge that
-    changes owner between two pairs carries its weight, and a dropped
-    whole pair whose renamed key is added moves there."""
+    """A move weighs and writes only the edges whose weight changed.  A
+    whole pair is its key alone, so an edge that changes owner between two
+    whole pairs is not touched, and an all-whole move lists no cells."""
 
-    def test_kernel_weighs_exactly_the_churn(self):
+    def test_kernel_weighs_exactly_the_churn(self, monkeypatch):
         g, rng = make_dgs(seed=41, n=128)
-        assert all(isinstance(e, WholePair) for e in g._store.values())
+        assert g._store == {}
         g.kernel = counted = _CountingKernel(g.kernel)
+        walks = []
+        real = quadtree.CompressedQuadTree.subtree_ids
+        monkeypatch.setattr(quadtree.CompressedQuadTree, "subtree_ids",
+                            lambda tree, node: walks.append(node)
+                            or real(tree, node))
         for _ in range(30):
             counted.edges = 0
             rep = g.update(int(rng.integers(0, g.n)), random_unit_move(rng))
             assert counted.edges == rep.churn == g.n - 1
             assert rep.pairs_added > 0
+            # no pair's cells are listed
+            assert walks == []
             g.get_diff()
         assert g.fold_store() == g.edge_map()
 
-    def test_renamed_whole_pair_keeps_its_entry(self, monkeypatch):
-        renames_seen = []
-        real = wspd.find_modified_pairs
+    def test_renamed_whole_pair_keeps_its_edges(self, monkeypatch):
+        # A rename maps a node the move replaced to the node in its place,
+        # read off the tree's mutation reports: a node the delete spliced
+        # out maps to its surviving child, and a child the insert
+        # re-parented to the new node above it.  A dropped pair whose
+        # renamed key is added holds the same cells apart from the moved
+        # point's, and none of those edges is touched.
+        reports = []
+        tree_cls = quadtree.CompressedQuadTree
+        real_delete, real_insert = tree_cls.delete, tree_cls.insert
 
-        def spy(*args):
-            keys, renames = real(*args)
-            renames_seen.append(renames)
-            return keys, renames
+        def delete(tree, pid):
+            spliced = tree.point_index[pid].parent
+            rep = real_delete(tree, pid)
+            renames = {}
+            if rep.case == "RemoveAndSplice":
+                (survivor,) = rep.reparented
+                renames[spliced.tok] = survivor.tok
+            reports.append(renames)
+            return rep
 
-        monkeypatch.setattr(wspd, "find_modified_pairs", spy)
+        def insert(tree, pid, vec):
+            rep = real_insert(tree, pid, vec)
+            above = {nd.tok: nd.parent.tok for nd in rep.reparented}
+            renames = reports.pop()
+            renames = {t: above.get(u, u) for t, u in renames.items()}
+            reports.append({**above, **renames})
+            return rep
+
         g, rng = make_dgs(seed=42, n=64)
+        monkeypatch.setattr(tree_cls, "delete", delete)
+        monkeypatch.setattr(tree_cls, "insert", insert)
         base, diffs = g.edge_map(), []
         kinds, swapped, moved = set(), 0, 0
         for _ in range(300):
-            before = dict(g._store)
-            g.update(int(rng.integers(0, g.n)), random_unit_move(rng))
-            diffs.extend(g.get_diff())
-            renames = renames_seen.pop()
             tree = g.tree
-            for key, entry in before.items():
+            assert g._store == {}
+            live = set(g.pairs.pairs)
+            ids = {t: set(tree.subtree_ids(nd))
+                   for t, nd in tree.by_tok.items()}
+            h = g.edge_map()
+            i = int(rng.integers(0, g.n))
+            g.update(i, random_unit_move(rng))
+            diff = g.get_diff()
+            diffs.extend(diff)
+            renames = reports.pop()
+            after = g.edge_map()
+            # an all-whole move logs the moved point's edges alone
+            assert all(i in (a, b) for a, b, _ in diff)
+            for key in live - g.pairs.pairs:
                 ta, tb = wspd.unpack(key)
                 na, nb = renames.get(ta, ta), renames.get(tb, tb)
                 new_key = edge(na, nb)
-                if (new_key == key or key in g._store or new_key in before
-                        or new_key not in g._store):
+                if (new_key == key or new_key in live
+                        or new_key not in g.pairs.pairs):
                     continue
-                # a dropped pair whose renamed key was added, kept whole
-                assert isinstance(g._store[new_key], WholePair)
-                assert g._store[new_key] is entry
-                a_node, b_node = (tree.by_tok[t]
-                                  for t in wspd.unpack(new_key))
-                assert set(entry.a) == set(tree.subtree_ids(a_node))
-                assert set(entry.b) == set(tree.subtree_ids(b_node))
+                # a dropped pair whose renamed key was added
+                a_ids, b_ids = (set(tree.subtree_ids(tree.by_tok[t]))
+                                for t in (na, nb))
+                assert a_ids - {i} == ids[ta] - {i}
+                assert b_ids - {i} == ids[tb] - {i}
+                assert all(h[e] == after[e] for e in (
+                    (x, y) if x < y else (y, x)
+                    for x in ids[ta] - {i} for y in ids[tb] - {i}))
                 # a renamed token still in the tree was re-parented by the
                 # insert; one that is gone was spliced out by the delete
                 kinds.update("split" if t in tree.by_tok else "splice"
                              for t in (ta, tb) if t in renames)
                 swapped += new_key >> SHIFT != na
                 moved += 1
-            assert g.fold_store() == g.edge_map()
+            assert g.fold_store() == after
             assert wspd.compute_wspd(tree).pairs == g.pairs.pairs
             if kinds == {"split", "splice"} and swapped and moved >= 20:
                 break
@@ -408,9 +457,9 @@ class TestFillRule:
         nx, ny = _dims(g, key)
         assert (nx, ny) == (100, 100)
         assert 0.6 < g.sample_size(nx, ny) / (nx * ny) < 0.65
-        assert isinstance(big, WholePair)
+        assert big is None
         # every pair is whole, so H is the kernel graph itself
-        assert all(isinstance(e, WholePair) for e in g._store.values())
+        assert g._store == {}
         assert g.edge_count == g.n * (g.n - 1) // 2
         chk = g.spectral_check()
         assert chk.passed
@@ -418,15 +467,15 @@ class TestFillRule:
         # hops between the clusters keep it whole: |X||Y| stays below 4s
         for i in (3, 150, 7):
             g.update(i, _near(rng, ps, 5.0 if i < 100 else 0.3))
-            assert g._store[key] is big
+            assert key in _whole_keys(g)
             _assert_point_index(g)
         assert g.edge_count == g.n * (g.n - 1) // 2
 
 
-def _near(rng, ps, center):
-    """A unit-frame point drawn around a raw-frame center (sigma 0.02)."""
+def _near(rng, ps, center, sigma=0.02):
+    """A unit-frame point drawn around a raw-frame center."""
     while True:
-        z = ps.transform_raw(rng.normal(0, 0.02, 4) + center)
+        z = ps.transform_raw(rng.normal(0, sigma, 4) + center)
         if np.all((z >= 0) & (z < 1)):
             return z
 
@@ -456,12 +505,11 @@ def _clustered_moves(seed, n, count):
 
 def _assert_scales_in_band(g):
     for key, entry in g._store.items():
-        if isinstance(entry, PairSample):
-            nx, ny = _dims(g, key)
-            assert len(entry) == g.sample_size(nx, ny)
-            assert 4 * len(entry) <= 3 * nx * ny
-            assert (abs(entry.scale * len(entry) / (nx * ny) - 1)
-                    <= SCALE_BAND * g.eps)
+        nx, ny = _dims(g, key)
+        assert len(entry) == g.sample_size(nx, ny)
+        assert 4 * len(entry) <= 3 * nx * ny
+        assert (abs(entry.scale * len(entry) / (nx * ny) - 1)
+                <= SCALE_BAND * g.eps)
 
 
 class TestHysteresis:
@@ -479,8 +527,7 @@ class TestHysteresis:
                                       12345, allow_large_eps=True, c_s=0.1)
         base = g.edge_count
         assert base < g.n * (g.n - 1) // 2
-        smallest = min(len(e) for e in g._store.values()
-                       if isinstance(e, PairSample))
+        smallest = min(len(e) for e in g._store.values())
         churn = []
         for _ in range(40):
             i = int(rng.integers(0, g.n))
@@ -540,9 +587,10 @@ class TestBatchedSlabs:
         edges from it after a move."""
         pts = g.pset.points
         h = g.edge_map()
-        for entry in g._store.values():
-            if isinstance(entry, WholePair):
-                cells = _cells(entry)
+        for key in g.pairs.pairs:
+            entry = g._store.get(key)
+            if entry is None:
+                cells = _cells(g, key)
                 raw = [h[(i, j) if i < j else (j, i)] for i, j in cells]
             else:
                 cells, raw = pairs(entry), entry.raw
@@ -610,7 +658,7 @@ class TestBatchedSlabs:
     def test_initialize_makes_one_vectorized_call(self):
         kernel, calls = self._counting_kernel(gaussian_kernel())
         g, _ = make_dgs(seed=33, kernel=kernel)
-        assert all(isinstance(e, WholePair) for e in g._store.values())
+        assert g._store == {}
         assert calls == [g.n * (g.n - 1) // 2]
 
     def test_each_operation_makes_at_most_one_call(self):
@@ -621,7 +669,7 @@ class TestBatchedSlabs:
         g = DynamicGeoSpar.initialize(ps, kernel, 0.5, 0.05, 3, 5,
                                       allow_large_eps=True, c_s=0.1)
         assert len(calls) == 1
-        assert any(isinstance(e, PairSample) for e in g._store.values())
+        assert g._store
         resampled = batched = 0
         for i, z in moves:
             del calls[:]
@@ -641,33 +689,46 @@ def _edges_by_point(edges):
 
 
 def _assert_point_index(g):
-    """Every pair's id lists hold exactly its two nodes' ids, once each; a
-    sampled pair holds s of its biclique's edges, at most three quarters
-    of them, and a per-point index equal to a scan of its edges.  The
-    store holds exactly the WSPD's pairs."""
-    assert set(g._store) == g.pairs.pairs
+    """Every sample's id lists hold exactly its two nodes' ids, once each;
+    it holds s of its biclique's edges, at most three quarters of them,
+    and a per-point index equal to a scan of its edges.  The store holds
+    samples of live pairs only."""
+    assert g._store.keys() <= g.pairs.pairs
     tree = g.tree
     for key, entry in g._store.items():
         a_node, b_node = (tree.by_tok[t] for t in wspd.unpack(key))
         for ids, node in ((entry.a, a_node), (entry.b, b_node)):
             assert len(ids) == len(set(ids)) == node.count
             assert set(ids) == set(tree.subtree_ids(node))
-        if isinstance(entry, PairSample):
-            nx, ny = a_node.count, b_node.count
-            assert len(entry) == g.sample_size(nx, ny)
-            assert 4 * len(entry) <= 3 * nx * ny
-            assert entry.by_point == _edges_by_point(entry.edges)
+        nx, ny = a_node.count, b_node.count
+        assert len(entry) == g.sample_size(nx, ny)
+        assert 4 * len(entry) <= 3 * nx * ny
+        assert entry.by_point == _edges_by_point(entry.edges)
     assert g.fold_store() == g.edge_map()
 
 
-def _side_of(entry, pid):
-    """0 if pid is on the a side of a whole pair, 1 if on the b side."""
-    return 0 if pid in entry.a else 1 if pid in entry.b else None
+def _assert_move_exact(g, before, rep):
+    """After a move: H equals a fold of the pairs, the pair list equals a
+    fresh WSPD of the tree, the move's log replays `before` (H before the
+    move) onto H bit for bit, and churn counts the edges whose weight
+    changed."""
+    after = g.edge_map()
+    assert g.fold_store() == after
+    assert wspd.compute_wspd(g.tree).pairs == g.pairs.pairs
+    assert apply_diff(before, g.get_diff()) == after
+    assert rep.churn == sum(before.get(e) != after.get(e)
+                            for e in before.keys() | after.keys())
+
+
+def _side_of(g, key, pid):
+    """0 if pid is on the a side of a live pair, 1 if on the b side."""
+    a, b = _sides(g, key)
+    return 0 if pid in a else 1 if pid in b else None
 
 
 class TestPointIndex:
-    """A whole pair keeps no per-point index: the moved point's edges there
-    are its slab against the other side's id list."""
+    """A whole pair keeps no per-point index, nor anything else: the moved
+    point's edges there are its edges to the pair's other side."""
 
     @pytest.mark.parametrize("inputs", ["uniform", "clustered"])
     def test_index_only_on_sampled_pairs(self, inputs):
@@ -679,7 +740,7 @@ class TestPointIndex:
             ps, moves = _clustered_moves(32, 200, 50)
             g = DynamicGeoSpar.initialize(ps, cauchy_kernel(), 0.5, 0.05, 3,
                                           5, allow_large_eps=True, c_s=0.1)
-            assert any(isinstance(e, PairSample) for e in g._store.values())
+            assert g._store
         _assert_point_index(g)
         for i, z in moves:
             rep = g.update(i, z)
@@ -699,17 +760,19 @@ class TestPointIndex:
         g = DynamicGeoSpar.initialize(ps, cauchy_kernel(), 0.5, 0.05, 3, 0,
                                       allow_large_eps=True, c_s=0.032)
         key, pair = _biggest(g)
-        assert isinstance(pair, WholePair)
+        assert pair is None
         center = raw[:4].mean(axis=0)
         turned = None
         for step, i in enumerate(range(4, 24)):
-            before = pair
+            before, h = pair, g.edge_map()
             rep = g.update(i, ps.transform_raw(
                 center + rng.normal(0, 1e-4, 4)))
-            pair = g._store[key]
-            if isinstance(before, WholePair) and isinstance(pair, PairSample):
+            _assert_move_exact(g, h, rep)
+            assert key in g.pairs.pairs
+            pair = g._store.get(key)
+            if before is None and pair is not None:
                 # the same key now holds a sample of the grown biclique,
-                # built afresh from the pair's lists
+                # drawn from its cells as the tree lists them
                 turned = step
                 assert rep.pairs_rematerialized >= 1
                 nx, ny = _dims(g, key)
@@ -738,19 +801,21 @@ class TestPointIndex:
         turned = None
         fills = []
         for i in range(10):
-            before = pair
+            before, h = pair, g.edge_map()
             rep = g.update(i, ps.transform_raw(
                 center + rng.normal(0, 1e-4, 4)))
-            pair = g._store[key]
+            _assert_move_exact(g, h, rep)
+            assert key in g.pairs.pairs
+            pair = g._store.get(key)
             nx, ny = _dims(g, key)
             fill = g.sample_size(nx, ny) / (nx * ny)
-            if isinstance(before, PairSample) and isinstance(pair, WholePair):
+            if before is not None and pair is None:
                 turned = i
                 assert rep.pairs_rematerialized >= 1
                 assert fill > 0.75
             else:
                 assert pair is before
-                if isinstance(pair, PairSample):
+                if pair is not None:
                     fills.append(fill)
             _assert_point_index(g)
         # it stayed sampled above half its biclique, then turned whole
@@ -762,16 +827,16 @@ class TestPointIndex:
         crossings = 0
         for _ in range(50):
             i = int(rng.integers(0, g.n))
-            whole = {key: (e, _side_of(e, i), _cells(e))
-                     for key, e in g._store.items()
-                     if isinstance(e, WholePair)}
+            whole = {key: (_side_of(g, key, i), _cells(g, key))
+                     for key in _whole_keys(g)}
             g.update(i, random_unit_move(rng))
             removed = {}
             for a, b, w in g.get_diff():
                 if w < 0:
                     removed[(a, b)] = removed.get((a, b), 0) + 1
-            for key, (e, before, cells) in whole.items():
-                after = _side_of(e, i) if g._store.get(key) is e else None
+            still = _whole_keys(g)
+            for key, (before, cells) in whole.items():
+                after = _side_of(g, key, i) if key in still else None
                 if before is None or after is None or after == before:
                     continue
                 crossings += 1
@@ -785,19 +850,79 @@ class TestPointIndex:
         assert crossings > 0
 
 
+def _mixed_moves(seed, n=96, count=30):
+    """Three loose clusters and moves that alternate at random between a
+    uniform target and one near a cluster: they reshape the tree's cluster
+    nodes, so sampled pairs are dropped and born."""
+    rng = np.random.default_rng(seed)
+    centers = rng.random((3, 4)) * 10
+    ps = normalize_points(centers[np.arange(n) % 3]
+                          + rng.normal(0, 0.3, (n, 4)))
+    moves = []
+    for _ in range(count):
+        i = int(rng.integers(0, n))
+        if rng.random() < 0.5:
+            moves.append((i, rng.random(4) * 0.9 + 0.05))
+        else:
+            moves.append((i, _near(rng, ps, centers[rng.integers(0, 3)],
+                                   sigma=0.3)))
+    return ps, moves
+
+
+class TestKindChanges:
+    """A whole pair is a key with no sample, so a move lists cells only
+    where a sampled pair is born or dropped: a dropped sample's cells pass
+    to new whole pairs, and a born sample takes the cells of dropped whole
+    pairs.  (The flips of kind in place are in TestPointIndex.)"""
+
+    @pytest.mark.parametrize("seed", [2, 4])
+    def test_born_and_dropped_samples_settle_exactly(self, seed):
+        ps, moves = _mixed_moves(seed)
+        g = DynamicGeoSpar.initialize(ps, cauchy_kernel(), 0.5, 0.05, 3,
+                                      seed, allow_large_eps=True, c_s=0.02)
+        seen = set()
+        for i, z in moves:
+            tree = g.tree
+            ids = {t: set(tree.subtree_ids(nd))
+                   for t, nd in tree.by_tok.items()}
+            live, sampled, h = set(g.pairs.pairs), set(g._store), g.edge_map()
+            rep = g.update(i, z)
+            _assert_move_exact(g, h, rep)
+            _assert_point_index(g)
+
+            def cells(tokens, key):
+                a, b = (tokens[t] - {i} for t in wspd.unpack(key))
+                return {edge(x, y) for x in a for y in b}
+
+            ids_now = {t: set(tree.subtree_ids(nd))
+                       for t, nd in tree.by_tok.items()}
+            gone = {k: cells(ids, k) for k in live - g.pairs.pairs}
+            new = {k: cells(ids_now, k) for k in g.pairs.pairs - live}
+            # the cells the move dropped are the cells it added
+            assert (set().union(*gone.values())
+                    == set().union(*new.values()))
+            for k, c in gone.items():
+                if k in sampled and any(c & new[m] for m in new
+                                        if m not in g._store):
+                    seen.add("sample to whole")
+            for k, c in new.items():
+                if k in g._store and any(c & gone[m] for m in gone
+                                         if m not in sampled):
+                    seen.add("whole to sample")
+        assert seen == {"sample to whole", "whole to sample"}
+
+
 class TestFlatStorage:
     """H and the samples keep no per-edge object the garbage collector
-    would track and scan: their keys are packed ints.  A whole pair keeps
-    nothing per edge, only its sides' ids, as ints."""
+    would track and scan: their keys are packed ints, and a sample's sides
+    are lists of ints.  A whole pair is its WSPD key alone."""
 
     @staticmethod
     def _assert_untracked(g):
         assert not gc.is_tracked(g._h)
         for e in g._store.values():
-            if isinstance(e, PairSample):
-                assert not gc.is_tracked(e.pos)
-            else:
-                assert all(type(pid) is int for pid in e.a + e.b)
+            assert not gc.is_tracked(e.pos)
+            assert all(type(pid) is int for pid in e.a + e.b)
         h = g.edge_map()
         assert all(i < j for i, j in h)
         assert h == g.fold_store()
@@ -814,7 +939,7 @@ class TestFlatStorage:
             ps, moves = _clustered_moves(32, 200, 30)
             g = DynamicGeoSpar.initialize(ps, cauchy_kernel(), 0.5, 0.05, 3,
                                           5, allow_large_eps=True, c_s=0.1)
-            assert any(isinstance(e, PairSample) for e in g._store.values())
+            assert g._store
         self._assert_untracked(g)
         for i, z in moves:
             g.update(i, z)

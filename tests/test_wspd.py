@@ -310,8 +310,9 @@ def test_dirty_rewalk_matches_full_runs(mutation_cases):
                 z = move_target(rng, pts, pid, k, center)
                 old_path = path_toks(tree, pid)
                 before = set(pl.pairs)
-                reported, _ = find_modified_pairs(tree, pl, pid, z)
+                reported, fresh = find_modified_pairs(tree, pl, pid, z)
                 pts[pid] = z
+                assert fresh == pl.pairs - before
                 assert_pair_list_matches_full_runs(tree, pl)
                 assert_reported_bounds(tree, pl, pid, old_path, before,
                                        reported, (k, clustered, step))
