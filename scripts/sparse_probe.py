@@ -14,11 +14,16 @@ centers, the points and the hops.  Prints one JSON object:
 - sampled_pairs: pairs held as samples after the hops;
 - fill_min, fill_max: the least and greatest share of its biclique a
   sampled pair holds, len(sample) / |X||Y| (null with no sampled pair);
-- fold_exact: whether H equals a fold of the pairs after the hops (the
-  exit code is 1 when it does not);
+- fold_exact: whether H equals a fold of the pairs after the hops;
+- peak_rss_mb: the process's peak resident memory (`resource.getrusage`),
+  in MB, after the hops and the checks;
 - spectral: with --spectral, the dense spectral check after the hops
   ({passed, min_eig, max_eig, eps}); null without.  It costs seconds at
   n = 1024 and grows as n^3.
+
+The exit code is 1 when fold_exact is false or fill_max exceeds 3/4, the
+fill the sparsifier's kind rule keeps every sample within so that the
+rejection loop stays short.
 
 Stdlib, numpy and geospar only.  Run from the repository root:
 
@@ -29,6 +34,7 @@ Stdlib, numpy and geospar only.  Run from the repository root:
 import argparse
 import itertools
 import json
+import resource
 import statistics
 import sys
 import time
@@ -44,6 +50,7 @@ import geospar as gs  # noqa: E402
 D = 4
 CLUSTERS = 8
 SIGMA = 0.02
+FILL_CAP = 0.75  # no sample may hold more of its biclique
 
 
 def near(rng, pset, center) -> np.ndarray:
@@ -100,6 +107,9 @@ def probe(n: int, c_s: float, hops: int, seed: int, spectral: bool) -> dict:
         "fill_max": round(max(fills), 4) if fills else None,
         "fold_exact": g.fold_store() == g.edge_map(),
         "spectral": check,
+        # ru_maxrss is in KB on Linux
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
 
 
@@ -117,7 +127,8 @@ def main(argv=None) -> int:
         ap.error(f"need --n >= {2 * CLUSTERS}, --hops >= 0 and --c-s > 0")
     rep = probe(args.n, args.c_s, args.hops, args.seed, args.spectral)
     print(json.dumps(rep))
-    return 0 if rep["fold_exact"] else 1
+    fill_ok = rep.get("fill_max") is None or rep["fill_max"] <= FILL_CAP
+    return 0 if rep["fold_exact"] and fill_ok else 1
 
 
 if __name__ == "__main__":

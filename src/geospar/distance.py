@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange
+from .errors import DimensionMismatch, check_index
 from .projection import UltraJlMap, make_ultra_jl
 
 
@@ -35,8 +35,7 @@ class UltraJlStore:
         self.proj = np.vstack([jl.project(p) for p in self.points])
 
     def update(self, i: int, z):
-        if not 0 <= i < self.n:
-            raise IndexOutOfRange(f"index {i} outside [0, {self.n})")
+        i = check_index(i, self.n)
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (self.d,):
             raise DimensionMismatch(f"expected dimension {self.d}")

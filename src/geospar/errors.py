@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the index check that
+raises one."""
+
+import operator
 
 
 class GeosparError(Exception):
@@ -55,3 +58,15 @@ class ConfigError(GeosparError):
 
 class TraceError(GeosparError):
     """Malformed trace or points file; message carries the line number."""
+
+
+def check_index(i, n: int) -> int:
+    """`i` as a Python int, if it is an integer (a numpy one included) in
+    [0, n); raises IndexOutOfRange otherwise, for a float too."""
+    try:
+        idx = operator.index(i)
+    except TypeError:
+        raise IndexOutOfRange(f"index {i!r} is not an integer") from None
+    if not 0 <= idx < n:
+        raise IndexOutOfRange(f"index {idx} outside [0, {n})")
+    return idx

@@ -208,13 +208,6 @@ class CompressedQuadTree:
                     f"points {seen[ikey]} and {pid} share a level-{MAX_LEVEL} cell")
             seen[ikey] = pid
             entries.append((pid, ikey, vec))
-        if len(entries) == 1:
-            pid, ikey, vec = entries[0]
-            leaf = _make_leaf(pid, ikey, vec)
-            tree.root = leaf
-            tree.point_index[pid] = leaf
-            tree._register(leaf)
-            return tree
         tree.root = tree._build_rec(entries)
         return tree
 

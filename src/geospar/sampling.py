@@ -11,15 +11,15 @@ on lists of their own.  All randomness flows through an explicit numpy
 Generator, so every draw is seed-reproducible.
 
 An edge is one packed int, ``edge(i, j)`` = min id << SHIFT | max id (ids
-below 2**32), the key the sparsifier's graph H uses too, so a sample
-holds no per-edge object: its edges and raw weights are flat arrays, and
-its edge index is a dict of ints, which the garbage collector never
-tracks.
+below 2**32), the key the sparsifier's graph H uses too.  A sample keeps
+its edges (int64) and their raw weights (float64) as two aligned numpy
+arrays and nothing per edge besides: a point's edges are one mask over
+the edge array, a build's cells are drawn in one call, and `resample`'s
+rejection loop tests membership against a sorted copy of the edges,
+made only when that loop runs.
 """
 
 from __future__ import annotations
-
-from array import array
 
 import numpy as np
 
@@ -32,101 +32,69 @@ def edge(i: int, j: int) -> int:
     return i << SHIFT | j if i < j else j << SHIFT | i
 
 
-class PairSample:
-    """Edge sample of one sampled biclique, indexed for O(churn) edits.
+def _packed(ia, ib) -> np.ndarray:
+    """The packed edges of id arrays ia and ib, element by element."""
+    return np.minimum(ia, ib) << SHIFT | np.maximum(ia, ib)
 
-    `edges` holds the packed edges and `raw` their raw kernel weights,
-    index for index; `pos` maps an edge to that index.  A discard moves the
-    last edge (and its weight) into the freed slot, so both arrays stay
-    dense and aligned.  `by_point` maps an id to the set of its edges, so
-    a move finds the moved point's edges without a scan.  `a` and `b` are
-    the id lists of the biclique's sides.
+
+class PairSample:
+    """Edge sample of one sampled biclique.
+
+    `a` and `b` are the id lists of the biclique's sides; `edges` holds
+    the packed edges and `raw` their raw kernel weights, index for index;
+    `scale` is the factor H applies to a raw weight.
 
     `sides`, below, is a pair of flags saying whether the a side or the b
     side holds a point; at most one does.
     """
 
-    __slots__ = ("a", "b", "edges", "pos", "raw", "by_point", "scale")
+    __slots__ = ("a", "b", "edges", "raw", "scale")
 
-    def __init__(self, a: list, b: list, scale: float):
+    def __init__(self, a: list, b: list, scale: float, edges=(), raw=()):
         self.a, self.b = a, b
-        self.edges = array("q")   # packed edges
-        self.raw = array("d")     # raw kernel weight of edges[idx]
-        self.pos = {}             # edge -> index in edges and raw
-        self.by_point = {}        # id -> set of edges
+        self.edges = np.array(edges, dtype=np.int64)
+        self.raw = np.array(raw, dtype=np.float64)
         self.scale = scale
 
     def __len__(self):
         return len(self.edges)
 
-    def __contains__(self, edge):
-        return edge in self.pos
+    def through(self, pid: int) -> np.ndarray:
+        """The mask of the edges through `pid`."""
+        edges = self.edges
+        return (edges >> SHIFT == pid) | (edges & MASK == pid)
 
-    def add(self, edge, raw_w):
-        self.pos[edge] = len(self.edges)
-        self.edges.append(edge)
-        self.raw.append(raw_w)
-        by_point = self.by_point
-        by_point.setdefault(edge >> SHIFT, set()).add(edge)
-        by_point.setdefault(edge & MASK, set()).add(edge)
-
-    def discard(self, edge):
-        idx = self.pos.pop(edge)
-        last = self.edges.pop()
-        last_w = self.raw.pop()
-        if last != edge:
-            self.edges[idx] = last
-            self.raw[idx] = last_w
-            self.pos[last] = idx
-        by_point = self.by_point
-        for endpoint in (edge >> SHIFT, edge & MASK):
-            bucket = by_point[endpoint]
-            bucket.discard(edge)
-            if not bucket:
-                del by_point[endpoint]
-
-    def pop_random(self, rng):
-        idx = int(rng.integers(0, len(self.edges)))
-        edge = self.edges[idx]
-        self.discard(edge)
-        return edge
-
-    def point_edges(self, pid):
-        """The edges through `pid`, ascending, so that what the caller does
-        with them in turn does not depend on set layout."""
-        return sorted(self.by_point.get(pid, ()))
+    def append(self, edges, raw):
+        """Append packed edges and their raw weights."""
+        self.edges = np.concatenate([self.edges, edges])
+        self.raw = np.concatenate([self.raw, raw])
 
     def join(self, pid: int, sides: tuple):
         """Append `pid` to its side."""
         if any(sides):
             (self.a if sides[0] else self.b).append(pid)
 
-    def release(self, pid: int, sides: tuple) -> list:
+    def release(self, pid: int, sides: tuple) -> np.ndarray:
         """Evict `pid`'s edges and remove it from its side; return the
         evicted edges."""
-        edges = self.point_edges(pid)
-        for e in edges:
-            self.discard(e)
+        through = self.through(pid)
+        evicted = self.edges[through]
+        self.edges, self.raw = self.edges[~through], self.raw[~through]
         if any(sides):
             (self.a if sides[0] else self.b).remove(pid)
-        return edges
+        return evicted
 
 
-def draw_sample(a: list, b: list, s: int, rng: np.random.Generator) -> list:
+def draw_sample(a: list, b: list, s: int,
+                rng: np.random.Generator) -> np.ndarray:
     """min(s, |a||b|) distinct uniform edges of a x b, packed, in ascending
-    order of their index ia * |b| + ib.
-
-    Rejection sampling: the sparsifier asks for at most half the biclique,
-    so the s edges take at most 2s expected draws.
-    """
+    order of their index ia * |b| + ib: one draw without replacement."""
     nb = len(b)
     total = len(a) * nb
-    if s >= total:
-        return [edge(i, j) for i in a for j in b]
-    picked = set()
-    while len(picked) < s:
-        picked.add(int(rng.integers(0, total)))
-    return [edge(a[idx // nb], b[idx % nb]) for idx in sorted(picked)]
+    idx = np.arange(total) if s >= total else np.sort(
+        rng.choice(total, s, replace=False, shuffle=False))
+    return _packed(np.asarray(a, dtype=np.int64)[idx // nb],
+                   np.asarray(b, dtype=np.int64)[idx % nb])
 
 
 def _draw_id(side: list, rng: np.random.Generator, exclude=None) -> int:
@@ -147,37 +115,42 @@ def resample(sample: PairSample, pid: int, in_a: bool, in_b: bool,
     biclique: the departed point's edges are already evicted.  s_out <=
     |A x B| is the output size.  The number x of fresh edges (those
     through an arriving point) is hypergeometric, as in a direct uniform
-    s_out-sample of A x B.  The old sample is cut to s_out - x by uniform
-    evictions, or topped up with uniform cells of the shared part.  The
-    sparsifier keeps s_out <= 3/4 |A x B|, so the draws' rejections of
-    cells already taken cost a constant factor.
+    s_out-sample of A x B, and they are drawn in one call.  The old sample
+    is cut to s_out - x by evicting a uniform subset in one draw, or
+    topped up with uniform cells of the shared part.  The sparsifier keeps
+    s_out <= 3/4 |A x B|, so the top-up loop's rejections of cells already
+    taken cost a constant factor.
 
     Evicted edges are removed from `sample`; added ones are not, since the
-    caller weighs them.  Returns (evicted, added), lists of packed edges,
+    caller weighs them.  Returns (evicted, added), arrays of packed edges,
     with the top-ups first in `added` and then the fresh edges.
     """
     a, b = sample.a, sample.b
     total = len(a) * len(b)
     fresh_count = len(b) if in_a else len(a) if in_b else 0
-    inter = total - fresh_count
-    x = int(rng.hypergeometric(fresh_count, inter, s_out))
-    fresh = []
-    seen = set()
-    while len(fresh) < x:
-        e = edge(pid, _draw_id(b if in_a else a, rng))
-        if e not in seen:
-            seen.add(e)
-            fresh.append(e)
+    x = int(rng.hypergeometric(fresh_count, total - fresh_count, s_out))
+    fresh = np.empty(0, dtype=np.int64)
+    if fresh_count:
+        other = np.asarray(b if in_a else a, dtype=np.int64)
+        fresh = _packed(pid, other[rng.choice(fresh_count, x, replace=False,
+                                              shuffle=False)])
     keep = s_out - x
-    evicted = []
-    while len(sample) > keep:
-        evicted.append(sample.pop_random(rng))
-    ex_a = pid if in_a else None
-    ex_b = pid if in_b else None
-    topups = []
-    while len(sample) + len(topups) < keep:
-        e = edge(_draw_id(a, rng, ex_a), _draw_id(b, rng, ex_b))
-        if e not in sample and e not in seen:
-            seen.add(e)
-            topups.append(e)
-    return evicted, topups + fresh
+    evicted = np.empty(0, dtype=np.int64)
+    if len(sample) > keep:
+        gone = rng.choice(len(sample), len(sample) - keep, replace=False,
+                          shuffle=False)
+        evicted = sample.edges[gone]
+        sample.edges = np.delete(sample.edges, gone)
+        sample.raw = np.delete(sample.raw, gone)
+    topups = {}                 # distinct, in draw order
+    if len(sample) < keep:
+        ex_a = pid if in_a else None
+        ex_b = pid if in_b else None
+        taken = np.sort(sample.edges)
+        while len(sample) + len(topups) < keep:
+            e = edge(_draw_id(a, rng, ex_a), _draw_id(b, rng, ex_b))
+            at = int(taken.searchsorted(e))
+            if at == len(taken) or taken[at] != e:
+                topups[e] = None
+    return evicted, np.concatenate(
+        [np.fromiter(topups, np.int64, len(topups)), fresh])

@@ -25,9 +25,9 @@ from scipy.linalg import lapack
 
 from .errors import (
     DimensionMismatch,
-    IndexOutOfRange,
     NumericalFailure,
     SingularMatrix,
+    check_index,
 )
 from .kernels import KernelFunction, PointSet, dense_laplacian
 from .projection import DEFAULT_C_SK, SketchMatrix, make_sketch_pair
@@ -75,12 +75,8 @@ def _diff_sketch(phi: SketchMatrix, psi: SketchMatrix, diff: list) -> np.ndarray
 
 def _checked(n: int, delta) -> list:
     """delta, [(index, value), ...], as (int, float) pairs; raises
-    IndexOutOfRange if an index lies outside [0, n)."""
-    out = [(int(idx), float(val)) for idx, val in delta]
-    for idx, _ in out:
-        if not 0 <= idx < n:
-            raise IndexOutOfRange(f"index {idx} outside [0, {n})")
-    return out
+    IndexOutOfRange if an index is not an integer in [0, n)."""
+    return [(check_index(idx, n), float(val)) for idx, val in delta]
 
 
 def _sparse_apply(mat: np.ndarray, delta: list) -> np.ndarray:

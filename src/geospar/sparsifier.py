@@ -15,7 +15,7 @@ A pair is sampled only where its sample is at most half its biclique: a
 new pair (at set-up or on a move) is sampled iff 2s <= |X||Y|.  A changed
 pair keeps its kind while it stays in that kind's band, so moves near the
 threshold do not flip it: a whole pair stays whole while |X||Y| <= 4s, and
-a sampled pair stays sampled while 4s <= 3|X||Y|, so every rejection loop
+a sampled pair stays sampled while 4s <= 3|X||Y|, so the rejection loop
 in `sampling` runs at a fill of at most 3/4.  The rule reads the sides'
 point counts off their tree nodes.  A sampled pair keeps its scale while
 that is within SCALE_BAND * eps (theta * eps) of the exact |X||Y|/s,
@@ -27,13 +27,20 @@ exact scales stays a ((1 + eps)(1 + theta*eps) - 1)-sparsifier.
 A whole pair is its WSPD key alone: the store holds only the sampled
 pairs, as `sampling.PairSample`s, and a live key the store does not hold
 is whole.  Its edges are its biclique's cells, with their raw kernel
-weights in H.  A sample keeps its two sides as id lists, its edges and
-their raw weights; H maps an unordered id pair to raw * scale.  The
-samples, the write queue and H all hold an edge as one packed int,
-`sampling.edge(i, j)` = min id << 32 | max id, as the WSPD keys do with
-tokens.  H and the samples' indexes are then dicts of ints and floats,
+weights in H.  A sample keeps its two sides as id lists, and its edges
+and their raw weights as two numpy arrays; H maps an unordered id pair
+to raw * scale.  H, the samples and the write queue all hold an edge as
+one packed int, `sampling.edge(i, j)` = min id << 32 | max id, as the
+WSPD keys do with tokens.  H is then a dict of Python ints and floats,
 which the garbage collector never tracks; `edge_map`, `fold_store`,
 `get_laplacian` and the diff log decode the keys to (i, j) with i < j.
+
+Set-up writes H in one batch, without the per-edge bookkeeping of a
+move: H is every edge of the complete graph, less the cells of the
+sampled pairs, plus each sample's raw * scale.  The kind rule reads the
+sides' point counts off their nodes, so only the sampled pairs list
+their ids, and one kernel evaluation weighs the whole edges and the
+drawn ones together.
 
 The WSPD covers every pair of points exactly once (Callahan and Kosaraju,
 JACM 1995), before a move and after it.  A pair the move keeps covers the
@@ -50,12 +57,14 @@ the whole pairs unless j is on the other side of a sampled pair that
 holds p after the move, and where p arrived in such a pair, its edges
 there leave H unless the pair draws them.  An all-whole move thus
 queues p's n - 1 edges and nothing else.  `fold_store` lists every
-whole pair's cells from the tree, an oracle independent of the moves.
+whole pair's cells from the tree, an oracle independent of the moves and
+of the batch set-up.
 
-Every edge a move claims goes through one queue: edges drawn by sampled
-builds and resamples, the moved point's edges in a sample that keeps its
-ids (reweights), p's edges in whole pairs and a dropped sample's cells.
-The queue is flushed once, at the end of set-up and of each move, and
+Every edge a move claims goes through one queue of blocks, one per
+owner: a whole pair's edges (the moved point's edges in whole pairs and a
+dropped sample's cells), a sample's new draws (builds and resamples), or
+the indices of the moved point's edges in a sample that keeps its ids
+(reweights).  The queue is flushed once, at the end of each move, and
 the flush writes each edge once, in queue order.  A queued edge that the
 move released and that does not pass through p keeps the raw weight it
 carried: its ends did not move, so its kernel value is the one it had.
@@ -97,8 +106,8 @@ from .config import RunConfig, adversarial_k
 from .errors import (
     DimensionMismatch,
     EmptyInput,
-    IndexOutOfRange,
     OutOfRegion,
+    check_index,
 )
 from .kernels import (
     KernelFunction,
@@ -114,6 +123,12 @@ from .sampling import MASK, SHIFT, PairSample, edge
 # theta: a sampled pair keeps its scale while that is within SCALE_BAND * eps
 # of the exact |X||Y|/s, relative
 SCALE_BAND = 0.1
+
+
+def _concat(blocks) -> np.ndarray:
+    """The packed edges of queued blocks, in order, as one int64 array."""
+    return np.concatenate([np.asarray(edges, dtype=np.int64)
+                           for _, edges, _ in blocks])
 
 
 def _cells(a: list, b: list, pid: int = -1) -> list:
@@ -179,27 +194,36 @@ class DynamicGeoSpar:
         bound = float(np.abs(self.jl.matrix).sum(axis=1).max())
         self._proj_off = bound
         self._proj_scale = 1.0 / (2.0 * bound * (1.0 + 1e-9))
+        self._size_c = c_s * eps ** -2 * self.n ** self.gamma
         self._h = {}
         self._diff = []
         self._store = {}          # sampled pair key -> PairSample
-        self._before = {}         # H key -> its weight before the operation
-        self._queued = ([], [])   # owner sample (None: whole), packed edge
-        self._released = {}       # released H key -> raw weight, or None
+        self._before = {}         # H key -> its weight before the move
+        self._queued = []         # blocks (sample or None, edges, indices)
+        self._released = {}       # released H key -> raw weight, or NaN
         proj = {i: self._project_unit(pset.points[i]) for i in range(self.n)}
         self.tree = CompressedQuadTree.build(proj, k)
         self.pairs = wspd.compute_wspd(self.tree)
+        # H is the complete graph, less the sampled pairs' cells, plus the
+        # samples; only the sampled pairs list their ids
         tree, by_tok = self.tree, self.tree.by_tok
+        whole = np.triu(np.ones((self.n, self.n), dtype=bool), 1)
         for key in sorted(self.pairs.pairs):
-            a = tree.subtree_ids(by_tok[key >> SHIFT])
-            b = tree.subtree_ids(by_tok[key & MASK])
-            if 2 * self.sample_size(len(a), len(b)) <= len(a) * len(b):
+            a_node, b_node = by_tok[key >> SHIFT], by_tok[key & MASK]
+            nx, ny = a_node.count, b_node.count
+            if 2 * self.sample_size(nx, ny) <= nx * ny:
+                a, b = tree.subtree_ids(a_node), tree.subtree_ids(b_node)
+                whole[np.ix_(a, b)] = whole[np.ix_(b, a)] = False
                 self._store[key] = self._draw_pair(a, b)
-            else:
-                self._queue_edges(None, _cells(a, b))
-        self._flush_queued()
+        ia, ib = np.nonzero(whole)
+        blocks = [(None, ia << SHIFT | ib, None)] + self._queued
+        self._queued = []
+        packed = _concat(blocks)
+        ws = self._weights(packed >> SHIFT, packed & MASK)
+        for keys, w in self._settled(blocks, packed, ws):
+            self._h.update(zip(keys, w))
         # H's edge count at set-up: |X||Y| per whole pair, s per sampled one
         self.sparsity_budget = len(self._h)
-        self._before = {}
         return self
 
     # -- projection ---------------------------------------------------------
@@ -211,8 +235,7 @@ class DynamicGeoSpar:
 
     def sample_size(self, nx: int, ny: int) -> int:
         """ceil(c_s * eps^-2 * n^gamma * (nx+ny) * ln(nx+ny+1))."""
-        return math.ceil(self.c_s * self.eps ** -2 * self.n ** self.gamma
-                         * (nx + ny) * math.log(nx + ny + 1))
+        return math.ceil(self._size_c * (nx + ny) * math.log(nx + ny + 1))
 
     # -- H / diff primitives --------------------------------------------------
 
@@ -229,7 +252,7 @@ class DynamicGeoSpar:
 
     def _log_net_change(self) -> int:
         """Append (i, j, -old) then (i, j, +new) for each edge whose weight
-        the operation changed, and return their count."""
+        the move changed, and return their count."""
         before, self._before = self._before, {}
         h, diff = self._h, self._diff
         changed = 0
@@ -251,63 +274,62 @@ class DynamicGeoSpar:
         d2 = np.sum((pts[ids_a] - pts[ids_b]) ** 2, axis=1)
         return self.kernel.eval_sqdist(d2)
 
-    def _queue_edges(self, entry: Optional[PairSample], edges: list):
-        """Queue packed edges of `entry`, in order; `entry` is None for a
-        whole pair, whose weights only H holds.  Ints and owner references
-        only: the queue allocates no objects for the garbage collector to
-        track."""
-        owners, queued = self._queued
-        owners.extend([entry] * len(edges))
-        queued.extend(edges)
+    def _queue_edges(self, entry: Optional[PairSample], edges, idx=None):
+        """Queue one block of packed edges, in order: a whole pair's
+        (`entry` None), whose weights only H holds, a sample's new draws,
+        or, with `idx`, the sample's edges at those indices, reweighed."""
+        self._queued.append((entry, edges, idx))
 
     def _release(self, edges):
         """Release edges through the moved point: the flush weighs them
         if a pair claims them and zeroes them if none does."""
-        self._released.update(dict.fromkeys(edges))
+        self._released.update(dict.fromkeys(edges, math.nan))
 
-    def _flush_queued(self, pid: Optional[int] = None):
-        """Settle the operation's edges: weigh every queued edge that needs
-        it with one kernel evaluation, write the queue to H, and a sampled
-        pair's edges also to its sample, at the sample's scale, in queue
-        order, then zero the released edges no pair claimed.
+    def _flush_queued(self, pid: int):
+        """Settle the move's edges: weigh every queued edge that needs it
+        with one kernel evaluation, write the queue to H, block by block in
+        queue order, a sample's block at the sample's scale and also to
+        the sample, then zero the released edges no pair claimed.
 
         The queue holds drawn edges and whole pairs' edges, which are
         written to H, and the moved point's edges in samples whose ids did
         not change, which are reweighed in place.  A queued edge that a
         pair released and that does not pass through the moved point `pid`
         keeps the raw weight it carried: its ends did not move.  Runs once
-        at the end of set-up and of each move.  No other pair of the operation claims a
-        queued key, and no edit of its sample follows, so deferring the
-        write changes neither a weight nor a sample's edge order.
+        at the end of each move.  No other pair of the move claims a queued
+        key, and no edit of its sample follows, so deferring the write
+        changes neither a weight nor a sample's edge order.
         """
-        owners, edges = self._queued
-        released = self._released
-        if not owners and not released:
-            return
-        self._queued = ([], [])
-        if not released:
-            packed = np.array(edges, dtype=np.int64)
-            ws = self._weights(packed >> SHIFT, packed & MASK).tolist()
-        else:
-            self._released = {}
-            ws = [released.pop(e, None) for e in edges]
-            weigh = [x for x, raw in enumerate(ws) if raw is None
-                     or edges[x] >> SHIFT == pid or edges[x] & MASK == pid]
-            packed = np.array([edges[x] for x in weigh], dtype=np.int64)
-            fresh = self._weights(packed >> SHIFT, packed & MASK).tolist()
-            for x, w in zip(weigh, fresh):
-                ws[x] = w
-        for entry, key, w in zip(owners, edges, ws):
-            if entry is not None:
-                idx = entry.pos.get(key)
-                if idx is None:
-                    entry.add(key, w)
-                else:            # reweighted: the sample keeps its order
-                    entry.raw[idx] = w
-                w *= entry.scale
-            self._set_edge(key, w)
+        blocks, released = self._queued, self._released
+        self._queued, self._released = [], {}
+        packed = _concat(blocks)
+        ws = np.array([released.pop(e, math.nan) for e in packed.tolist()])
+        ia, ib = packed >> SHIFT, packed & MASK
+        weigh = np.isnan(ws) | (ia == pid) | (ib == pid)
+        ws[weigh] = self._weights(ia[weigh], ib[weigh])
+        for keys, w in self._settled(blocks, packed, ws):
+            for key, x in zip(keys, w):
+                self._set_edge(key, x)
         for key in released:
             self._set_edge(key, 0.0)
+
+    @staticmethod
+    def _settled(blocks, packed, ws):
+        """Each block's H keys and weights, its raw weights `ws` times its
+        sample's scale; a sample's block also goes to the sample: new
+        draws are appended, reweighed indices are written in place."""
+        at = 0
+        for entry, edges, idx in blocks:
+            end = at + len(edges)
+            w = ws[at:end]
+            if entry is not None:
+                if idx is None:
+                    entry.append(edges, w)
+                else:            # reweighted: the sample keeps its order
+                    entry.raw[idx] = w
+                w = w * entry.scale
+            yield packed[at:end].tolist(), w.tolist()
+            at = end
 
     def _draw_pair(self, a: list, b: list) -> PairSample:
         """A fresh uniform sample of a x b, its drawn edges queued."""
@@ -337,7 +359,7 @@ class DynamicGeoSpar:
         """Release every edge of the sample under `key`, with its raw
         weight, and return the sample."""
         entry = self._store.pop(key)
-        self._released.update(zip(entry.edges, entry.raw))
+        self._released.update(zip(entry.edges.tolist(), entry.raw.tolist()))
         return entry
 
     def _settle_point(self, pid: int, held: list):
@@ -361,8 +383,7 @@ class DynamicGeoSpar:
 
     def update(self, i: int, z) -> UpdateReport:
         """Move point i to z (coordinates in the unit frame [0,1)^d)."""
-        if not 0 <= i < self.n:
-            raise IndexOutOfRange(f"index {i} outside [0, {self.n})")
+        i = check_index(i, self.n)
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (self.pset.dim,):
             raise DimensionMismatch(
@@ -398,7 +419,8 @@ class DynamicGeoSpar:
                 # same ids, the moved point changed position: queue its
                 # sampled edges for the move's batched evaluation
                 if entry is not None:
-                    self._queue_edges(entry, entry.point_edges(i))
+                    idx = np.flatnonzero(entry.through(i))
+                    self._queue_edges(entry, entry.edges[idx], idx)
                     if any(new):
                         held.append((entry.b if new[0] else entry.a, False))
                 report.pairs_reweighted += 1
@@ -420,7 +442,7 @@ class DynamicGeoSpar:
                 else:
                     report.pairs_extended += 1
             else:
-                self._release(entry.release(i, old))
+                self._release(entry.release(i, old).tolist())
                 # a sampled pair stays sampled while 4s <= 3|X||Y|
                 if 4 * s > 3 * total:
                     dropped.append(self._drop_sample(key))
@@ -453,12 +475,12 @@ class DynamicGeoSpar:
         into a uniform s-sample of its total cells; the departed point's
         edges are already released."""
         evicted, added = sampling.resample(entry, pid, *new, s, self.rng)
-        for e in evicted:
+        for e in evicted.tolist():
             self._set_edge(e, 0.0)
         if abs(entry.scale * s / total - 1.0) > SCALE_BAND * self.eps:
             scale = entry.scale = total / s
-            for e, raw in zip(entry.edges, entry.raw):
-                self._set_edge(e, raw * scale)
+            for e, w in zip(entry.edges.tolist(), (entry.raw * scale).tolist()):
+                self._set_edge(e, w)
         self._queue_edges(entry, added)
 
     # -- read-out interfaces ----------------------------------------------------
@@ -500,8 +522,8 @@ class DynamicGeoSpar:
                 whole.extend(_cells(tree.subtree_ids(by_tok[key >> SHIFT]),
                                     tree.subtree_ids(by_tok[key & MASK])))
             else:
-                edges.extend(entry.edges)
-                weights.extend([raw * entry.scale for raw in entry.raw])
+                edges.extend(entry.edges.tolist())
+                weights.extend((entry.raw * entry.scale).tolist())
         packed = np.array(whole, dtype=np.int64)
         edges.extend(whole)
         weights.extend(self._weights(packed >> SHIFT, packed & MASK).tolist())

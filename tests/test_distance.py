@@ -57,8 +57,12 @@ class TestUpdate:
 
     def test_index_out_of_range(self):
         store, _, _ = make_store()
-        with pytest.raises(IndexOutOfRange):
-            store.update(999, np.zeros(8))
+        before = store.points.copy(), store.proj.copy()
+        for bad in (999, -1, 3.0):
+            with pytest.raises(IndexOutOfRange):
+                store.update(bad, np.zeros(8))
+        assert np.array_equal(store.points, before[0])
+        assert np.array_equal(store.proj, before[1])
 
     def test_dimension_mismatch(self):
         store, _, _ = make_store()

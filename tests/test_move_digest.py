@@ -3,26 +3,26 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "move_digest.py"
 PINNED = ROOT / "tests" / "fixtures" / "move_digests.json"
 
 
-def _digest():
+@pytest.mark.parametrize(
+    "workload", ["uniform-moves", "clustered-drift", "sketch-serve"])
+def test_move_digest_is_reproducible(workload):
+    # the pinned digest, written by scripts/make_goldens.py: a change to
+    # any move's edge map, diff log or report fails here, and a run that
+    # matches it is reproducible
     out = subprocess.run(
-        [sys.executable, str(SCRIPT), "--workload", "clustered-drift"],
+        [sys.executable, str(SCRIPT), "--workload", workload],
         check=True, capture_output=True, text=True, timeout=300).stdout
     (line,) = out.splitlines()
-    return json.loads(line)
-
-
-def test_move_digest_is_reproducible():
-    first, second = _digest(), _digest()
-    assert first["workload"] == "clustered-drift" and first["seed"] == 7
-    assert first["moves"] > 0
-    assert len(first["digest"]) == len(first["shape"]) == 64
-    assert first["shape"] != first["digest"]
-    assert first == second
-    # the pinned digest, written by scripts/make_goldens.py: a change to
-    # any move's edge map, diff log or report fails here
-    assert first == json.loads(PINNED.read_text())["clustered-drift"]
+    run = json.loads(line)
+    assert run["workload"] == workload and run["seed"] == 7
+    assert run["moves"] > 0
+    assert len(run["digest"]) == len(run["shape"]) == 64
+    assert run["shape"] != run["digest"]
+    assert run == json.loads(PINNED.read_text())[workload]

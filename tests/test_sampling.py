@@ -31,10 +31,8 @@ def rand_sample(a, b, s, rng):
     """Uniform min(s, |A||B|)-edge sample of A x B, as the sparsifier
     builds a sampled pair."""
     a, b = sorted(a), sorted(b)
-    out = PairSample(a, b, 1.0)
-    for edge in draw_sample(a, b, s, rng):
-        out.add(edge, 1.0)
-    return out
+    edges = draw_sample(a, b, s, rng)
+    return PairSample(a, b, 1.0, edges, np.ones(len(edges)))
 
 
 def resample_fast(sample, a, b, a2, b2, s, rng):
@@ -51,8 +49,7 @@ def resample_fast(sample, a, b, a2, b2, s, rng):
         sample.join(pid, sides)
         s_out = min(s, len(sample.a) * len(sample.b))
         _, added = resample(sample, pid, *sides, s_out, rng)
-        for edge in added:
-            sample.add(edge, 1.0)
+        sample.append(added, np.ones(len(added)))
     return len(before.symmetric_difference(pairs(sample)))
 
 
@@ -164,7 +161,7 @@ class TestResampleFast:
             out = rand_sample(a, b, 4, rng)
             resample_fast(out, a, b, a2, b, 4, rng)
             for i, j in counts:
-                counts[(i, j)] += i << SHIFT | j in out
+                counts[(i, j)] += i << SHIFT | j in out.edges
         p = 4 / 6
         sd = (trials * p * (1 - p)) ** 0.5
         for e, c in counts.items():

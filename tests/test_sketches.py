@@ -90,7 +90,7 @@ class TestMultiply:
                          0.5, 0.05, 3, 6, allow_large_eps=True)
         v, b, mz, sz = mul.v.copy(), sol.b.copy(), mul.query(), sol.query()
         for update in (mul.update_v, sol.update_b):
-            for bad in (-1, 48):
+            for bad in (-1, 48, 2.7):
                 with pytest.raises(IndexOutOfRange):
                     update([(3, 1.0), (bad, 1.0)])
         assert np.array_equal(mul.v, v) and np.array_equal(sol.b, b)

@@ -26,6 +26,7 @@ def test_sparse_probe_smoke():
     assert 0.0 < rep["edge_ratio"] < 1.0
     assert rep["fold_exact"] is True
     assert rep["spectral"]["passed"] is True
+    assert rep["peak_rss_mb"] > 0.0
 
 
 def test_sparse_probe_dense_without_spectral():
@@ -38,10 +39,23 @@ def test_sparse_probe_dense_without_spectral():
     assert rep["edge_ratio"] == 1.0 and rep["fold_exact"] is True
 
 
-def test_sparse_probe_exits_1_when_fold_differs(monkeypatch, capsys):
+def _module():
     spec = importlib.util.spec_from_file_location("sparse_probe", PROBE)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
+    return mod
+
+
+def test_sparse_probe_exits_1_when_fold_differs(monkeypatch, capsys):
+    mod = _module()
     monkeypatch.setattr(mod, "probe", lambda *args: {"fold_exact": False})
     assert mod.main(["--n", "64"]) == 1
     assert json.loads(capsys.readouterr().out) == {"fold_exact": False}
+
+
+def test_sparse_probe_exits_1_past_three_quarters_fill(monkeypatch):
+    mod = _module()
+    for fill_max, code in ((None, 0), (0.75, 0), (0.7501, 1)):
+        monkeypatch.setattr(mod, "probe", lambda *args: {
+            "fold_exact": True, "fill_max": fill_max})
+        assert mod.main(["--n", "64"]) == code

@@ -217,7 +217,8 @@ class TestUpdate:
         bad = [(DuplicatePoint, 0, g.pset.points[1]),
                (OutOfRegion, 0, np.full(4, 1.5)),
                (DimensionMismatch, 0, np.full(3, 0.5)),
-               (IndexOutOfRange, g.n, np.full(4, 0.5))]
+               (IndexOutOfRange, g.n, np.full(4, 0.5)),
+               (IndexOutOfRange, 3.0, np.full(4, 0.5))]
         for err, i, z in bad:
             with pytest.raises(err):
                 g.update(i, z.copy())
@@ -680,19 +681,11 @@ class TestBatchedSlabs:
         assert resampled > 0 and batched > 0
 
 
-def _edges_by_point(edges):
-    index = {}
-    for edge in edges:
-        for endpoint in (edge >> SHIFT, edge & MASK):
-            index.setdefault(endpoint, set()).add(edge)
-    return index
-
-
 def _assert_point_index(g):
     """Every sample's id lists hold exactly its two nodes' ids, once each;
-    it holds s of its biclique's edges, at most three quarters of them,
-    and a per-point index equal to a scan of its edges.  The store holds
-    samples of live pairs only."""
+    it holds s distinct cells of its biclique, at most three quarters of
+    them, each with one raw weight.  The store holds samples of live pairs
+    only."""
     assert g._store.keys() <= g.pairs.pairs
     tree = g.tree
     for key, entry in g._store.items():
@@ -703,7 +696,9 @@ def _assert_point_index(g):
         nx, ny = a_node.count, b_node.count
         assert len(entry) == g.sample_size(nx, ny)
         assert 4 * len(entry) <= 3 * nx * ny
-        assert entry.by_point == _edges_by_point(entry.edges)
+        edges = entry.edges.tolist()
+        assert len(set(edges)) == len(edges) == len(entry.raw)
+        assert set(edges) <= {edge(i, j) for i in entry.a for j in entry.b}
     assert g.fold_store() == g.edge_map()
 
 
@@ -914,14 +909,20 @@ class TestKindChanges:
 
 class TestFlatStorage:
     """H and the samples keep no per-edge object the garbage collector
-    would track and scan: their keys are packed ints, and a sample's sides
-    are lists of ints.  A whole pair is its WSPD key alone."""
+    would track and scan: H's keys are packed Python ints, a sample's edges
+    and raw weights are two numpy arrays, and its sides are lists of ints.
+    A whole pair is its WSPD key alone.  The diff log holds Python ints."""
 
     @staticmethod
     def _assert_untracked(g):
         assert not gc.is_tracked(g._h)
+        assert all(type(k) is int and type(w) is float
+                   for k, w in g._h.items())
+        assert all(type(i) is int and type(j) is int and type(w) is float
+                   for i, j, w in g.get_diff())
         for e in g._store.values():
-            assert not gc.is_tracked(e.pos)
+            assert isinstance(e.edges, np.ndarray) and e.edges.dtype == np.int64
+            assert isinstance(e.raw, np.ndarray) and e.raw.dtype == np.float64
             assert all(type(pid) is int for pid in e.a + e.b)
         h = g.edge_map()
         assert all(i < j for i, j in h)
@@ -942,7 +943,8 @@ class TestFlatStorage:
             assert g._store
         self._assert_untracked(g)
         for i, z in moves:
-            g.update(i, z)
+            # a numpy index is stored as a Python int
+            g.update(np.int64(i), z)
             self._assert_untracked(g)
 
 
