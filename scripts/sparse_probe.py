@@ -15,8 +15,10 @@ centers, the points and the hops.  Prints one JSON object:
 - fill_min, fill_max: the least and greatest share of its biclique a
   sampled pair holds, len(sample) / |X||Y| (null with no sampled pair);
 - fold_exact: whether H equals a fold of the pairs after the hops;
-- peak_rss_mb: the process's peak resident memory (`resource.getrusage`),
-  in MB, after the hops and the checks;
+- setup_rss_mb: the process's peak resident memory
+  (`resource.getrusage`), in MB, right after the set-up;
+- peak_rss_mb: the same after the hops, read before the checks, whose
+  own dicts and dense matrices would otherwise count;
 - spectral: with --spectral, the dense spectral check after the hops
   ({passed, min_eig, max_eig, eps}); null without.  It costs seconds at
   n = 1024 and grows as n^3.
@@ -82,11 +84,17 @@ def build(pset, c_s: float) -> gs.DynamicGeoSpar:
                                         allow_large_eps=True)
 
 
+def _peak_rss_mb() -> float:
+    # ru_maxrss is in KB on Linux
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
 def probe(n: int, c_s: float, hops: int, seed: int, spectral: bool) -> dict:
     pset, stream = clusters(n, seed)
     t0 = time.perf_counter()
     g = build(pset, c_s)
     setup_s = time.perf_counter() - t0
+    setup_rss_mb = _peak_rss_mb()
     g.get_diff()
     hop_s, churn = [], 0
     for i, z in itertools.islice(stream, hops):
@@ -94,6 +102,7 @@ def probe(n: int, c_s: float, hops: int, seed: int, spectral: bool) -> dict:
         churn += g.update(i, z).churn
         g.get_diff()
         hop_s.append(time.perf_counter() - t1)
+    peak_rss_mb = _peak_rss_mb()
     fills = [len(e) / (len(e.a) * len(e.b)) for e in g._store.values()]
     check = g.spectral_check().as_dict() if spectral else None
     return {
@@ -107,9 +116,8 @@ def probe(n: int, c_s: float, hops: int, seed: int, spectral: bool) -> dict:
         "fill_max": round(max(fills), 4) if fills else None,
         "fold_exact": g.fold_store() == g.edge_map(),
         "spectral": check,
-        # ru_maxrss is in KB on Linux
-        "peak_rss_mb": round(
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "setup_rss_mb": setup_rss_mb,
+        "peak_rss_mb": peak_rss_mb,
     }
 
 

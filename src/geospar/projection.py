@@ -65,7 +65,9 @@ def sketch_rows(n: int, eps: float, delta: float, c_sk: float = DEFAULT_C_SK) ->
 def _sketch_from_seedseq(n: int, m: int, ss: np.random.SeedSequence) -> SketchMatrix:
     rng = np.random.Generator(np.random.PCG64(ss))
     mat = rng.standard_normal((m, n)) / math.sqrt(m)
-    return SketchMatrix(mat, m, n)
+    # column-major, so the per-edge and per-entry column gathers of the
+    # sketch folds read contiguous memory
+    return SketchMatrix(np.asfortranarray(mat), m, n)
 
 
 def make_sketch_pair(n: int, eps: float, delta: float, seed: int,

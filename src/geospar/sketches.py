@@ -6,9 +6,10 @@ sparsifier's sparse diff after every graph update.  The sparsifier logs
 only edges whose weight changed (owner migration between WSPD pairs never
 reaches the log), each as -old then +new; the log is summed per edge
 first, so each changed edge becomes one rank-1 term.  The solve side keeps
-L~^-1 explicitly, from one LU factorization per update, and falls back to
-an SVD pseudoinverse when L~ is singular or ill-conditioned (always so
-once m >= n, since rank L_H <= n - 1).  The incremental state must match
+the LU factors of L~, from one factorization per update, and answers with
+triangular solves; it falls back to an SVD pseudoinverse when L~ is
+singular or ill-conditioned (always so once m >= n, since
+rank L_H <= n - 1).  The incremental state must match
 a from-scratch recompute exactly up to float accumulation; accuracy
 against the *exact* graph is audited unsketched with dense oracles,
 because the eps guarantees are statements about L_H, not about the
@@ -18,6 +19,7 @@ sketched image.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -34,13 +36,13 @@ from .projection import DEFAULT_C_SK, SketchMatrix, make_sketch_pair
 from .sparsifier import DynamicGeoSpar
 
 PINV_RCOND = 1e-10
-# L~ is inverted by LU only while LAPACK's 1-norm reciprocal condition
-# estimate (gecon) is at least this.  The estimate of ||L~^-1||_1 is a
-# lower bound that is rarely low by more than a factor of 10, so above the
-# constant cond_1 < 1e7 and cond_2 <= m * cond_1 < 1e10 for any m < 1000:
-# pinv(rcond=PINV_RCOND) then cuts no singular value and is the exact
-# inverse too.  Each computed inverse is within about cond_1 * 1.1e-16 <
-# 1e-8 of it (relative), two orders inside the 1e-6 sketch audit.
+# L~ is solved through its LU factors only while LAPACK's 1-norm reciprocal
+# condition estimate (gecon) is at least this.  The estimate of ||L~^-1||_1
+# is a lower bound that is rarely low by more than a factor of 10, so above
+# the constant cond_1 < 1e7 and cond_2 <= m * cond_1 < 1e10 for any
+# m < 1000: pinv(rcond=PINV_RCOND) then cuts no singular value and is the
+# exact inverse too.  Each computed solve is within about cond_1 * 1.1e-16
+# < 1e-8 of it (relative), two orders inside the 1e-6 sketch audit.
 # Sketches with m < n sit near cond_1 ~ 1e4, far above the cut.
 LU_MIN_RCOND = 1e-6
 
@@ -51,11 +53,12 @@ def _net_edges(diff: list, n: int):
     Merges each edge's -old and +new, and its entries from several moves,
     into one term; an edge whose sum is exactly 0.0 contributes none.
     """
-    ii = np.fromiter((e[0] for e in diff), dtype=np.int64, count=len(diff))
-    jj = np.fromiter((e[1] for e in diff), dtype=np.int64, count=len(diff))
-    ww = np.fromiter((e[2] for e in diff), dtype=np.float64, count=len(diff))
+    log = np.fromiter(chain.from_iterable(diff), dtype=np.float64,
+                      count=3 * len(diff)).reshape(-1, 3)
+    ii = log[:, 0].astype(np.int64)
+    jj = log[:, 1].astype(np.int64)
     keys, inverse = np.unique(ii * n + jj, return_inverse=True)
-    net = np.bincount(inverse, weights=ww)
+    net = np.bincount(inverse, weights=log[:, 2])
     live = net != 0.0
     ii, jj = np.divmod(keys[live], n)
     return ii, jj, net[live]
@@ -141,12 +144,13 @@ class MultiplyState:
 class SolveState:
     """Maintains z~ = pinv(L~) b~, a sketch of L_H^+ b.
 
-    ``lt_pinv`` holds pinv(L~) explicitly, so a right-hand-side update is
-    one matvec.  Every graph update folds its diff into L~ and inverts L~
-    again from one LU factorization (LAPACK getrf + getri); when L~ is
-    singular or its condition estimate is below ``LU_MIN_RCOND`` the SVD
-    pseudoinverse is used instead.  ``scratch_recompute`` always takes
-    the SVD pseudoinverse, so it stays an independent check.
+    Every graph update folds its diff into L~ and factors L~ again (LAPACK
+    getrf); ``_solve`` then applies pinv(L~) by two triangular solves
+    (getrs), both for the refreshed z~ and for each right-hand-side update.
+    When L~ is singular or its condition estimate is below
+    ``LU_MIN_RCOND``, ``_solve`` is a matvec with the SVD pseudoinverse
+    instead.  ``scratch_recompute`` always takes the SVD pseudoinverse, so
+    it stays an independent check.
     """
 
     def __init__(self, dgs: DynamicGeoSpar, phi, psi, b):
@@ -155,9 +159,9 @@ class SolveState:
         self.psi = psi
         self.b = np.array(b, dtype=np.float64)
         self.lt = phi.matrix @ dgs.get_laplacian() @ psi.matrix.T
-        self.lt_pinv = _inverse(self.lt)
+        self._solve = _solver(self.lt)
         self.bt = phi.apply(self.b)
-        self.zt = self.lt_pinv @ self.bt
+        self.zt = self._solve(self.bt)
 
     @property
     def m(self) -> int:
@@ -169,8 +173,8 @@ class SolveState:
 
     def apply_graph_diff(self, diff: list):
         self.lt = self.lt + _diff_sketch(self.phi, self.psi, diff)
-        self.lt_pinv = _inverse(self.lt)
-        self.zt = self.lt_pinv @ self.bt
+        self._solve = _solver(self.lt)
+        self.zt = self._solve(self.bt)
 
     def update_b(self, delta):
         """Add the sparse vector delta, [(index, value), ...], to b."""
@@ -178,7 +182,7 @@ class SolveState:
         dbt = _sparse_apply(self.phi.matrix, delta)
         self.b = self.b + _densify(self.dgs.n, delta)
         self.bt = self.bt + dbt
-        self.zt = self.zt + self.lt_pinv @ dbt
+        self.zt = self.zt + self._solve(dbt)
 
     def query(self) -> np.ndarray:
         return self.zt.copy()
@@ -189,19 +193,20 @@ class SolveState:
         return lt, bt, np.linalg.pinv(lt, rcond=PINV_RCOND) @ bt
 
 
-def _inverse(mat: np.ndarray) -> np.ndarray:
-    """pinv(mat): the LU inverse when mat is well conditioned, else the SVD
-    pseudoinverse with cutoff ``PINV_RCOND``."""
+def _solver(mat: np.ndarray):
+    """x -> pinv(mat) @ x: LU solves when mat is well conditioned, else a
+    matvec with the SVD pseudoinverse with cutoff ``PINV_RCOND``."""
     lu, piv, info = lapack.dgetrf(mat)
     if info == 0:  # info > 0: a zero pivot, mat is singular
         anorm = np.abs(mat).sum(axis=0).max()
         rcond, _ = lapack.dgecon(lu, anorm, norm="1")
         if rcond >= LU_MIN_RCOND:  # False for a NaN estimate too
-            return lapack.dgetri(lu, piv)[0]
+            return lambda x: lapack.dgetrs(lu, piv, x)[0]
     try:
-        return np.linalg.pinv(mat, rcond=PINV_RCOND)
+        pinv = np.linalg.pinv(mat, rcond=PINV_RCOND)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"pseudoinverse failed: {exc}") from exc
+    return lambda x: pinv @ x
 
 
 def _make_states(pset: PointSet, kernel: KernelFunction, eps, delta, k, seed,

@@ -565,11 +565,17 @@ class FullyDynamicSparsifier:
         return int(ss.generate_state(1)[0])
 
     def update(self, i: int, z) -> UpdateReport:
-        rebuilt = False
-        if self.updates_since_rebuild >= self.budget:
+        """Move point i to z, rebuilding first when the budget is spent.
+        A rejected move undoes that rebuild: it changes nothing."""
+        before = self.inner, self.rebuild_count, self.updates_since_rebuild
+        rebuilt = self.updates_since_rebuild >= self.budget
+        if rebuilt:
             self.rebuild()
-            rebuilt = True
-        report = self.inner.update(i, z)
+        try:
+            report = self.inner.update(i, z)
+        except BaseException:
+            self.inner, self.rebuild_count, self.updates_since_rebuild = before
+            raise
         self.updates_since_rebuild += 1
         report.rebuilt = rebuilt
         return report

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -126,3 +127,14 @@ class TestSketchPair:
         a2, b2 = make_sketch_pair(20, 0.5, 0.05, 77)
         assert np.array_equal(a1.matrix, a2.matrix)
         assert np.array_equal(b1.matrix, b2.matrix)
+
+    def test_column_major_and_bit_equal_to_row_major_draw(self):
+        n, eps, delta, seed = 40, 0.5, 0.05, 13
+        m = sketch_rows(n, eps, delta)
+        for sk, ss in zip(make_sketch_pair(n, eps, delta, seed),
+                          np.random.SeedSequence(seed).spawn(2)):
+            rng = np.random.Generator(np.random.PCG64(ss))
+            expect = rng.standard_normal((m, n)) / math.sqrt(m)
+            assert expect.flags.c_contiguous
+            assert sk.matrix.flags.f_contiguous and sk.matrix.shape == (m, n)
+            assert np.array_equal(sk.matrix, expect)

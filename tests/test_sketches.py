@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from geospar import sketches
 from geospar.errors import IndexOutOfRange
 from geospar.kernels import (dense_laplacian, gaussian_kernel,
                              laplacian_from_edges, normalize_points)
-from geospar.sketches import (PINV_RCOND, _diff_sketch, _inverse, _net_edges,
+from geospar.sketches import (PINV_RCOND, _diff_sketch, _net_edges, _solver,
                               approximation_audit, multiply_init, solve_init)
 
 
@@ -140,7 +141,7 @@ class TestSolve:
         ps, rng = make_pset(seed=10)
         st = solve_init(ps, gaussian_kernel(), rng.standard_normal(48),
                         0.5, 0.05, 3, 10, allow_large_eps=True)
-        lhs = st.lt @ st.lt_pinv @ st.lt
+        lhs = st.lt @ st._solve(np.eye(st.m)) @ st.lt
         assert np.linalg.norm(lhs - st.lt) <= 1e-8 * np.linalg.norm(st.lt)
 
     def test_init_matches_dense_path(self):
@@ -239,6 +240,43 @@ class TestPerEdgeFold:
         assert relerr(batched.query(), zt) < 1e-7
 
 
+def fromiter_net_edges(diff, n):
+    """Reference for _net_edges: the same per-edge sums, with the log
+    parsed one column at a time."""
+    ii = np.fromiter((e[0] for e in diff), dtype=np.int64, count=len(diff))
+    jj = np.fromiter((e[1] for e in diff), dtype=np.int64, count=len(diff))
+    ww = np.fromiter((e[2] for e in diff), dtype=np.float64, count=len(diff))
+    keys, inverse = np.unique(ii * n + jj, return_inverse=True)
+    net = np.bincount(inverse, weights=ww)
+    live = net != 0.0
+    ii, jj = np.divmod(keys[live], n)
+    return ii, jj, net[live]
+
+
+class TestNetEdges:
+    def test_array_parse_matches_generator_parse(self):
+        ps, rng = make_pset(seed=23)
+        st = multiply_init(ps, gaussian_kernel(), rng.standard_normal(48),
+                           0.5, 0.05, 3, 23, allow_large_eps=True)
+        st.dgs.get_diff()
+        concat = []
+        for _ in range(4):
+            st.dgs.update(int(rng.integers(0, 48)), random_move(rng))
+            concat += st.dgs.get_diff()
+        # an edge that leaves and rejoins H between moves nets exactly 0
+        (a, b), w = next((e, w) for e, w in st.dgs.edge_map().items()
+                         if e not in {(i, j) for i, j, _ in concat})
+        half = len(concat) // 2
+        concat = concat[:half] + [(a, b, -w)] + concat[half:] + [(a, b, w)]
+        got, expect = _net_edges(concat, 48), fromiter_net_edges(concat, 48)
+        assert len(expect[0]) > 0
+        assert (a, b) not in set(zip(expect[0].tolist(), expect[1].tolist()))
+        for g, e in zip(got, expect):
+            assert g.dtype == e.dtype and np.array_equal(g, e)
+        empty = _net_edges([], 48)
+        assert [len(x) for x in empty] == [0, 0, 0]
+
+
 class TestInverse:
     def test_invertible_sketch_takes_lu_and_tracks_scratch(self, monkeypatch):
         ps, rng = make_pset(n=256, seed=19)
@@ -264,7 +302,7 @@ class TestInverse:
                 _, _, zt = st.scratch_recompute()
                 svd_calls.clear()
                 assert relerr(st.query(), zt) < 1e-6
-        a, x = st.lt, st.lt_pinv
+        a, x = st.lt, st._solve(np.eye(st.m))
         na, nx = np.linalg.norm(a), np.linalg.norm(x)
         assert np.linalg.norm(a @ x @ a - a) <= 1e-10 * na
         assert np.linalg.norm(x @ a @ x - x) <= 1e-10 * nx
@@ -277,8 +315,29 @@ class TestInverse:
                         0.5, 0.05, 3, 20, allow_large_eps=True)
         assert st.m == 110  # m > n: rank L~ <= n - 1
         expect = np.linalg.pinv(st.lt, rcond=PINV_RCOND)
-        assert np.array_equal(_inverse(st.lt), expect)
-        assert np.array_equal(st.lt_pinv, expect)
+        for x in (rng.standard_normal(st.m), np.eye(st.m)):
+            assert np.array_equal(_solver(st.lt)(x), expect @ x)
+            assert np.array_equal(st._solve(x), expect @ x)
+
+    def test_refresh_solves_from_lu_factors_without_an_inverse(self,
+                                                               monkeypatch):
+        ps, rng = make_pset(n=256, seed=22)
+        st = solve_init(ps, gaussian_kernel(), rng.standard_normal(256),
+                        0.5, 0.05, 3, 22, allow_large_eps=True)
+        called = []
+
+        class Spy:
+            def __getattr__(self, name):
+                called.append(name)
+                return getattr(lapack, name)
+
+        monkeypatch.setattr(sketches, "lapack", Spy())
+        st.update_g(5, random_move(rng))
+        st.update_b([(9, 1.5)])
+        assert "dgetri" not in called
+        assert {"dgetrf", "dgecon", "dgetrs"} <= set(called)
+        _, _, zt = st.scratch_recompute()
+        assert relerr(st.query(), zt) < 1e-6
 
     def test_scratch_recompute_is_an_independent_svd(self, monkeypatch):
         ps, rng = make_pset(n=256, seed=21)
@@ -295,7 +354,7 @@ class TestInverse:
             raise AssertionError("the oracle must not use the LU helper")
 
         monkeypatch.setattr(np.linalg, "pinv", spy)
-        monkeypatch.setattr(sketches, "_inverse", forbidden)
+        monkeypatch.setattr(sketches, "_solver", forbidden)
         lt, bt, zt = st.scratch_recompute()
         assert seen == [{"rcond": PINV_RCOND}]
         assert np.array_equal(zt, real_pinv(lt, rcond=PINV_RCOND) @ bt)

@@ -26,7 +26,7 @@ def test_sparse_probe_smoke():
     assert 0.0 < rep["edge_ratio"] < 1.0
     assert rep["fold_exact"] is True
     assert rep["spectral"]["passed"] is True
-    assert rep["peak_rss_mb"] > 0.0
+    assert 0.0 < rep["setup_rss_mb"] <= rep["peak_rss_mb"]
 
 
 def test_sparse_probe_dense_without_spectral():
@@ -37,6 +37,7 @@ def test_sparse_probe_dense_without_spectral():
     assert rep["sampled_pairs"] == 0
     assert rep["fill_min"] is None and rep["fill_max"] is None
     assert rep["edge_ratio"] == 1.0 and rep["fold_exact"] is True
+    assert 0.0 < rep["setup_rss_mb"] <= rep["peak_rss_mb"]
 
 
 def _module():

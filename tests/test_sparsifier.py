@@ -214,12 +214,15 @@ class TestUpdate:
         g, _ = make_dgs(seed=15)
         state = (g.tree.dump(), g.edge_map(), set(g.pairs.pairs),
                  g.pset.points.copy())
-        bad = [(DuplicatePoint, 0, g.pset.points[1]),
-               (OutOfRegion, 0, np.full(4, 1.5)),
-               (DimensionMismatch, 0, np.full(3, 0.5)),
-               (IndexOutOfRange, g.n, np.full(4, 0.5)),
-               (IndexOutOfRange, 3.0, np.full(4, 0.5))]
-        for err, i, z in bad:
+
+        def bad(s):
+            return [(DuplicatePoint, 0, s.pset.points[1]),
+                    (OutOfRegion, 0, np.full(4, 1.5)),
+                    (DimensionMismatch, 0, np.full(3, 0.5)),
+                    (IndexOutOfRange, s.n, np.full(4, 0.5)),
+                    (IndexOutOfRange, 3.0, np.full(4, 0.5))]
+
+        for err, i, z in bad(g):
             with pytest.raises(err):
                 g.update(i, z.copy())
             assert g.tree.dump() == state[0]
@@ -227,6 +230,23 @@ class TestUpdate:
             assert set(g.pairs.pairs) == state[2]
             assert np.array_equal(g.pset.points, state[3])
             assert g.get_diff() == []
+        # the wrapper with its rebuild due: a rejected move must not rebuild
+        rng = np.random.default_rng(15)
+        w = FullyDynamicSparsifier(normalize_points(rng.random((32, 4)) * 10),
+                                   gaussian_kernel(), 0.5, 0.05, 3, 15,
+                                   rebuild_budget=1, allow_large_eps=True)
+        w.update(0, random_unit_move(rng))
+        inner, edges = w.inner, w.inner.edge_map()
+        points = w.inner.pset.points.copy()
+        for err, i, z in bad(w.inner):
+            with pytest.raises(err):
+                w.update(i, z.copy())
+            assert w.inner is inner
+            assert (w.rebuild_count, w.updates_since_rebuild) == (0, 1)
+            assert w.inner.edge_map() == edges
+            assert np.array_equal(w.inner.pset.points, points)
+        w.update(1, random_unit_move(rng))  # a valid move still rebuilds
+        assert (w.rebuild_count, w.updates_since_rebuild) == (1, 1)
 
     def test_wspd_oracle_after_updates(self):
         g, rng = make_dgs(seed=12, n=80)
