@@ -15,6 +15,12 @@ and H's edge count, after set-up and after every move.  It survives a
 change of which cells a sample holds (and so of the weights and the log),
 as long as every pair takes the same path and holds as many edges.
 
+A third digest, `maps`, covers what a caller of the sparsifier sees and
+nothing of how the pairs are kept: the edge map after set-up and then,
+per move, the sorted get_diff() log and the edge map, with no
+UpdateReport field.  It survives a change of the WSPD's pair counters,
+as long as every move writes the same weights.
+
 The order of entries within one move's log is not part of the contract:
 the log holds, per changed edge, -old then +new.  So the log is hashed
 after a stable sort by (i, j), which keeps each edge's -old before its
@@ -60,8 +66,9 @@ def digest(name: str, seed: int) -> dict:
     wl = WORKLOADS[name]
     inputs = wl.generate(seed, OPS[name])
     g = wl._sparsifier(inputs)
-    h, shape = hashlib.sha256(), hashlib.sha256()
+    h, shape, maps = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     hash_edge_map(h, g)
+    hash_edge_map(maps, g)
     shape.update(repr(g.edge_count).encode())
     moves = 0
     for op in inputs.ops:
@@ -73,12 +80,15 @@ def digest(name: str, seed: int) -> dict:
         diff = sorted(g.get_diff(), key=lambda e: (e[0], e[1]))
         h.update(repr(diff).encode())
         hash_edge_map(h, g)
+        maps.update(repr(diff).encode())
+        hash_edge_map(maps, g)
         path = {k: v for k, v in dataclasses.asdict(rep).items()
                 if k not in SHAPE_SKIP}
         shape.update(repr((path, g.edge_count)).encode())
         moves += 1
     return {"workload": name, "seed": seed, "moves": moves,
-            "digest": h.hexdigest(), "shape": shape.hexdigest()}
+            "digest": h.hexdigest(), "shape": shape.hexdigest(),
+            "maps": maps.hexdigest()}
 
 
 def main(argv=None) -> int:

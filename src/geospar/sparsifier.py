@@ -1,15 +1,15 @@
 """The dynamic geometric spectral sparsifier.
 
 Pipeline: project the points to k dimensions, build a compressed quad tree
-and a 2-WSPD over the projections, view every well-separated pair as a
-biclique in the original d-dimensional space, and keep a uniform edge
-sample per biclique, scaled by |X||Y|/s (a biclique of fewer than 2s
-cells is kept whole, unscaled).  A point move re-runs only the affected
-WSPD generators and converts each touched sampled pair's old sample into
-a fresh uniform one with `sampling.resample` (a hypergeometric count of
-edges through the arriving point), so the sparsifier changes by few
-edges.  All draws go through `sampling`; this module weighs the drawn
-edges and logs the net change.
+and a 2-WSPD over the projections, stopped where no pair can be sampled,
+view every pair as a biclique in the original d-dimensional space, and
+keep a uniform edge sample per biclique, scaled by |X||Y|/s (a biclique
+of fewer than 2s cells is kept whole, unscaled).  A point move re-runs
+only the affected WSPD generators and converts each touched sampled
+pair's old sample into a fresh uniform one with `sampling.resample` (a
+hypergeometric count of edges through the arriving point), so the
+sparsifier changes by few edges.  All draws go through `sampling`; this
+module weighs the drawn edges and logs the net change.
 
 A pair is sampled only where its sample is at most half its biclique: a
 new pair (at set-up or on a move) is sampled iff 2s <= |X||Y|.  A changed
@@ -23,6 +23,26 @@ relative; only when the band is left is the whole sample rewritten at the
 exact scale.  Each pair's Laplacian is then its exactly scaled sample's
 times a factor in [1 - theta*eps, 1 + theta*eps], so an eps-sparsifier at
 exact scales stays a ((1 + eps)(1 + theta*eps) - 1)-sparsifier.
+
+So no pair with a side of fewer than t points can be sampled, where t is
+the least side count m of any pair (m, M), m + M <= n, that meets the
+loosest band, 4s <= 3mM (n + 1 if none does; `_least_sampled_side`).
+The WSPD is built with min_side t: a recursion call with a side below t
+is kept as one stop key, a block of cells that are all whole, and is not
+split further.  A stop key need not be well separated; its side counts
+fail every band, so the sparsifier sees it as a whole pair, and with the
+pairs it still covers every cell once.  Sides only shrink down the
+recursion, so every pair with both sides of t points or more is the
+full WSPD's pair, under the same key.  A key that emerges on a move when
+a side reaches t points is new to the pair set, so it takes the new-pair
+rule, 2s <= |X||Y|; the full WSPD would have held it already as a whole
+pair, and kept it whole up to 4s.  Both rules give a valid sparsifier,
+and here they agree.  The side that reached t holds exactly t points,
+and t - 1 points fail the loosest band with any partner: for |Y| = M,
+the pair (t - 1, M + 1) gives 4s > 3(t - 1)(M + 1), which is at least
+2tM once t >= 3.  So 2s > tM, and the new key is whole.  (A node that
+reaches t <= 2 points is new, since a leaf never gains a point, so no
+key emerges there.)
 
 A whole pair is its WSPD key alone: the store holds only the sampled
 pairs, as `sampling.PairSample`s, and a live key the store does not hold
@@ -141,6 +161,7 @@ class UpdateReport:
     """Per-update accounting, used by replay reports and churn tests.
 
     Every touched pair is counted in exactly one of the six pair counters.
+    A pair here is a key of the WSPD's pair set, a stop key included.
     """
 
     pairs_touched: int = 0         # WSPD pairs added, removed or changed
@@ -203,7 +224,8 @@ class DynamicGeoSpar:
         self._released = {}       # released H key -> raw weight, or NaN
         proj = {i: self._project_unit(pset.points[i]) for i in range(self.n)}
         self.tree = CompressedQuadTree.build(proj, k)
-        self.pairs = wspd.compute_wspd(self.tree)
+        self.pairs = wspd.compute_wspd(self.tree,
+                                       min_side=self._least_sampled_side())
         # H is the complete graph, less the sampled pairs' cells, plus the
         # samples; only the sampled pairs list their ids
         tree, by_tok = self.tree, self.tree.by_tok
@@ -236,6 +258,24 @@ class DynamicGeoSpar:
     def sample_size(self, nx: int, ny: int) -> int:
         """ceil(c_s * eps^-2 * n^gamma * (nx+ny) * ln(nx+ny+1))."""
         return math.ceil(self._size_c * (nx + ny) * math.log(nx + ny + 1))
+
+    def _least_sampled_side(self) -> int:
+        """t: the least m such that some pair (m, M), m + M <= n, can be
+        sampled, 4 * sample_size(m, M) <= 3mM; n + 1 if none can.
+
+        The sample size depends on x = m + M alone, and for a fixed x,
+        3m(x - m) grows with the smaller side m up to x / 2, so the sides
+        m <= x / 2 that pass form a range that ends at x / 2.  One pass
+        over x, from the least side found so far down, finds t; every
+        test is exact integer arithmetic on `sample_size` itself.
+        """
+        best = self.n + 1
+        for x in range(2, self.n + 1):
+            m = min(best - 1, x // 2)
+            while m >= 1 and 4 * self.sample_size(m, x - m) <= 3 * m * (x - m):
+                best = m
+                m -= 1
+        return best
 
     # -- H / diff primitives --------------------------------------------------
 

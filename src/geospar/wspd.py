@@ -7,6 +7,19 @@ one set of runs per internal node: a run's output depends only on the two
 subtrees below its sibling pair.  The pair list is therefore stored grouped
 by generator.
 
+The recursion can stop early (`min_side`, t, carried by the pair list):
+a call with a side of fewer than t points emits its own key, a *stop
+key*, and is not entered.  A stop key need not be well separated; its
+cells are those of every pair the full recursion would emit below it,
+so the pairs and stop keys together still cover every pair of points
+exactly once.  A caller that can tell that no pair with a side below t
+needs its own key (the sparsifier: none can be sampled) walks a small
+fraction of the recursion.  Sides only shrink along a call chain, so a
+pair with both sides of t points or more is emitted under the same key
+as in the full WSPD.  t = 1 stops nowhere: the full WSPD, the oracle of
+the tests.  The stop test comes first, before the separation test, in
+every walk.
+
 A point move is a tree delete and insert, and each reports what it did:
 the nodes it re-parented and, for each node whose children it edited, the
 children it had.  The move marks dirty the nodes on the moved point's old
@@ -15,12 +28,20 @@ insert creates lies on the new path) plus every re-parented node.  A call
 with no dirty side has the same two subtrees before and after, and it is
 entered with its sides in the same order, which the sides' parents fix;
 the order matters because the separation test rounds differently on
-exact ties.
+exact ties.  Its sides also have the same point counts before and after,
+so it stops in both trees or in neither.  The tree edits `count` in
+place, so a walk of the old tree reads a node's old count from a map:
+a node on the moved point's old root path only held one point more, a
+node on its new path only one point fewer, and a node on both paths, or
+on neither, as many.  Without it, a call whose side crosses t on this
+move would be walked on the old tree as if it had crossed already.
 Dissolved generators are dropped and new ones are run in full.  A
 surviving generator with a dirty side is re-walked only through its dirty
 calls (calls with a dirty side).  A node object in both trees keeps its
 cell, so a call the old and new trees share takes the same steps in both
-and is walked once; only a node whose children the move changed can lead
+and is walked once, unless its stop test reads differently in the two
+trees, where a side's count crosses t: it is then walked on each tree
+apart.  Otherwise only a node whose children the move changed can lead
 the two trees apart.  At a split of such a node, each child that is not
 in both trees starts a call of one tree only, and those calls are walked
 on their own tree (a generator with the moved leaf as a side shares no
@@ -70,17 +91,20 @@ def well_separated(u: Node, v: Node, s: float = SEPARATION) -> bool:
     return gap >= s * max(u.radius, v.radius)
 
 
-def _walk(a: Node, b: Node, s: float, out: set, dirty=None, kids=None,
-          frontier=None):
+def _walk(a: Node, b: Node, s: float, t: int, out: set, dirty=None,
+          kids=None, frontier=None, counts=None):
     """Run the greedy recursion below the sibling call (a, b) into `out`.
 
-    Without `dirty` this is a full run: `out` gets every pair the call
-    emits, a function of the two subtrees and of their order.  With `dirty`
-    (a set of node tokens) it is a dirty walk: only calls with a side in
-    `dirty` are entered, and each first clean call is a frontier call,
-    recorded as frontier[key] = (u, v) without being entered.  `kids` maps
-    the token of each node whose children a move changed to the children
-    it had before, so that the walk can follow the old tree.
+    A call with a side of fewer than `t` points emits its key as a stop
+    key and is not entered.  Without `dirty` this is a full run: `out`
+    gets every key the call emits, a function of the two subtrees and of
+    their order.  With `dirty` (a set of node tokens) it is a dirty walk:
+    only calls with a side in `dirty` are entered, and each first clean
+    call is a frontier call, recorded as frontier[key] = (u, v) without
+    being entered.  `kids` maps the token of each node whose children a
+    move changed to the children it had before, and `counts` the token of
+    each node whose point count it changed to the count it had before, so
+    that the walk can follow the old tree.
 
     The recursion is a tree, so the output of a call is the disjoint union
     of its own emission and the outputs of its sub-calls.
@@ -98,6 +122,14 @@ def _walk(a: Node, b: Node, s: float, out: set, dirty=None, kids=None,
         key = (tu << SHIFT) | tv if tu < tv else (tv << SHIFT) | tu
         if dirty is not None and tu not in dirty and tv not in dirty:
             frontier[key] = call
+            continue
+        cu = u.count
+        cv = v.count
+        if counts is not None:
+            cu = counts.get(tu, cu)
+            cv = counts.get(tv, cv)
+        if cu < t or cv < t:
+            emit(key)  # a stop key: no cell below it can be sampled
             continue
         ru = u.radius
         rv = v.radius
@@ -125,21 +157,23 @@ def _walk(a: Node, b: Node, s: float, out: set, dirty=None, kids=None,
             push((child, keep))
 
 
-def _run_generator(a: Node, b: Node, s: float) -> set:
-    """All pairs the greedy recursion emits below the sibling call (a, b)."""
+def _run_generator(a: Node, b: Node, s: float, t: int) -> set:
+    """All keys the greedy recursion emits below the sibling call (a, b)."""
     out = set()
-    _walk(a, b, s, out)
+    _walk(a, b, s, t, out)
     return out
 
 
 class WspdPairList:
-    """The pair set plus the inverted indexes the maintenance needs."""
+    """The pair set plus the inverted indexes the maintenance needs.  `t`
+    is the side count below which a call stops (1: the full WSPD)."""
 
-    __slots__ = ("s", "pairs", "by_gen", "gens_by_node", "node_index")
+    __slots__ = ("s", "t", "pairs", "by_gen", "gens_by_node", "node_index")
 
-    def __init__(self, s: float = SEPARATION):
+    def __init__(self, s: float = SEPARATION, t: int = 1):
         self.s = s
-        self.pairs: set = set()       # packed pair keys
+        self.t = t
+        self.pairs: set = set()       # packed pair keys, stop keys included
         self.by_gen: dict = {}        # packed genkey -> set of pair keys
         self.gens_by_node: dict = {}  # side token -> set of genkeys
         self.node_index: dict = {}    # node token -> set of pair keys
@@ -195,11 +229,14 @@ class WspdPairList:
         return out
 
 
-def compute_wspd(tree: CompressedQuadTree, s: float = SEPARATION) -> WspdPairList:
-    """Fresh WSPD of the whole tree (greedy recursion, canonical result)."""
+def compute_wspd(tree: CompressedQuadTree, s: float = SEPARATION,
+                 min_side: int = 1) -> WspdPairList:
+    """Fresh WSPD of the whole tree (greedy recursion, canonical result),
+    stopped at every call with a side of fewer than `min_side` points.
+    The default, 1, stops nowhere: the full WSPD."""
     if tree.root is None:
         raise EmptyInput("tree is empty")
-    pl = WspdPairList(s)
+    pl = WspdPairList(s, min_side)
     stack = [tree.root]
     while stack:
         node = stack.pop()
@@ -209,19 +246,24 @@ def compute_wspd(tree: CompressedQuadTree, s: float = SEPARATION) -> WspdPairLis
         for i in range(len(kids)):
             stack.append(kids[i])
             for j in range(i + 1, len(kids)):
-                keys = _run_generator(kids[i], kids[j], s)
+                keys = _run_generator(kids[i], kids[j], s, min_side)
                 pl.add_gen(edge(kids[i].tok, kids[j].tok), keys)
                 pl.apply(set(), keys)
     return pl
 
 
-def _fork(a: Node, b: Node, s: float, dirty: set, old_kids: dict):
+def _fork(a: Node, b: Node, s: float, t: int, dirty: set, old_kids: dict,
+          old_counts: dict):
     """The calls below the sibling call (a, b) that only one tree reaches.
 
     (a, b) is a call of both trees.  A node object in both trees keeps its
     cell, radius, lmax and wsid, so a call shared by the two trees takes
     the same separation test and split choice in each, and emits the same
-    key: walking it once covers both walks.  Only the children of a node
+    key: walking it once covers both walks.  Its stop test reads each
+    tree's own counts (`old_counts` maps the token of each node whose
+    count the move changed to its count before), and where it stops in
+    one tree only, the call goes to both (old_calls, new_calls), to be
+    walked on each tree apart.  Only the children of a node
     whose children the move changed (a token in `old_kids`, which maps it
     to the children it had, as the tree's mutation reports copied them)
     can differ; a node the move created is on the new path, so it is
@@ -238,8 +280,19 @@ def _fork(a: Node, b: Node, s: float, dirty: set, old_kids: dict):
     push = stack.append
     dist = math.dist
     while stack:
-        u, v = pop()
-        # the test and the split must stay exactly _walk's, bit for bit
+        call = pop()
+        u, v = call
+        # the tests and the split must stay exactly _walk's, bit for bit
+        cu = u.count
+        cv = v.count
+        stop = cu < t or cv < t
+        if stop != (old_counts.get(u.tok, cu) < t
+                    or old_counts.get(v.tok, cv) < t):
+            old_calls.append(call)
+            new_calls.append(call)
+            continue
+        if stop:
+            continue
         ru = u.radius
         rv = v.radius
         if ru == 0.0 and rv == 0.0:
@@ -274,8 +327,8 @@ def _fork(a: Node, b: Node, s: float, dirty: set, old_kids: dict):
     return old_calls, new_calls
 
 
-def _rewalk(a_old: Node, b_old: Node, a: Node, b: Node, s: float,
-            dirty: set, old_kids: dict):
+def _rewalk(a_old: Node, b_old: Node, a: Node, b: Node, s: float, t: int,
+            dirty: set, old_kids: dict, old_counts: dict):
     """(dropped, gained) of a surviving generator across a point move.
 
     The calls the old and new trees share are walked once (`_fork`); a
@@ -284,32 +337,34 @@ def _rewalk(a_old: Node, b_old: Node, a: Node, b: Node, s: float,
     side is the same node object in both trees.  The calls of one tree
     only are dirty-walked on that tree (the old one through `old_kids`,
     which maps each node whose children the move changed to the children
-    it had; a created node, on the new path, has no entry and is only
-    reached on the new side).  A frontier call is clean, so it emits the same
-    pairs before and after the move; only the frontier calls that one side
-    reaches and the other does not are run.  Keys emitted at dirty calls
-    have a dirty side and frontier output has none, so the two never mix.
+    it had, and `old_counts`, which maps each node whose count it changed
+    to the count it had; a created node, on the new path, has no entry
+    and is only reached on the new side).  A frontier call is clean, so
+    it emits the same pairs before and after the move; only the frontier
+    calls that one side reaches and the other does not are run.  Keys
+    emitted at dirty calls have a dirty side and frontier output has none,
+    so the two never mix.
     """
     if a_old is a and b_old is b:
-        old_calls, new_calls = _fork(a, b, s, dirty, old_kids)
+        old_calls, new_calls = _fork(a, b, s, t, dirty, old_kids, old_counts)
     else:
         old_calls, new_calls = [(a_old, b_old)], [(a, b)]
     e_old = set()
     f_old = {}
     for u, v in old_calls:
-        _walk(u, v, s, e_old, dirty, old_kids, f_old)
+        _walk(u, v, s, t, e_old, dirty, old_kids, f_old, old_counts)
     e_new = set()
     f_new = {}
     for u, v in new_calls:
-        _walk(u, v, s, e_new, dirty, None, f_new)
+        _walk(u, v, s, t, e_new, dirty, None, f_new)
     lost = set()
     for call in f_old.keys() - f_new.keys():
         u, v = f_old[call]
-        _walk(u, v, s, lost)
+        _walk(u, v, s, t, lost)
     won = set()
     for call in f_new.keys() - f_old.keys():
         u, v = f_new[call]
-        _walk(u, v, s, won)
+        _walk(u, v, s, t, won)
     return (e_old - e_new) | (lost - won), (e_new - e_old) | (won - lost)
 
 
@@ -328,9 +383,10 @@ def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
     insert re-parented; the nodes the insert created lie on the new path.
     The old children of the nodes whose children changed come from the
     two mutation reports, the delete's copy winning where both edited a
-    node, since it was taken first.  The generators of dirty nodes are the
-    only ones the move can dissolve, and the sibling pairs of live dirty
-    nodes the only ones it can create or change.
+    node, since it was taken first.  The old counts are rebuilt from the
+    two root paths, as the module docstring says.  The generators of dirty
+    nodes are the only ones the move can dissolve, and the sibling pairs
+    of live dirty nodes the only ones it can create or change.
     """
     leaf = tree.point_index.get(pid)
     if leaf is None:
@@ -340,10 +396,17 @@ def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
         raise DuplicatePoint(
             f"target location collides with point {hit.pid}")
 
-    moved = {n.tok for n in tree.path_to_root(leaf)}
+    old_path = tree.path_to_root(leaf)
     rep_d = tree.delete(pid)
     rep_i = tree.insert(pid, new_vec)
-    moved.update(n.tok for n in tree.path_to_root(tree.point_index[pid]))
+    new_path = tree.path_to_root(tree.point_index[pid])
+    old_toks = {n.tok for n in old_path}
+    new_toks = {n.tok for n in new_path}
+    old_counts = {n.tok: n.count + 1 for n in old_path
+                  if n.tok not in new_toks}
+    old_counts.update((n.tok, n.count - 1) for n in new_path
+                      if n.tok not in old_toks)
+    moved = old_toks | new_toks
     # every node whose subtree or parent the move changed; below any other
     # node the recursion runs the same before and after
     dirty = moved.union(n.tok for n in rep_d.reparented + rep_i.reparented)
@@ -368,6 +431,7 @@ def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
     removed = set()
     added = set()
     s = pl.s
+    t = pl.t
     by_gen = pl.by_gen
     for gen in old_affected - new_needed:  # dissolved sibling pairs
         removed |= pl.pop_gen(gen)
@@ -377,14 +441,14 @@ def find_modified_pairs(tree: CompressedQuadTree, pl: WspdPairList,
         a = by_tok[ta]
         b = by_tok[tb]
         if gen not in by_gen:
-            keys = _run_generator(a, b, s)
+            keys = _run_generator(a, b, s, t)
             pl.add_gen(gen, keys)
             added |= keys
             continue
         # only the moved leaf is a new object under an old token
         dropped, gained = _rewalk(leaf if ta == leaf.tok else a,
                                   leaf if tb == leaf.tok else b,
-                                  a, b, s, dirty, changed)
+                                  a, b, s, t, dirty, changed, old_counts)
         keys = by_gen[gen]
         keys -= dropped
         keys |= gained

@@ -131,8 +131,8 @@ class TestInitialize:
         for pid, leaf in g.tree.point_index.items():
             expect = g._project_unit(g.pset.points[pid])
             assert tuple(float(v) for v in expect) == leaf.center
-        # pair list equals a fresh WSPD of the tree
-        fresh = wspd.compute_wspd(g.tree)
+        # pair list equals a fresh WSPD of the tree, stopped at the same t
+        fresh = wspd.compute_wspd(g.tree, min_side=g.pairs.t)
         assert fresh.pairs == g.pairs.pairs
         # every stored sample belongs to a live pair
         assert g._store.keys() <= g.pairs.pairs
@@ -254,7 +254,7 @@ class TestUpdate:
             g.update(int(rng.integers(0, g.n)), random_unit_move(rng))
         proj = {i: g._project_unit(g.pset.points[i]) for i in range(g.n)}
         fresh_tree = quadtree.CompressedQuadTree.build(proj, g.k)
-        fresh = wspd.compute_wspd(fresh_tree)
+        fresh = wspd.compute_wspd(fresh_tree, min_side=g.pairs.t)
         assert (g.pairs.canonical_pairs(g.tree)
                 == fresh.canonical_pairs(fresh_tree))
 
@@ -271,11 +271,15 @@ class TestUpdate:
         # nudge a point by far less than its leaf cell's side: the tree,
         # and hence the pair list, must not change shape
         pid = 7
-        old_pairs = set(g.pairs.pairs)
+        old_pairs = g.pairs.canonical_pairs(g.tree)
         z = g.pset.points[pid] + 1e-12
         rep = g.update(pid, z)
-        assert set(g.pairs.pairs) == old_pairs
-        assert rep.pairs_removed == rep.pairs_added == 0
+        # the delete splices out the leaf's parent cell and the insert
+        # makes it anew, under a new token: a key with that side is
+        # dropped and added again, under the same canonical identity
+        assert g.pairs.canonical_pairs(g.tree) == old_pairs
+        assert rep.pairs_removed == rep.pairs_added
+        assert rep.pairs_rematerialized == rep.pairs_resampled == 0
         assert rep.pairs_reweighted > 0
         assert g.fold_store() == g.edge_map()
         assert g.spectral_check().passed
@@ -411,15 +415,17 @@ class TestMovePaysForChange:
                 swapped += new_key >> SHIFT != na
                 moved += 1
             assert g.fold_store() == after
-            assert wspd.compute_wspd(tree).pairs == g.pairs.pairs
+            assert (wspd.compute_wspd(tree, min_side=g.pairs.t).pairs
+                    == g.pairs.pairs)
             if kinds == {"split", "splice"} and swapped and moved >= 20:
                 break
         assert kinds == {"split", "splice"} and swapped > 0
         assert apply_diff(base, diffs) == g.edge_map()
         proj = {i: g._project_unit(g.pset.points[i]) for i in range(g.n)}
         fresh_tree = quadtree.CompressedQuadTree.build(proj, g.k)
+        fresh = wspd.compute_wspd(fresh_tree, min_side=g.pairs.t)
         assert (g.pairs.canonical_pairs(g.tree)
-                == wspd.compute_wspd(fresh_tree).canonical_pairs(fresh_tree))
+                == fresh.canonical_pairs(fresh_tree))
 
 
 class TestResamplingInVivo:
@@ -724,12 +730,13 @@ def _assert_point_index(g):
 
 def _assert_move_exact(g, before, rep):
     """After a move: H equals a fold of the pairs, the pair list equals a
-    fresh WSPD of the tree, the move's log replays `before` (H before the
-    move) onto H bit for bit, and churn counts the edges whose weight
-    changed."""
+    fresh WSPD of the tree at the same t, the move's log replays `before`
+    (H before the move) onto H bit for bit, and churn counts the edges
+    whose weight changed."""
     after = g.edge_map()
     assert g.fold_store() == after
-    assert wspd.compute_wspd(g.tree).pairs == g.pairs.pairs
+    fresh = wspd.compute_wspd(g.tree, min_side=g.pairs.t)
+    assert fresh.pairs == g.pairs.pairs
     assert apply_diff(before, g.get_diff()) == after
     assert rep.churn == sum(before.get(e) != after.get(e)
                             for e in before.keys() | after.keys())
@@ -925,6 +932,63 @@ class TestKindChanges:
                                          if m not in sampled):
                     seen.add("whole to sample")
         assert seen == {"sample to whole", "whole to sample"}
+
+
+class TestStopKeys:
+    """The WSPD stops at t, the least side count of a pair that can be
+    sampled: a call with a side of fewer than t points is one stop key,
+    and the sparsifier holds it as a whole pair."""
+
+    @pytest.mark.parametrize("n,c_s,kernel", [
+        (32, 0.01, cauchy_kernel), (64, 0.02, gaussian_kernel),
+        (96, 0.05, cauchy_kernel), (96, 0.25, gaussian_kernel),
+        (128, 0.25, cauchy_kernel), (160, 0.1, cauchy_kernel)])
+    def test_t_is_the_brute_force_least_side(self, n, c_s, kernel):
+        g, _ = make_dgs(n=n, c_s=c_s, kernel=kernel())
+        sampled = [m for m in range(1, n) for big in range(1, n - m + 1)
+                   if 4 * g.sample_size(m, big) <= 3 * m * big]
+        assert g.pairs.t == min(sampled, default=n + 1)
+        # no pair with a side below t is sampled, and each live pair with
+        # a side below t is a stop key of a fresh build at the same t
+        assert all(min(_dims(g, k)) >= g.pairs.t for k in g._store)
+        fresh = wspd.compute_wspd(g.tree, min_side=g.pairs.t)
+        assert fresh.pairs == g.pairs.pairs
+
+    def test_key_emerging_at_t_takes_the_new_pair_rule(self, monkeypatch):
+        # When a node reaches t points, the recursion passes the stop key
+        # above it, and a pair below that the full WSPD held all along is
+        # new to the pair set: the sparsifier sees it in the move's fresh
+        # keys and applies the new-pair rule, 2s <= |X||Y|.  With one side
+        # of t points that rule keeps it whole, as the full WSPD would.
+        ps, moves = _mixed_moves(0, count=12)
+        g = DynamicGeoSpar.initialize(ps, cauchy_kernel(), 0.5, 0.05, 3, 0,
+                                      allow_large_eps=True, c_s=0.05)
+        t = g.pairs.t
+        assert 3 <= t < g.n
+        returned = []
+        real = wspd.find_modified_pairs
+        monkeypatch.setattr(wspd, "find_modified_pairs",
+                            lambda *args: returned.append(real(*args))
+                            or returned[-1])
+        emerged = 0
+        for i, z in moves:
+            tree = g.tree
+            full_before = wspd.compute_wspd(tree).canonical_pairs(tree)
+            counts = {tok: nd.count for tok, nd in tree.by_tok.items()}
+            g.update(i, z)
+            _, fresh = returned.pop()
+            for key in fresh:
+                sides = [tree.by_tok[tok] for tok in wspd.unpack(key)]
+                if not any(nd.count == t and counts.get(nd.tok) == t - 1
+                           for nd in sides) or min(_dims(g, key)) < t:
+                    continue
+                emerged += 1
+                assert tuple(sorted(nd.wsid for nd in sides)) in full_before
+                nx, ny = _dims(g, key)
+                assert key not in g._store
+                assert nx * ny < 2 * g.sample_size(nx, ny)
+            assert g.fold_store() == g.edge_map()
+        assert emerged > 0
 
 
 class TestFlatStorage:

@@ -227,7 +227,8 @@ def assert_pair_list_matches_full_runs(tree, pl):
     node_index = {}
     for gen, keys in pl.by_gen.items():
         ta, tb = unpack(gen)
-        assert keys == _run_generator(tree.by_tok[ta], tree.by_tok[tb], pl.s)
+        assert keys == _run_generator(tree.by_tok[ta], tree.by_tok[tb],
+                                      pl.s, pl.t)
         for t in (ta, tb):
             gens_by_node.setdefault(t, set()).add(gen)
         for key in keys:
@@ -365,17 +366,18 @@ def rewalk_routes(monkeypatch):
         live["by_tok"] = tree.by_tok
         return insert(tree, pid, vec)
 
-    def rec_rewalk(a_old, b_old, a, b, s, dirty, old_kids):
+    def rec_rewalk(a_old, b_old, a, b, s, t, dirty, old_kids, old_counts):
         live["shared_root"] = a_old is a and b_old is b
         if not live["shared_root"]:
             seen.add("moved leaf side")
         try:
-            return rewalk(a_old, b_old, a, b, s, dirty, old_kids)
+            return rewalk(a_old, b_old, a, b, s, t, dirty, old_kids,
+                          old_counts)
         finally:
             live["shared_root"] = False
 
-    def rec_fork(a, b, s, dirty, old_kids):
-        old_calls, new_calls = fork(a, b, s, dirty, old_kids)
+    def rec_fork(a, b, s, t, dirty, old_kids, old_counts):
+        old_calls, new_calls = fork(a, b, s, t, dirty, old_kids, old_counts)
         split = {child.parent.tok for child, _keep in new_calls}
         split.update(t for child, _keep in old_calls
                      for t, kids in old_kids.items() if child in kids.values())
@@ -385,10 +387,11 @@ def rewalk_routes(monkeypatch):
                 seen.add("split with shared and forked children")
         return old_calls, new_calls
 
-    def rec_walk(a, b, s, out, dirty=None, kids=None, frontier=None):
+    def rec_walk(a, b, s, t, out, dirty=None, kids=None, frontier=None,
+                 counts=None):
         if dirty is None and live["shared_root"]:
             seen.add("one-sided frontier call below a fork")
-        walk(a, b, s, out, dirty, kids, frontier)
+        walk(a, b, s, t, out, dirty, kids, frontier, counts)
 
     monkeypatch.setattr(CompressedQuadTree, "insert", rec_insert)
     monkeypatch.setattr(wspd, "_rewalk", rec_rewalk)
@@ -435,3 +438,93 @@ def test_rewalk_runs_a_one_sided_frontier_call(rewalk_routes):
     # so those frontier calls are reached on the old side only
     test_rewalk_exact_on_a_separation_tie()
     assert "one-sided frontier call below a fork" in rewalk_routes
+
+
+# t - 1 points in quadrant A = [0, 1/2)^2, five in its neighbour B and
+# five in C = [1/2, 1)^2; each set spans its quadrant, so each quadrant
+# is one node.  The first move takes a point of C into A, which then
+# holds t points; the second takes it back.
+T = 4
+CROSSING = {0: [0.1, 0.1], 1: [0.4, 0.4], 2: [0.1, 0.4],
+            3: [0.6, 0.1], 4: [0.9, 0.4], 5: [0.6, 0.4], 6: [0.9, 0.1],
+            7: [0.75, 0.2],
+            8: [0.6, 0.6], 9: [0.9, 0.9], 10: [0.6, 0.9], 11: [0.9, 0.6],
+            12: [0.7, 0.7]}
+CROSSING_MOVES = [(12, [0.4, 0.1]), (12, [0.7, 0.7])]
+A_CELL, B_CELL = (1, (0, 0)), (1, (1, 0))
+
+
+def crossing_steps(fresh_start):
+    """Run the crossing moves on a pair list stopped at T.  Yields, after
+    each move, the tree, the maintained pair list and the canonical pairs
+    of a fresh build on the moved points.  With `fresh_start`, each move
+    starts from a fresh build of the tree before it."""
+    pts = dict(CROSSING)
+    tree = CompressedQuadTree.build(dict(pts), 2)
+    pl = compute_wspd(tree, min_side=T)
+    assert (A_CELL, B_CELL) in pl.canonical_pairs(tree)
+    for pid, z in CROSSING_MOVES:
+        if fresh_start:
+            pl = compute_wspd(tree, min_side=T)
+        find_modified_pairs(tree, pl, pid, z)
+        pts[pid] = z
+        fresh_tree = CompressedQuadTree.build(dict(pts), 2)
+        fresh = compute_wspd(fresh_tree, min_side=T)
+        yield tree, pl, fresh.canonical_pairs(fresh_tree)
+
+
+def test_side_crossing_t_matches_a_fresh_truncated_build():
+    # A holds t - 1 points, so (A, B) is one stop key; once A holds t, the
+    # call (A, B) is split, and it is a stop key again when A is back at
+    # t - 1.  The old tree's walk must read A's count before the move.
+    counts = []
+    for tree, pl, fresh in crossing_steps(fresh_start=False):
+        a_node = next(nd for nd in tree.by_tok.values() if nd.wsid == A_CELL)
+        counts.append(a_node.count)
+        assert pl.canonical_pairs(tree) == fresh
+        assert ((A_CELL, B_CELL) in fresh) == (a_node.count < T)
+        assert_pair_list_matches_full_runs(tree, pl)
+        assert_exact_coverage(tree, pl)
+    assert counts == [T, T - 1]
+
+
+def test_side_crossing_t_fails_on_new_counts(monkeypatch):
+    # a mutant whose old-tree walks read the counts after the move
+    rewalk = wspd._rewalk
+    monkeypatch.setattr(wspd, "_rewalk", lambda *args: rewalk(*args[:-1], {}))
+    for tree, pl, fresh in crossing_steps(fresh_start=True):
+        assert pl.canonical_pairs(tree) != fresh
+
+
+@pytest.mark.parametrize("min_side", [3, 8])
+@pytest.mark.parametrize("clustered", [False, True],
+                         ids=["uniform", "clustered"])
+def test_truncated_rewalk_matches_fresh_builds(min_side, clustered):
+    # random moves on a pair list stopped at min_side: every generator
+    # equals a full run, the pairs and stop keys equal a fresh build at
+    # the same t and cover every cell once, and the report bounds hold
+    n, k = 60, 2
+    rng = np.random.default_rng(50 + min_side + clustered)
+    center = rng.uniform(0.25, 0.75, k)
+    if clustered:
+        pts = {i: center + rng.normal(0.0, 1e-3, k) for i in range(n)}
+    else:
+        pts = {i: rng.random(k) for i in range(n)}
+    tree = CompressedQuadTree.build(dict(pts), k)
+    pl = compute_wspd(tree, min_side=min_side)
+    for step in range(60):
+        pid = int(rng.integers(0, n))
+        z = move_target(rng, pts, pid, k, center)
+        old_path = path_toks(tree, pid)
+        before = set(pl.pairs)
+        reported, fresh = find_modified_pairs(tree, pl, pid, z)
+        pts[pid] = z
+        assert fresh == pl.pairs - before
+        assert_pair_list_matches_full_runs(tree, pl)
+        assert_reported_bounds(tree, pl, pid, old_path, before, reported,
+                               step)
+        fresh_tree = CompressedQuadTree.build(dict(pts), k)
+        rebuilt = compute_wspd(fresh_tree, min_side=min_side)
+        assert (pl.canonical_pairs(tree)
+                == rebuilt.canonical_pairs(fresh_tree)), step
+    assert_exact_coverage(tree, pl)
