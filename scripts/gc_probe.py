@@ -18,8 +18,11 @@ Prints one JSON object:
 - gc_ms_per_move: collector time per move, timed through gc.callbacks
   (the sum of collection_ms over the moves);
 - move_ms_mean: mean wall time of a move, collector included;
-- setup_rss_kb_per_edge: resident-set growth over set-up per edge of H
-  (read from /proc/self/statm, so null where that is missing).
+- setup_rss_mb: the process's peak resident memory
+  (`resource.getrusage`), in MB, right after the set-up, as
+  scripts/sparse_probe.py reports it.  H stores only the sampled edges,
+  so a memory figure per edge of the sparsifier would divide by edges
+  that nothing stores.
 
 Stdlib and geospar only.  Run from the repository root:
 
@@ -29,8 +32,8 @@ Stdlib and geospar only.  Run from the repository root:
 import argparse
 import gc
 import json
-import os
 import random
+import resource
 import sys
 import time
 from pathlib import Path
@@ -41,15 +44,6 @@ sys.path.insert(0, str(ROOT / "src"))
 import geospar as gs  # noqa: E402
 
 D = 4
-
-
-def rss_kb():
-    try:
-        with open("/proc/self/statm") as fh:
-            pages = int(fh.read().split()[1])
-    except OSError:
-        return None
-    return pages * os.sysconf("SC_PAGE_SIZE") / 1024.0
 
 
 class CollectorClock:
@@ -76,11 +70,11 @@ def probe(n: int, moves: int, seed: int) -> dict:
     targets = [(rnd.randrange(n), [rnd.random() * 0.5 + 0.25 for _ in range(D)])
                for _ in range(moves)]
     pset = gs.normalize_points(raw)
-    gc.collect()
-    rss0 = rss_kb()
     g = gs.DynamicGeoSpar.initialize(pset, gs.gaussian_kernel(), 0.5, 0.05,
                                      3, seed, allow_large_eps=True)
-    rss1 = rss_kb()
+    # ru_maxrss is in KB on Linux
+    setup_rss_mb = round(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     gc.collect()
     tracked = len(gc.get_objects())
     edges = g.edge_count
@@ -95,7 +89,6 @@ def probe(n: int, moves: int, seed: int) -> dict:
         wall = time.perf_counter() - t0
     finally:
         gc.callbacks.remove(clock)
-    per_edge = None if rss0 is None else round((rss1 - rss0) / edges, 3)
     gens = ("gen0", "gen1", "gen2")
     return {
         "n": n, "moves": moves, "seed": seed, "edges": edges,
@@ -105,7 +98,7 @@ def probe(n: int, moves: int, seed: int) -> dict:
                           for g, s in zip(gens, clock.seconds)},
         "gc_ms_per_move": round(1e3 * sum(clock.seconds) / max(moves, 1), 3),
         "move_ms_mean": round(1e3 * wall / max(moves, 1), 3),
-        "setup_rss_kb_per_edge": per_edge,
+        "setup_rss_mb": setup_rss_mb,
     }
 
 

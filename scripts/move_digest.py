@@ -11,9 +11,10 @@ digests behave identically move for move on these inputs.
 
 A second digest, `shape`, covers only each move's path through the
 pairs: the UpdateReport's fields other than `churn` and `edges_changed`,
-and H's edge count, after set-up and after every move.  It survives a
-change of which cells a sample holds (and so of the weights and the log),
-as long as every pair takes the same path and holds as many edges.
+and the sparsifier's edge count, after set-up and after every move.  It
+survives a change of which cells a sample holds (and so of the weights
+and the log), as long as every pair takes the same path and holds as
+many edges.
 
 A third digest, `maps`, covers what a caller of the sparsifier sees and
 nothing of how the pairs are kept: the edge map after set-up and then,

@@ -10,11 +10,13 @@ centers, the points and the hops.  Prints one JSON object:
 - setup_s: wall time of the set-up;
 - hop_p50_ms: median wall time of a hop (update plus get_diff);
 - churn_per_n: mean churn of a hop (edges whose weight changed) over n;
-- edge_ratio: H's edge count after the hops over n(n - 1)/2;
+- edge_ratio: the sparsifier's edge count (sampled and whole) after
+  the hops over n(n - 1)/2;
 - sampled_pairs: pairs held as samples after the hops;
 - fill_min, fill_max: the least and greatest share of its biclique a
   sampled pair holds, len(sample) / |X||Y| (null with no sampled pair);
-- fold_exact: whether H equals a fold of the pairs after the hops;
+- fold_exact: whether the edge map equals a fold of the pairs after
+  the hops;
 - setup_rss_mb: the process's peak resident memory
   (`resource.getrusage`), in MB, right after the set-up;
 - peak_rss_mb: the same after the hops, read before the checks, whose

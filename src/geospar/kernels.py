@@ -1,7 +1,7 @@
 """Points, kernel functions, and dense spectral oracles.
 
 `normalize_points` carries raw input into the unit box the library works
-in, `KernelFunction.eval_sqdist` weighs every edge the sparsifier writes,
+in, `KernelFunction.eval_sqdist` weighs every edge of the sparsifier,
 and `laplacian_from_edges` turns an edge list into a Laplacian.  The dense
 oracles (`dense_laplacian`, `check_spectral_sparsifier`, `aspect_ratio`)
 run at desk scale (n up to a few hundred): the verification CLI and the

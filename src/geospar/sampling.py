@@ -32,7 +32,7 @@ def edge(i: int, j: int) -> int:
     return i << SHIFT | j if i < j else j << SHIFT | i
 
 
-def _packed(ia, ib) -> np.ndarray:
+def pack(ia, ib) -> np.ndarray:
     """The packed edges of id arrays ia and ib, element by element."""
     return np.minimum(ia, ib) << SHIFT | np.maximum(ia, ib)
 
@@ -93,8 +93,8 @@ def draw_sample(a: list, b: list, s: int,
     total = len(a) * nb
     idx = np.arange(total) if s >= total else np.sort(
         rng.choice(total, s, replace=False, shuffle=False))
-    return _packed(np.asarray(a, dtype=np.int64)[idx // nb],
-                   np.asarray(b, dtype=np.int64)[idx % nb])
+    return pack(np.asarray(a, dtype=np.int64)[idx // nb],
+                np.asarray(b, dtype=np.int64)[idx % nb])
 
 
 def _draw_id(side: list, rng: np.random.Generator, exclude=None) -> int:
@@ -132,8 +132,8 @@ def resample(sample: PairSample, pid: int, in_a: bool, in_b: bool,
     fresh = np.empty(0, dtype=np.int64)
     if fresh_count:
         other = np.asarray(b if in_a else a, dtype=np.int64)
-        fresh = _packed(pid, other[rng.choice(fresh_count, x, replace=False,
-                                              shuffle=False)])
+        fresh = pack(pid, other[rng.choice(fresh_count, x, replace=False,
+                                           shuffle=False)])
     keep = s_out - x
     evicted = np.empty(0, dtype=np.int64)
     if len(sample) > keep:

@@ -46,21 +46,24 @@ key emerges there.)
 
 A whole pair is its WSPD key alone: the store holds only the sampled
 pairs, as `sampling.PairSample`s, and a live key the store does not hold
-is whole.  Its edges are its biclique's cells, with their raw kernel
-weights in H.  A sample keeps its two sides as id lists, and its edges
-and their raw weights as two numpy arrays; H maps an unordered id pair
-to raw * scale.  H, the samples and the write queue all hold an edge as
-one packed int, `sampling.edge(i, j)` = min id << 32 | max id, as the
-WSPD keys do with tokens.  H is then a dict of Python ints and floats,
-which the garbage collector never tracks; `edge_map`, `fold_store`,
-`get_laplacian` and the diff log decode the keys to (i, j) with i < j.
+is whole.  Its edges are its biclique's cells, and a whole edge's weight
+is its kernel value at the current points, which the points already fix:
+nothing stores it.  A sample keeps its two sides as id lists, and its
+edges and their raw weights as two numpy arrays; H maps each sampled
+edge, as an unordered id pair, to raw * scale, and holds nothing else.
+H, the samples and the write queue all hold an edge as one packed int,
+`sampling.edge(i, j)` = min id << 32 | max id, as the WSPD keys do with
+tokens.  H is then a dict of Python ints and floats, which the garbage
+collector never tracks.  The whole edges are the cells outside the
+samples' side lists, so `edge_count` comes from the counts, n(n - 1)/2
+less each sample's |X||Y| plus its size, and `edge_map` and
+`get_laplacian` weigh them on call, in one kernel evaluation; they and
+the diff log decode the keys to (i, j) with i < j.
 
-Set-up writes H in one batch, without the per-edge bookkeeping of a
-move: H is every edge of the complete graph, less the cells of the
-sampled pairs, plus each sample's raw * scale.  The kind rule reads the
-sides' point counts off their nodes, so only the sampled pairs list
-their ids, and one kernel evaluation weighs the whole edges and the
-drawn ones together.
+Set-up lists the ids of the sampled pairs alone (the kind rule reads the
+sides' point counts off their nodes), draws their samples and writes
+them to H in one batch, weighed in one kernel evaluation.  An all-whole
+set-up weighs nothing and leaves H empty.
 
 The WSPD covers every pair of points exactly once (Callahan and Kosaraju,
 JACM 1995), before a move and after it.  A pair the move keeps covers the
@@ -69,37 +72,37 @@ drops and the pairs it adds cover the same cells apart from p's.  An edge
 that avoids p therefore keeps its weight unless it passes between a
 whole pair and a sampled one: only where a sampled pair is born, dropped
 or flips kind does a move list cells, from the tree or from the sample's
-lists.  A born sample (new, or a whole pair turned sampled) releases its
-cells' edges from H and draws its own; a dropped sample (gone, or turned
-whole) releases its edges, and its cells that no born sample took are
-claimed whole.  p's edges are settled apart: every edge (p, j) goes to
-the whole pairs unless j is on the other side of a sampled pair that
-holds p after the move, and where p arrived in such a pair, its edges
-there leave H unless the pair draws them.  An all-whole move thus
-queues p's n - 1 edges and nothing else.  `fold_store` lists every
-whole pair's cells from the tree, an oracle independent of the moves and
-of the batch set-up.
+lists.  A born sample (new, or a whole pair turned sampled) draws its
+edges; a dropped sample (gone, or turned whole) takes its edges out of
+H, as a kept sample does with the edges through p it releases.  The
+move logs the whole edges' change from two maps of weights, before and
+after: p's whole edges, weighed at its old position and at its new one
+((p, j) is whole unless j is on the other side of a sample holding p),
+and the cells that change kind, weighed once since neither end moved: a
+born sample's cells that no dropped sample held (before), and a dropped
+sample's cells that no born sample took (after).  An all-whole move thus
+weighs p's 2(n - 1) edges and lists no cell.  `fold_store` lists every
+whole pair's cells from the tree, an oracle independent of the moves:
+`fold_store() == edge_map()` checks the tree's pair cover against the
+samples' side lists and their complement, and H against the samples.
 
-Every edge a move claims goes through one queue of blocks, one per
-owner: a whole pair's edges (the moved point's edges in whole pairs and a
-dropped sample's cells), a sample's new draws (builds and resamples), or
-the indices of the moved point's edges in a sample that keeps its ids
-(reweights).  The queue is flushed once, at the end of each move, and
-the flush writes each edge once, in queue order.  A queued edge that the
-move released and that does not pass through p keeps the raw weight it
-carried: its ends did not move, so its kernel value is the one it had.
-Every other queued edge is weighed in one batched kernel evaluation.
-Kernel values do not depend on the batch, and no other pair touches a
-queued key, so every weight is the same as if each edge were weighed on
-the spot.  Released edges stay in H until the flush; only those no pair
-claimed are zeroed, after the writes.  A resample's evictions and a
-rescale write H directly, and they touch only their own pair's edges.
+A sample's new edges go through one queue of blocks, one per sample: its
+new draws (builds and resamples), or the indices of the moved point's
+edges in a sample that keeps its ids (reweights).  The queue is flushed
+once, at the end of each move, and the flush writes each edge once, in
+queue order.  The queued edges and the two maps' edges are weighed in
+one kernel evaluation per operation.  Kernel values do not depend on the
+batch, and no other pair touches a queued key, so every weight is the
+same as if each edge were weighed on the spot.  A resample's evictions
+and a rescale write H directly, and they touch only their own pair's
+edges.
 
 The diff log is net per move: H writes remember each key's weight from
-before the move, and one pass at its end logs (i, j, -old) then
-(i, j, +new) per edge whose weight changed (no zero entries), so replaying
-the log onto an older edge map rebuilds the current one exactly.  An edge
-that only changes owner between two WSPD pairs never reaches the log.
+before the move, the maps give the whole edges' weights, and one pass at
+its end logs (i, j, -old) then (i, j, +new) per edge whose weight changed
+(no zero entries), so replaying the log onto an older edge map rebuilds
+the current one exactly.  An edge that only changes owner between two
+WSPD pairs never reaches the log.
 
 The WSPD hands a move back as the set of pair keys it may have changed
 and, among them, the keys new to the pair set; the sparsifier reads the
@@ -138,17 +141,19 @@ from .kernels import (
 )
 from .projection import make_ultra_jl
 from .quadtree import CompressedQuadTree
-from .sampling import MASK, SHIFT, PairSample, edge
+from .sampling import MASK, SHIFT, PairSample, edge, pack
 
 # theta: a sampled pair keeps its scale while that is within SCALE_BAND * eps
 # of the exact |X||Y|/s, relative
 SCALE_BAND = 0.1
+# adversarial_mode warns where d * log2(alpha) exceeds BUDGET_C * log2(n)
+BUDGET_C = 4.0
 
 
 def _concat(blocks) -> np.ndarray:
     """The packed edges of queued blocks, in order, as one int64 array."""
-    return np.concatenate([np.asarray(edges, dtype=np.int64)
-                           for _, edges, _ in blocks])
+    return np.concatenate([np.empty(0, np.int64)]
+                          + [edges for _, edges, _ in blocks])
 
 
 def _cells(a: list, b: list, pid: int = -1) -> list:
@@ -216,36 +221,25 @@ class DynamicGeoSpar:
         self._proj_off = bound
         self._proj_scale = 1.0 / (2.0 * bound * (1.0 + 1e-9))
         self._size_c = c_s * eps ** -2 * self.n ** self.gamma
-        self._h = {}
+        self._h = {}              # sampled edge -> raw * scale
         self._diff = []
         self._store = {}          # sampled pair key -> PairSample
         self._before = {}         # H key -> its weight before the move
-        self._queued = []         # blocks (sample or None, edges, indices)
-        self._released = {}       # released H key -> raw weight, or NaN
+        self._queued = []         # blocks (sample, edges, indices or None)
         proj = {i: self._project_unit(pset.points[i]) for i in range(self.n)}
         self.tree = CompressedQuadTree.build(proj, k)
         self.pairs = wspd.compute_wspd(self.tree,
                                        min_side=self._least_sampled_side())
-        # H is the complete graph, less the sampled pairs' cells, plus the
-        # samples; only the sampled pairs list their ids
-        tree, by_tok = self.tree, self.tree.by_tok
-        whole = np.triu(np.ones((self.n, self.n), dtype=bool), 1)
+        by_tok = self.tree.by_tok
         for key in sorted(self.pairs.pairs):
-            a_node, b_node = by_tok[key >> SHIFT], by_tok[key & MASK]
-            nx, ny = a_node.count, b_node.count
+            nx, ny = by_tok[key >> SHIFT].count, by_tok[key & MASK].count
             if 2 * self.sample_size(nx, ny) <= nx * ny:
-                a, b = tree.subtree_ids(a_node), tree.subtree_ids(b_node)
-                whole[np.ix_(a, b)] = whole[np.ix_(b, a)] = False
-                self._store[key] = self._draw_pair(a, b)
-        ia, ib = np.nonzero(whole)
-        blocks = [(None, ia << SHIFT | ib, None)] + self._queued
-        self._queued = []
-        packed = _concat(blocks)
-        ws = self._weights(packed >> SHIFT, packed & MASK)
-        for keys, w in self._settled(blocks, packed, ws):
+                self._sample_pair(key)
+        settled, _ = self._flush_queued()
+        for keys, w in settled:
             self._h.update(zip(keys, w))
-        # H's edge count at set-up: |X||Y| per whole pair, s per sampled one
-        self.sparsity_budget = len(self._h)
+        # the edge count at set-up: |X||Y| per whole pair, s per sampled one
+        self.sparsity_budget = self.edge_count
         return self
 
     # -- projection ---------------------------------------------------------
@@ -290,14 +284,25 @@ class DynamicGeoSpar:
         else:
             del self._h[key]
 
-    def _log_net_change(self) -> int:
+    def _clear(self, edges: np.ndarray):
+        """Take sampled edges out of H."""
+        for e in edges.tolist():
+            self._set_edge(e, 0.0)
+
+    def _log_net_change(self, before: dict, after: dict) -> int:
         """Append (i, j, -old) then (i, j, +new) for each edge whose weight
-        the move changed, and return their count."""
-        before, self._before = self._before, {}
+        the move changed, and return their count.  `before` and `after`
+        map whole edges to their weights before and after the move; any
+        other edge's weight is its H weight, which H's writes remember
+        from before the move."""
         h, diff = self._h, self._diff
+        olds = {**self._before, **before}
+        self._before = {}
+        news = {key: h.get(key, 0.0) for key in olds}
+        news.update(after)
         changed = 0
-        for key, old in before.items():
-            new = h.get(key, 0.0)
+        for key, new in news.items():
+            old = olds.get(key, 0.0)
             if new != old:
                 changed += 1
                 i, j = key >> SHIFT, key & MASK
@@ -309,66 +314,54 @@ class DynamicGeoSpar:
 
     # -- pair construction ----------------------------------------------------
 
-    def _weights(self, ids_a, ids_b) -> np.ndarray:
+    def _sqdist(self, packed: np.ndarray) -> np.ndarray:
+        """The squared lengths of packed edges at the current points."""
         pts = self.pset.points
-        d2 = np.sum((pts[ids_a] - pts[ids_b]) ** 2, axis=1)
-        return self.kernel.eval_sqdist(d2)
+        return np.sum((pts[packed >> SHIFT] - pts[packed & MASK]) ** 2, axis=1)
 
-    def _queue_edges(self, entry: Optional[PairSample], edges, idx=None):
-        """Queue one block of packed edges, in order: a whole pair's
-        (`entry` None), whose weights only H holds, a sample's new draws,
-        or, with `idx`, the sample's edges at those indices, reweighed."""
+    def _weigh(self, *sqdists) -> list:
+        """Kernel values of each array of squared distances, with one kernel
+        evaluation over them all, and none if they are all empty."""
+        d2 = np.concatenate(sqdists)
+        w = self.kernel.eval_sqdist(d2) if len(d2) else d2
+        return np.split(w, np.cumsum([len(x) for x in sqdists])[:-1])
+
+    def _weights(self, packed: np.ndarray) -> np.ndarray:
+        """The raw kernel weights of packed edges at the current points."""
+        return self._weigh(self._sqdist(packed))[0]
+
+    def _queue_edges(self, entry: PairSample, edges, idx=None):
+        """Queue one block of a sample's packed edges: its new draws, or,
+        with `idx`, its edges at those indices, reweighed."""
         self._queued.append((entry, edges, idx))
 
-    def _release(self, edges):
-        """Release edges through the moved point: the flush weighs them
-        if a pair claims them and zeroes them if none does."""
-        self._released.update(dict.fromkeys(edges, math.nan))
-
-    def _flush_queued(self, pid: int):
-        """Settle the move's edges: weigh every queued edge that needs it
-        with one kernel evaluation, write the queue to H, block by block in
-        queue order, a sample's block at the sample's scale and also to
-        the sample, then zero the released edges no pair claimed.
-
-        The queue holds drawn edges and whole pairs' edges, which are
-        written to H, and the moved point's edges in samples whose ids did
-        not change, which are reweighed in place.  A queued edge that a
-        pair released and that does not pass through the moved point `pid`
-        keeps the raw weight it carried: its ends did not move.  Runs once
-        at the end of each move.  No other pair of the move claims a queued
-        key, and no edit of its sample follows, so deferring the write
-        changes neither a weight nor a sample's edge order.
-        """
-        blocks, released = self._queued, self._released
-        self._queued, self._released = [], {}
+    def _flush_queued(self, *sqdists):
+        """Weigh the queued edges and each array of `sqdists` with one
+        kernel evaluation, and empty the queue.  Returns each queued block's
+        H keys and weights, written to its sample as they are read (see
+        `_settled`), and the weights of `sqdists`.  Runs once per set-up
+        and once at the end of each move.  No other pair of the move claims
+        a queued key, and no edit of its sample follows, so deferring the
+        write changes neither a weight nor a sample's edge order."""
+        blocks, self._queued = self._queued, []
         packed = _concat(blocks)
-        ws = np.array([released.pop(e, math.nan) for e in packed.tolist()])
-        ia, ib = packed >> SHIFT, packed & MASK
-        weigh = np.isnan(ws) | (ia == pid) | (ib == pid)
-        ws[weigh] = self._weights(ia[weigh], ib[weigh])
-        for keys, w in self._settled(blocks, packed, ws):
-            for key, x in zip(keys, w):
-                self._set_edge(key, x)
-        for key in released:
-            self._set_edge(key, 0.0)
+        ws, *rest = self._weigh(self._sqdist(packed), *sqdists)
+        return self._settled(blocks, packed, ws), rest
 
     @staticmethod
     def _settled(blocks, packed, ws):
         """Each block's H keys and weights, its raw weights `ws` times its
-        sample's scale; a sample's block also goes to the sample: new
-        draws are appended, reweighed indices are written in place."""
+        sample's scale; the block also goes to the sample: new draws are
+        appended, reweighed indices are written in place."""
         at = 0
         for entry, edges, idx in blocks:
             end = at + len(edges)
             w = ws[at:end]
-            if entry is not None:
-                if idx is None:
-                    entry.append(edges, w)
-                else:            # reweighted: the sample keeps its order
-                    entry.raw[idx] = w
-                w = w * entry.scale
-            yield packed[at:end].tolist(), w.tolist()
+            if idx is None:
+                entry.append(edges, w)
+            else:                # reweighted: the sample keeps its order
+                entry.raw[idx] = w
+            yield packed[at:end].tolist(), (w * entry.scale).tolist()
             at = end
 
     def _draw_pair(self, a: list, b: list) -> PairSample:
@@ -378,46 +371,21 @@ class DynamicGeoSpar:
         self._queue_edges(entry, sampling.draw_sample(a, b, s, self.rng))
         return entry
 
-    def _sample_pair(self, key, pid: int) -> PairSample:
+    def _sample_pair(self, key) -> PairSample:
         """Sample the pair under `key`, which was whole or is new: its
-        cells, listed from the tree, leave H, and a fresh sample is drawn.
-        A cell's edge in H is released with its H weight, which a whole
-        pair's raw weight is; where a dropped sample releases it, before
-        or after, the sample's raw weight stands.  The moved point's edges
-        are settled with its others."""
+        sides are listed from the tree and a fresh sample is drawn."""
         tree, by_tok = self.tree, self.tree.by_tok
-        a = tree.subtree_ids(by_tok[key >> SHIFT])
-        b = tree.subtree_ids(by_tok[key & MASK])
-        h, released = self._h, self._released
-        for e in _cells(a, b, pid):
-            if e in h:
-                released.setdefault(e, h[e])
-        self._store[key] = entry = self._draw_pair(a, b)
+        self._store[key] = entry = self._draw_pair(
+            tree.subtree_ids(by_tok[key >> SHIFT]),
+            tree.subtree_ids(by_tok[key & MASK]))
         return entry
 
-    def _drop_sample(self, key):
-        """Release every edge of the sample under `key`, with its raw
-        weight, and return the sample."""
+    def _drop_sample(self, key) -> PairSample:
+        """Take the sample under `key` out of the store and its edges out
+        of H, and return it."""
         entry = self._store.pop(key)
-        self._released.update(zip(entry.edges.tolist(), entry.raw.tolist()))
+        self._clear(entry.edges)
         return entry
-
-    def _settle_point(self, pid: int, held: list):
-        """Queue the moved point's edges in whole pairs and release those
-        in H that a sampled pair it arrived in now owns.  `held` lists the
-        other side of each sampled pair that holds `pid` after the move,
-        with whether `pid` arrived there; (pid, j) is whole unless j is on
-        one of those sides."""
-        skip = {pid}
-        h, gone = self._h, []
-        for other, arrived in held:
-            skip.update(other)
-            if arrived:
-                gone.extend([e for e in [edge(pid, j) for j in other]
-                             if e in h])
-        self._release(gone)
-        self._queue_edges(None, [edge(pid, j) for j in range(self.n)
-                                 if j not in skip])
 
     # -- update ---------------------------------------------------------------
 
@@ -436,25 +404,34 @@ class DynamicGeoSpar:
         old_path = {nd.tok for nd in tree.path_to_root(tree.point_index[i])}
         keys, fresh = wspd.find_modified_pairs(tree, self.pairs, i, q_new)
         new_path = {nd.tok for nd in tree.path_to_root(tree.point_index[i])}
-        self.pset.points[i] = z
+        # the squared lengths of i's edges, at its old and its new position
+        pts = self.pset.points
+        d2_old = np.sum((pts - pts[i]) ** 2, axis=1)
+        pts[i] = z
+        d2_new = np.sum((pts - z) ** 2, axis=1)
         report = UpdateReport(pairs_touched=len(keys))
         # Pairs go in key order, which fixes the order of RNG draws.  Every
-        # claim and every release of an edge waits for the flush, and a
-        # pair's direct H writes touch only its own edges, so the pairs can
-        # go one at a time.  old/new: whether each side holds the moved
-        # point before/after the move; old is None for a new pair.
+        # draw waits for the flush, and a pair's direct H writes touch only
+        # its own edges, so the pairs can go one at a time.  old/new:
+        # whether each side holds the moved point before/after the move;
+        # old is None for a new pair.  (i, j) was (is) whole unless j is on
+        # the other side of a sample that held (holds) i.
         store, live, by_tok = self._store, self.pairs.pairs, tree.by_tok
-        held, born, dropped = [], [], []
+        was_whole, is_whole = np.ones(self.n, bool), np.ones(self.n, bool)
+        was_whole[i] = is_whole[i] = False
+        born, dropped = [], []
         for key in sorted(keys):
             entry = store.get(key)
+            ta, tb = key >> SHIFT, key & MASK
+            old = None if key in fresh else (ta in old_path, tb in old_path)
+            if entry is not None and any(old):
+                was_whole[entry.b if old[0] else entry.a] = False
             if key not in live:
                 if entry is not None:
                     dropped.append(self._drop_sample(key))
                 report.pairs_removed += 1
                 continue
-            ta, tb = key >> SHIFT, key & MASK
             new = (ta in new_path, tb in new_path)
-            old = None if key in fresh else (ta in old_path, tb in old_path)
             if old == new:
                 # same ids, the moved point changed position: queue its
                 # sampled edges for the move's batched evaluation
@@ -462,7 +439,7 @@ class DynamicGeoSpar:
                     idx = np.flatnonzero(entry.through(i))
                     self._queue_edges(entry, entry.edges[idx], idx)
                     if any(new):
-                        held.append((entry.b if new[0] else entry.a, False))
+                        is_whole[entry.b if new[0] else entry.a] = False
                 report.pairs_reweighted += 1
                 continue
             a_node, b_node = by_tok[ta], by_tok[tb]
@@ -471,18 +448,18 @@ class DynamicGeoSpar:
             if old is None:
                 report.pairs_added += 1
                 if 2 * s <= total:
-                    entry = self._sample_pair(key, i)
+                    entry = self._sample_pair(key)
                     born.append(entry)
             elif entry is None:
                 # a whole pair stays whole while |X||Y| <= 4s
                 if total > 4 * s:
-                    entry = self._sample_pair(key, i)
+                    entry = self._sample_pair(key)
                     born.append(entry)
                     report.pairs_rematerialized += 1
                 else:
                     report.pairs_extended += 1
             else:
-                self._release(entry.release(i, old).tolist())
+                self._clear(entry.release(i, old))
                 # a sampled pair stays sampled while 4s <= 3|X||Y|
                 if 4 * s > 3 * total:
                     dropped.append(self._drop_sample(key))
@@ -493,19 +470,26 @@ class DynamicGeoSpar:
                     self._resample_pair(entry, s, total, new, i)
                     report.pairs_resampled += 1
             if entry is not None and any(new):
-                held.append((entry.b if new[0] else entry.a, True))
-        self._settle_point(i, held)
-        if dropped:
-            # a dropped sample's cells are whole now, unless a born sample
-            # took them
-            taken = set()
-            for entry in born:
-                taken.update(_cells(entry.a, entry.b, i))
-            for entry in dropped:
-                cells = _cells(entry.a, entry.b, i)
-                self._queue_edges(None, [e for e in cells if e not in taken])
-        self._flush_queued(i)
-        report.churn = self._log_net_change()
+                is_whole[entry.b if new[0] else entry.a] = False
+        # the whole edges before and after: i's, weighed at its old and new
+        # position, and the cells that change kind, weighed once since
+        # neither end moved
+        js_old, js_new = np.flatnonzero(was_whole), np.flatnonzero(is_whole)
+        taken = {e for x in born for e in _cells(x.a, x.b, i)}
+        freed = {e for x in dropped for e in _cells(x.a, x.b, i)}
+        gained = np.fromiter(taken - freed, np.int64)
+        lost = np.fromiter(freed - taken, np.int64)
+        whole_before = np.concatenate([pack(i, js_old), gained])
+        whole_after = np.concatenate([pack(i, js_new), lost])
+        settled, (w_before, w_after) = self._flush_queued(
+            np.concatenate([d2_old[js_old], self._sqdist(gained)]),
+            np.concatenate([d2_new[js_new], self._sqdist(lost)]))
+        for keys, w in settled:
+            for key, x in zip(keys, w):
+                self._set_edge(key, x)
+        report.churn = self._log_net_change(
+            dict(zip(whole_before.tolist(), w_before.tolist())),
+            dict(zip(whole_after.tolist(), w_after.tolist())))
         report.edges_changed = len(self._diff) - diff_mark
         return report
 
@@ -515,8 +499,7 @@ class DynamicGeoSpar:
         into a uniform s-sample of its total cells; the departed point's
         edges are already released."""
         evicted, added = sampling.resample(entry, pid, *new, s, self.rng)
-        for e in evicted.tolist():
-            self._set_edge(e, 0.0)
+        self._clear(evicted)
         if abs(entry.scale * s / total - 1.0) > SCALE_BAND * self.eps:
             scale = entry.scale = total / s
             for e, w in zip(entry.edges.tolist(), (entry.raw * scale).tolist()):
@@ -532,26 +515,42 @@ class DynamicGeoSpar:
         self._diff = []
         return out
 
-    def get_laplacian(self) -> np.ndarray:
+    def _edges(self):
+        """Every edge of the sparsifier as id arrays i < j and weights: H's,
+        then the whole edges, every cell outside the samples' side lists,
+        weighed at the current points."""
+        whole = np.triu(np.ones((self.n, self.n), dtype=bool), 1)
+        for x in self._store.values():
+            whole[np.ix_(x.a, x.b)] = whole[np.ix_(x.b, x.a)] = False
+        ia, ib = np.nonzero(whole)
         h = self._h
         keys = np.fromiter(h, np.int64, len(h))
-        return laplacian_from_edges(self.n, np.column_stack(
-            [keys >> SHIFT, keys & MASK, np.fromiter(h.values(), np.float64,
-                                                     len(h))]))
+        return (np.concatenate([keys >> SHIFT, ia]),
+                np.concatenate([keys & MASK, ib]),
+                np.concatenate([np.fromiter(h.values(), np.float64, len(h)),
+                                self._weights(ia << SHIFT | ib)]))
+
+    def get_laplacian(self) -> np.ndarray:
+        return laplacian_from_edges(self.n, np.column_stack(self._edges()))
 
     def edge_map(self) -> dict:
-        """H as {(i, j): weight}, i < j."""
-        return {(k >> SHIFT, k & MASK): w for k, w in self._h.items()}
+        """The sparsifier as {(i, j): weight}, i < j."""
+        ia, ib, w = self._edges()
+        return dict(zip(zip(ia.tolist(), ib.tolist()), w.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self._h)
+        """n(n - 1)/2, less each sample's |X||Y| cells, plus its edges."""
+        return self.n * (self.n - 1) // 2 + sum(
+            len(x) - len(x.a) * len(x.b) for x in self._store.values())
 
     def fold_store(self) -> dict:
-        """Recompute H from the pairs (consistency oracle): a sampled pair's
-        raw weights times its scale, and every other live pair's cells,
-        listed from the tree, weighed anew at the current points in one
-        kernel evaluation."""
+        """Recompute the edge map from the pairs (consistency oracle): a
+        sampled pair's raw weights times its scale, and every other live
+        pair's cells, listed from the tree, weighed anew at the current
+        points in one kernel evaluation.  `fold_store() == edge_map()`
+        checks the tree's pair cover against the samples' side lists and
+        their complement, and H against the samples."""
         store, tree, by_tok = self._store, self.tree, self.tree.by_tok
         if not store.keys() <= self.pairs.pairs:
             raise AssertionError("a sample outlived its WSPD pair")
@@ -564,9 +563,8 @@ class DynamicGeoSpar:
             else:
                 edges.extend(entry.edges.tolist())
                 weights.extend((entry.raw * entry.scale).tolist())
-        packed = np.array(whole, dtype=np.int64)
         edges.extend(whole)
-        weights.extend(self._weights(packed >> SHIFT, packed & MASK).tolist())
+        weights.extend(self._weights(np.array(whole, np.int64)).tolist())
         out = {}
         for key, w in zip(edges, weights):
             ekey = key >> SHIFT, key & MASK
@@ -634,18 +632,18 @@ class FullyDynamicSparsifier:
         return self.inner.spectral_check(eps)
 
 
-def adversarial_mode(cfg: RunConfig, n: int, d: int, alpha: float,
-                     budget_c: float = 4.0) -> RunConfig:
+def adversarial_mode(cfg: RunConfig, n: int, d: int,
+                     alpha: float) -> RunConfig:
     """Preset for adversarially robust operation: `cfg` with k set to
     `adversarial_k(n, d)`, ceil(sqrt(log2 n)) capped at d - 1.
 
-    Warns (never raises) when d * log2(alpha) exceeds budget_c * log2(n),
+    Warns (never raises) when d * log2(alpha) exceeds BUDGET_C * log2(n),
     the regime where the robustness guarantee degrades.
     """
-    if d * math.log2(max(alpha, 1.0)) > budget_c * math.log2(max(n, 2)):
+    if d * math.log2(max(alpha, 1.0)) > BUDGET_C * math.log2(max(n, 2)):
         warnings.warn(
             "aspect-ratio/dimension budget exceeded: "
             f"d*log2(alpha) = {d * math.log2(alpha):.1f} > "
-            f"{budget_c} * log2(n) = {budget_c * math.log2(n):.1f}",
+            f"{BUDGET_C} * log2(n) = {BUDGET_C * math.log2(n):.1f}",
             RuntimeWarning, stacklevel=2)
     return replace(cfg, k=adversarial_k(n, d))

@@ -160,7 +160,7 @@ def test_criterion_04_resampling_distribution():
 
 
 def _assert_churn_below_cap(name, g, hops, t0, extra=""):
-    """Churn per move: median below 5% of H's edges, 95% of moves below."""
+    """Churn per move: median below 5% of the sparsifier's edges, 95% of moves below."""
     churns = []
     for i, z in hops:
         rep = g.update(i, z)

@@ -26,5 +26,4 @@ def test_gc_probe_smoke():
     total = sum(rep["collection_ms"].values())
     assert abs(total - rep["gc_ms_per_move"] * rep["moves"]) <= (
         0.0005 * (rep["moves"] + 3) + 1e-9)
-    # null where /proc/self/statm is missing
-    assert isinstance(rep["setup_rss_kb_per_edge"], (float, int, type(None)))
+    assert rep["setup_rss_mb"] > 0.0

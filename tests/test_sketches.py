@@ -378,7 +378,7 @@ class TestAudit:
         st = multiply_init(ps, gaussian_kernel(), rng.standard_normal(20),
                            0.25, 0.05, 3, 16, allow_large_eps=True)
         eps = st.dgs.eps
-        for key, w in list(st.dgs._h.items()):
-            st.dgs._h[key] = w * (1 + eps)
+        lap_h = st.dgs.get_laplacian() * (1 + eps)
+        st.dgs.get_laplacian = lambda: lap_h
         rep = approximation_audit(st)
         assert rep.multiply_error == pytest.approx(eps, rel=1e-6)

@@ -93,8 +93,9 @@ class TestInitialize:
         assert edge == (0, 1)
         assert w == gaussian_kernel().eval_sqdist(
             np.sum((ps.points[0] - ps.points[1]) ** 2))
-        # the one pair is whole: a key with no stored sample
-        assert g._store == {} and len(g.pairs) == 1
+        # the one pair is whole: a key with no stored sample, and no edge
+        # of H
+        assert g._store == {} and g._h == {} and len(g.pairs) == 1
 
     def test_fold_equals_h_exactly(self):
         g, _ = make_dgs(seed=1)
@@ -158,11 +159,12 @@ class TestInitialize:
 
     def test_edge_count_within_budget(self):
         g, _ = make_dgs(seed=5, n=128)
-        # the budget is H's edge count at set-up: |X||Y| per whole pair and
+        # the budget is the edge count at set-up: |X||Y| per whole pair and
         # s per sampled one
         assert g.edge_count == g.sparsity_budget == sum(
             math.prod(_dims(g, k)) if k not in g._store
             else g.sample_size(*_dims(g, k)) for k in g.pairs.pairs)
+        assert g.edge_count == len(g.edge_map())
 
     def test_budget_fixture(self, calibration):
         cal = calibration["sparsifier"]
@@ -321,13 +323,15 @@ class _CountingKernel:
 
 
 class TestMovePaysForChange:
-    """A move weighs and writes only the edges whose weight changed.  A
-    whole pair is its key alone, so an edge that changes owner between two
-    whole pairs is not touched, and an all-whole move lists no cells."""
+    """A move weighs only the edges whose weight may change.  A whole pair
+    is its key alone and a whole edge is its kernel value, so an edge that
+    changes owner between two whole pairs is not touched, an all-whole move
+    lists no cells, and it weighs the moved point's edges at its old and
+    its new position."""
 
     def test_kernel_weighs_exactly_the_churn(self, monkeypatch):
         g, rng = make_dgs(seed=41, n=128)
-        assert g._store == {}
+        assert g._store == {} and g._h == {}
         g.kernel = counted = _CountingKernel(g.kernel)
         walks = []
         real = quadtree.CompressedQuadTree.subtree_ids
@@ -337,7 +341,7 @@ class TestMovePaysForChange:
         for _ in range(30):
             counted.edges = 0
             rep = g.update(int(rng.integers(0, g.n)), random_unit_move(rng))
-            assert counted.edges == rep.churn == g.n - 1
+            assert counted.edges == 2 * rep.churn == 2 * (g.n - 1)
             assert rep.pairs_added > 0
             # no pair's cells are listed
             assert walks == []
@@ -683,10 +687,18 @@ class TestBatchedSlabs:
                               base.lipschitz_L), calls
 
     def test_initialize_makes_one_vectorized_call(self):
+        # an all-whole set-up weighs nothing; one with samples weighs their
+        # draws in one call
         kernel, calls = self._counting_kernel(gaussian_kernel())
         g, _ = make_dgs(seed=33, kernel=kernel)
         assert g._store == {}
-        assert calls == [g.n * (g.n - 1) // 2]
+        assert calls == []
+        kernel, calls = self._counting_kernel(cauchy_kernel())
+        ps, _ = _clustered_moves(32, 200, 60)
+        g = DynamicGeoSpar.initialize(ps, kernel, 0.5, 0.05, 3, 5,
+                                      allow_large_eps=True, c_s=0.1)
+        assert g._store
+        assert calls == [sum(len(x) for x in g._store.values())]
 
     def test_each_operation_makes_at_most_one_call(self):
         # sampled builds and resamples draw edges; those are weighed in the
@@ -711,7 +723,7 @@ def _assert_point_index(g):
     """Every sample's id lists hold exactly its two nodes' ids, once each;
     it holds s distinct cells of its biclique, at most three quarters of
     them, each with one raw weight.  The store holds samples of live pairs
-    only."""
+    only, and H holds exactly the samples' edges."""
     assert g._store.keys() <= g.pairs.pairs
     tree = g.tree
     for key, entry in g._store.items():
@@ -725,6 +737,8 @@ def _assert_point_index(g):
         edges = entry.edges.tolist()
         assert len(set(edges)) == len(edges) == len(entry.raw)
         assert set(edges) <= {edge(i, j) for i in entry.a for j in entry.b}
+    assert g._h.keys() == {e for x in g._store.values()
+                           for e in x.edges.tolist()}
     assert g.fold_store() == g.edge_map()
 
 
