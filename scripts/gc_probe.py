@@ -20,9 +20,10 @@ Prints one JSON object:
 - move_ms_mean: mean wall time of a move, collector included;
 - setup_rss_mb: the process's peak resident memory
   (`resource.getrusage`), in MB, right after the set-up, as
-  scripts/sparse_probe.py reports it.  H stores only the sampled edges,
-  so a memory figure per edge of the sparsifier would divide by edges
-  that nothing stores.
+  scripts/sparse_probe.py reports it.  Only the samples store edges
+  (a whole edge is its kernel value, and a sampled edge lives in its
+  sample's arrays alone), so a memory figure per edge of the sparsifier
+  would divide by edges that nothing stores.
 
 Stdlib and geospar only.  Run from the repository root:
 

@@ -17,6 +17,12 @@ centers, the points and the hops.  Prints one JSON object:
   sampled pair holds, len(sample) / |X||Y| (null with no sampled pair);
 - fold_exact: whether the edge map equals a fold of the pairs after
   the hops;
+- replay_exact: whether every hop's get_diff() log, replayed in order
+  onto the set-up edge map, gives the edge map after the hops, bit for
+  bit.  The set-up map is built again after the hops, from the same
+  points and seed, so no copy of it is held while the hops run.  A
+  sampled edge's weight is read from its sample on both sides of
+  fold_exact, so only this check covers the log of the sampled edges;
 - setup_rss_mb: the process's peak resident memory
   (`resource.getrusage`), in MB, right after the set-up;
 - peak_rss_mb: the same after the hops, read before the checks, whose
@@ -25,9 +31,9 @@ centers, the points and the hops.  Prints one JSON object:
   ({passed, min_eig, max_eig, eps}); null without.  It costs seconds at
   n = 1024 and grows as n^3.
 
-The exit code is 1 when fold_exact is false or fill_max exceeds 3/4, the
-fill the sparsifier's kind rule keeps every sample within so that the
-rejection loop stays short.
+The exit code is 1 when fold_exact or replay_exact is false or fill_max
+exceeds 3/4, the fill the sparsifier's kind rule keeps every sample
+within so that the rejection loop stays short.
 
 Stdlib, numpy and geospar only.  Run from the repository root:
 
@@ -91,6 +97,19 @@ def _peak_rss_mb() -> float:
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
+def replay(edges: dict, logs) -> dict:
+    """`edges` with each (i, j, dw) of the logs added in order, an edge
+    that reaches 0 taken out; edits `edges` in place."""
+    for log in logs:
+        for i, j, dw in log:
+            w = edges.get((i, j), 0.0) + dw
+            if w == 0.0:
+                edges.pop((i, j), None)
+            else:
+                edges[(i, j)] = w
+    return edges
+
+
 def probe(n: int, c_s: float, hops: int, seed: int, spectral: bool) -> dict:
     pset, stream = clusters(n, seed)
     t0 = time.perf_counter()
@@ -98,15 +117,19 @@ def probe(n: int, c_s: float, hops: int, seed: int, spectral: bool) -> dict:
     setup_s = time.perf_counter() - t0
     setup_rss_mb = _peak_rss_mb()
     g.get_diff()
-    hop_s, churn = [], 0
+    hop_s, churn, logs = [], 0, []
     for i, z in itertools.islice(stream, hops):
         t1 = time.perf_counter()
         churn += g.update(i, z).churn
-        g.get_diff()
+        log = g.get_diff()
         hop_s.append(time.perf_counter() - t1)
+        logs.append(log)
     peak_rss_mb = _peak_rss_mb()
     fills = [len(e) / (len(e.a) * len(e.b)) for e in g._store.values()]
     check = g.spectral_check().as_dict() if spectral else None
+    edges = g.edge_map()
+    fold_exact = g.fold_store() == edges
+    replay_exact = replay(build(pset, c_s).edge_map(), logs) == edges
     return {
         "n": n, "c_s": c_s, "hops": hops, "seed": seed,
         "setup_s": round(setup_s, 3),
@@ -116,7 +139,8 @@ def probe(n: int, c_s: float, hops: int, seed: int, spectral: bool) -> dict:
         "sampled_pairs": len(fills),
         "fill_min": round(min(fills), 4) if fills else None,
         "fill_max": round(max(fills), 4) if fills else None,
-        "fold_exact": g.fold_store() == g.edge_map(),
+        "fold_exact": fold_exact,
+        "replay_exact": replay_exact,
         "spectral": check,
         "setup_rss_mb": setup_rss_mb,
         "peak_rss_mb": peak_rss_mb,
@@ -138,7 +162,8 @@ def main(argv=None) -> int:
     rep = probe(args.n, args.c_s, args.hops, args.seed, args.spectral)
     print(json.dumps(rep))
     fill_ok = rep.get("fill_max") is None or rep["fill_max"] <= FILL_CAP
-    return 0 if rep["fold_exact"] and fill_ok else 1
+    exact = rep["fold_exact"] and rep["replay_exact"]
+    return 0 if exact and fill_ok else 1
 
 
 if __name__ == "__main__":

@@ -43,11 +43,14 @@ def read_points_csv(path) -> np.ndarray:
             if not line:
                 continue
             if line.startswith("#"):
-                for token in line[1:].split():
-                    if token.startswith("dim="):
-                        dim = int(token[4:])
-                    elif token.startswith("n="):
-                        declared_n = int(token[2:])
+                try:
+                    for token in line[1:].split():
+                        if token.startswith("dim="):
+                            dim = int(token[4:])
+                        elif token.startswith("n="):
+                            declared_n = int(token[2:])
+                except ValueError:
+                    raise TraceError(f"{path}:{lineno}: malformed header {line!r}")
                 continue
             try:
                 vals = [float(v) for v in line.split(",")]
@@ -86,6 +89,8 @@ def read_trace(path) -> list:
                 op = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TraceError(f"{path}:{lineno}: invalid JSON ({exc})")
+            if type(op) is not dict:
+                raise TraceError(f"{path}:{lineno}: expected a JSON object")
             kind = op.get("op")
             if kind == "move":
                 if "i" not in op or "z" not in op:
@@ -195,12 +200,12 @@ def _preflight(ops, pset):
                     raise TraceError(f"trace line {lineno}: nz entry {entry!r}"
                                      " is not an [index, number] pair")
                 i = entry[0]
-                if not isinstance(i, int) or not 0 <= i < pset.n:
+                if type(i) is not int or not 0 <= i < pset.n:
                     raise TraceError(
                         f"trace line {lineno}: unknown point index {i}")
             continue
         i = op["i"]
-        if not isinstance(i, int) or not 0 <= i < pset.n:
+        if type(i) is not int or not 0 <= i < pset.n:
             raise TraceError(f"trace line {lineno}: unknown point index {i}")
         z = op["z"]
         if not (type(z) is list and len(z) == pset.dim

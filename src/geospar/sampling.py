@@ -11,12 +11,12 @@ on lists of their own.  All randomness flows through an explicit numpy
 Generator, so every draw is seed-reproducible.
 
 An edge is one packed int, ``edge(i, j)`` = min id << SHIFT | max id (ids
-below 2**32), the key the sparsifier's graph H uses too.  A sample keeps
-its edges (int64) and their raw weights (float64) as two aligned numpy
-arrays and nothing per edge besides: a point's edges are one mask over
-the edge array, a build's cells are drawn in one call, and `resample`'s
-rejection loop tests membership against a sorted copy of the edges,
-made only when that loop runs.
+below 2**32), as the sparsifier queues, weighs and logs it too.  A sample
+keeps its edges (int64) and their raw weights (float64) as two aligned
+numpy arrays and nothing per edge besides: a point's edges are one mask
+over the edge array, a build's cells are drawn in one call, and
+`resample`'s rejection loop tests membership against a sorted copy of
+the edges, made only when that loop runs.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ class PairSample:
 
     `a` and `b` are the id lists of the biclique's sides; `edges` holds
     the packed edges and `raw` their raw kernel weights, index for index;
-    `scale` is the factor H applies to a raw weight.
+    `scale` is the factor that turns a raw weight into the edge's weight
+    in the sparsifier, which reads it nowhere else.
 
     `sides`, below, is a pair of flags saying whether the a side or the b
     side holds a point; at most one does.
@@ -74,11 +75,11 @@ class PairSample:
         if any(sides):
             (self.a if sides[0] else self.b).append(pid)
 
-    def release(self, pid: int, sides: tuple) -> np.ndarray:
+    def release(self, pid: int, sides: tuple):
         """Evict `pid`'s edges and remove it from its side; return the
-        evicted edges."""
+        evicted edges and their raw weights."""
         through = self.through(pid)
-        evicted = self.edges[through]
+        evicted = self.edges[through], self.raw[through]
         self.edges, self.raw = self.edges[~through], self.raw[~through]
         if any(sides):
             (self.a if sides[0] else self.b).remove(pid)
@@ -122,8 +123,10 @@ def resample(sample: PairSample, pid: int, in_a: bool, in_b: bool,
     taken cost a constant factor.
 
     Evicted edges are removed from `sample`; added ones are not, since the
-    caller weighs them.  Returns (evicted, added), arrays of packed edges,
-    with the top-ups first in `added` and then the fresh edges.
+    caller weighs them.  Returns (evicted, evicted_raw, added): the
+    evicted edges, packed, with the raw weights the sample held for them,
+    and the added edges, packed, the top-ups first and then the fresh
+    edges.
     """
     a, b = sample.a, sample.b
     total = len(a) * len(b)
@@ -135,11 +138,11 @@ def resample(sample: PairSample, pid: int, in_a: bool, in_b: bool,
         fresh = pack(pid, other[rng.choice(fresh_count, x, replace=False,
                                            shuffle=False)])
     keep = s_out - x
-    evicted = np.empty(0, dtype=np.int64)
+    evicted, evicted_raw = np.empty(0, dtype=np.int64), np.empty(0)
     if len(sample) > keep:
         gone = rng.choice(len(sample), len(sample) - keep, replace=False,
                           shuffle=False)
-        evicted = sample.edges[gone]
+        evicted, evicted_raw = sample.edges[gone], sample.raw[gone]
         sample.edges = np.delete(sample.edges, gone)
         sample.raw = np.delete(sample.raw, gone)
     topups = {}                 # distinct, in draw order
@@ -152,5 +155,5 @@ def resample(sample: PairSample, pid: int, in_a: bool, in_b: bool,
             at = int(taken.searchsorted(e))
             if at == len(taken) or taken[at] != e:
                 topups[e] = None
-    return evicted, np.concatenate(
+    return evicted, evicted_raw, np.concatenate(
         [np.fromiter(topups, np.int64, len(topups)), fresh])

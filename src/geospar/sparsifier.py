@@ -49,21 +49,20 @@ pairs, as `sampling.PairSample`s, and a live key the store does not hold
 is whole.  Its edges are its biclique's cells, and a whole edge's weight
 is its kernel value at the current points, which the points already fix:
 nothing stores it.  A sample keeps its two sides as id lists, and its
-edges and their raw weights as two numpy arrays; H maps each sampled
-edge, as an unordered id pair, to raw * scale, and holds nothing else.
-H, the samples and the write queue all hold an edge as one packed int,
-`sampling.edge(i, j)` = min id << 32 | max id, as the WSPD keys do with
-tokens.  H is then a dict of Python ints and floats, which the garbage
-collector never tracks.  The whole edges are the cells outside the
-samples' side lists, so `edge_count` comes from the counts, n(n - 1)/2
-less each sample's |X||Y| plus its size, and `edge_map` and
-`get_laplacian` weigh them on call, in one kernel evaluation; they and
-the diff log decode the keys to (i, j) with i < j.
+edges and their raw weights as two numpy arrays; a sampled edge's weight
+is raw * scale, read from its sample, and nothing else holds it.  The
+samples, the write queue and the diff pass all hold an edge as one
+packed int, `sampling.edge(i, j)` = min id << 32 | max id, as the WSPD
+keys do with tokens.  The whole edges are the cells outside the samples'
+side lists, so `edge_count` comes from the counts, n(n - 1)/2 less each
+sample's |X||Y| plus its size, and `edge_map` and `get_laplacian` read
+the samples' edges and weigh the whole ones on call, in one kernel
+evaluation; they and the diff log decode the keys to (i, j) with i < j.
 
 Set-up lists the ids of the sampled pairs alone (the kind rule reads the
-sides' point counts off their nodes), draws their samples and writes
-them to H in one batch, weighed in one kernel evaluation.  An all-whole
-set-up weighs nothing and leaves H empty.
+sides' point counts off their nodes), draws their samples and weighs
+them in one batch, one kernel evaluation.  An all-whole set-up weighs
+nothing and stores no sample.
 
 The WSPD covers every pair of points exactly once (Callahan and Kosaraju,
 JACM 1995), before a move and after it.  A pair the move keeps covers the
@@ -73,8 +72,8 @@ that avoids p therefore keeps its weight unless it passes between a
 whole pair and a sampled one: only where a sampled pair is born, dropped
 or flips kind does a move list cells, from the tree or from the sample's
 lists.  A born sample (new, or a whole pair turned sampled) draws its
-edges; a dropped sample (gone, or turned whole) takes its edges out of
-H, as a kept sample does with the edges through p it releases.  The
+edges; a dropped sample (gone, or turned whole) leaves the store with
+its edges, as a kept sample drops the edges through p it releases.  The
 move logs the whole edges' change from two maps of weights, before and
 after: p's whole edges, weighed at its old position and at its new one
 ((p, j) is whole unless j is on the other side of a sample holding p),
@@ -84,23 +83,31 @@ sample's cells that no born sample took (after).  An all-whole move thus
 weighs p's 2(n - 1) edges and lists no cell.  `fold_store` lists every
 whole pair's cells from the tree, an oracle independent of the moves:
 `fold_store() == edge_map()` checks the tree's pair cover against the
-samples' side lists and their complement, and H against the samples.
+samples' side lists and their complement.  Both sides read a sampled
+edge from its sample, so only a replay of the diff log checks the
+sampled edges' change.
 
 A sample's new edges go through one queue of blocks, one per sample: its
 new draws (builds and resamples), or the indices of the moved point's
 edges in a sample that keeps its ids (reweights).  The queue is flushed
-once, at the end of each move, and the flush writes each edge once, in
-queue order.  The queued edges and the two maps' edges are weighed in
-one kernel evaluation per operation.  Kernel values do not depend on the
-batch, and no other pair touches a queued key, so every weight is the
-same as if each edge were weighed on the spot.  A resample's evictions
-and a rescale write H directly, and they touch only their own pair's
-edges.
+once, at the end of each move, and the flush writes each block to its
+sample, in queue order.  The queued edges and the two maps' edges are
+weighed in one kernel evaluation per operation.  Kernel values do not
+depend on the batch, and no other pair touches a queued edge, so every
+weight is the same as if each edge were weighed on the spot.  A
+resample's evictions and a rescale edit their sample directly, and
+they touch only their own pair's edges.
 
-The diff log is net per move: H writes remember each key's weight from
-before the move, the maps give the whole edges' weights, and one pass at
-its end logs (i, j, -old) then (i, j, +new) per edge whose weight changed
-(no zero entries), so replaying the log onto an older edge map rebuilds
+The diff log is net per move.  Each edit of a sample records the edges
+it takes out, at their weights before the move: a dropped sample's
+edges, the edges a release takes through p, a resample's evictions, a
+rescaled sample's edges at the old scale, and a reweight's indices.  The
+flush returns the queued edges at raw * scale, and a rescale adds its
+edges at the new scale; the maps give the whole edges' weights.  An edge
+is taken out at most once and put in at most once, so one numpy pass at
+the move's end (`np.unique` over the edges, then a mask of the changed
+ones) logs (i, j, -old) then (i, j, +new) per edge whose weight changed
+(no zero entries), and replaying the log onto an older edge map rebuilds
 the current one exactly.  An edge that only changes owner between two
 WSPD pairs never reaches the log.
 
@@ -150,10 +157,9 @@ SCALE_BAND = 0.1
 BUDGET_C = 4.0
 
 
-def _concat(blocks) -> np.ndarray:
-    """The packed edges of queued blocks, in order, as one int64 array."""
-    return np.concatenate([np.empty(0, np.int64)]
-                          + [edges for _, edges, _ in blocks])
+def _cat(arrays, dtype=np.int64) -> np.ndarray:
+    """The arrays joined in order, as one array of `dtype` (empty if none)."""
+    return np.concatenate([np.empty(0, dtype), *arrays])
 
 
 def _cells(a: list, b: list, pid: int = -1) -> list:
@@ -221,10 +227,8 @@ class DynamicGeoSpar:
         self._proj_off = bound
         self._proj_scale = 1.0 / (2.0 * bound * (1.0 + 1e-9))
         self._size_c = c_s * eps ** -2 * self.n ** self.gamma
-        self._h = {}              # sampled edge -> raw * scale
         self._diff = []
         self._store = {}          # sampled pair key -> PairSample
-        self._before = {}         # H key -> its weight before the move
         self._queued = []         # blocks (sample, edges, indices or None)
         proj = {i: self._project_unit(pset.points[i]) for i in range(self.n)}
         self.tree = CompressedQuadTree.build(proj, k)
@@ -235,9 +239,7 @@ class DynamicGeoSpar:
             nx, ny = by_tok[key >> SHIFT].count, by_tok[key & MASK].count
             if 2 * self.sample_size(nx, ny) <= nx * ny:
                 self._sample_pair(key)
-        settled, _ = self._flush_queued()
-        for keys, w in settled:
-            self._h.update(zip(keys, w))
+        self._flush_queued()
         # the edge count at set-up: |X||Y| per whole pair, s per sampled one
         self.sparsity_budget = self.edge_count
         return self
@@ -271,46 +273,29 @@ class DynamicGeoSpar:
                 m -= 1
         return best
 
-    # -- H / diff primitives --------------------------------------------------
+    # -- diff log -----------------------------------------------------------
 
-    def _set_edge(self, key: int, w: float):
-        """Set the weight of H key min id << 32 | max id."""
-        old = self._h.get(key, 0.0)
-        if old == w:
-            return
-        self._before.setdefault(key, old)
-        if w != 0.0:
-            self._h[key] = w
-        else:
-            del self._h[key]
-
-    def _clear(self, edges: np.ndarray):
-        """Take sampled edges out of H."""
-        for e in edges.tolist():
-            self._set_edge(e, 0.0)
-
-    def _log_net_change(self, before: dict, after: dict) -> int:
+    def _log_net_change(self, gone: list, came: list) -> int:
         """Append (i, j, -old) then (i, j, +new) for each edge whose weight
-        the move changed, and return their count.  `before` and `after`
-        map whole edges to their weights before and after the move; any
-        other edge's weight is its H weight, which H's writes remember
-        from before the move."""
-        h, diff = self._h, self._diff
-        olds = {**self._before, **before}
-        self._before = {}
-        news = {key: h.get(key, 0.0) for key in olds}
-        news.update(after)
-        changed = 0
-        for key, new in news.items():
-            old = olds.get(key, 0.0)
-            if new != old:
-                changed += 1
-                i, j = key >> SHIFT, key & MASK
-                if old != 0.0:
-                    diff.append((i, j, -old))
-                if new != 0.0:
-                    diff.append((i, j, new))
-        return changed
+        the move changed, and return their count.  `gone` and `came` are
+        blocks (packed edges, weights): the edges the move took out, at
+        their weights before it, and the edges it put in, at their weights
+        after it.  Each edge is in at most one block of each list, and an
+        edge missing from a list weighs 0 there."""
+        cut = sum(len(e) for e, _ in gone)
+        keys, at = np.unique(_cat([e for e, _ in gone + came]),
+                             return_inverse=True)
+        old, new = np.zeros(len(keys)), np.zeros(len(keys))
+        old[at[:cut]] = _cat([w for _, w in gone], np.float64)
+        new[at[cut:]] = _cat([w for _, w in came], np.float64)
+        changed = old != new
+        keys = np.repeat(keys[changed], 2)
+        w = np.column_stack([-old[changed], new[changed]]).ravel()
+        logged = w != 0.0
+        keys, w = keys[logged], w[logged]
+        self._diff.extend(zip((keys >> SHIFT).tolist(),
+                              (keys & MASK).tolist(), w.tolist()))
+        return int(changed.sum())
 
     # -- pair construction ----------------------------------------------------
 
@@ -330,45 +315,36 @@ class DynamicGeoSpar:
         """The raw kernel weights of packed edges at the current points."""
         return self._weigh(self._sqdist(packed))[0]
 
-    def _queue_edges(self, entry: PairSample, edges, idx=None):
-        """Queue one block of a sample's packed edges: its new draws, or,
-        with `idx`, its edges at those indices, reweighed."""
-        self._queued.append((entry, edges, idx))
-
     def _flush_queued(self, *sqdists):
         """Weigh the queued edges and each array of `sqdists` with one
-        kernel evaluation, and empty the queue.  Returns each queued block's
-        H keys and weights, written to its sample as they are read (see
-        `_settled`), and the weights of `sqdists`.  Runs once per set-up
-        and once at the end of each move.  No other pair of the move claims
-        a queued key, and no edit of its sample follows, so deferring the
-        write changes neither a weight nor a sample's edge order."""
+        kernel evaluation, empty the queue, and write each block to its
+        sample: new draws are appended, reweighed indices are written in
+        place.  Returns the queued edges with their weights (raw times
+        their sample's scale) as one block, and the weights of `sqdists`.
+        Runs once per set-up and once at the end of each move.  No other
+        pair of the move claims a queued edge, and no edit of its sample
+        follows, so deferring the write changes neither a weight nor a
+        sample's edge order."""
         blocks, self._queued = self._queued, []
-        packed = _concat(blocks)
+        packed = _cat([edges for _, edges, _ in blocks])
         ws, *rest = self._weigh(self._sqdist(packed), *sqdists)
-        return self._settled(blocks, packed, ws), rest
-
-    @staticmethod
-    def _settled(blocks, packed, ws):
-        """Each block's H keys and weights, its raw weights `ws` times its
-        sample's scale; the block also goes to the sample: new draws are
-        appended, reweighed indices are written in place."""
-        at = 0
+        scaled, at = [], 0
         for entry, edges, idx in blocks:
-            end = at + len(edges)
-            w = ws[at:end]
+            w = ws[at:at + len(edges)]
+            at += len(edges)
             if idx is None:
                 entry.append(edges, w)
             else:                # reweighted: the sample keeps its order
                 entry.raw[idx] = w
-            yield packed[at:end].tolist(), (w * entry.scale).tolist()
-            at = end
+            scaled.append(w * entry.scale)
+        return (packed, _cat(scaled, np.float64)), rest
 
     def _draw_pair(self, a: list, b: list) -> PairSample:
         """A fresh uniform sample of a x b, its drawn edges queued."""
         s = self.sample_size(len(a), len(b))
         entry = PairSample(a, b, len(a) * len(b) / s)
-        self._queue_edges(entry, sampling.draw_sample(a, b, s, self.rng))
+        self._queued.append(
+            (entry, sampling.draw_sample(a, b, s, self.rng), None))
         return entry
 
     def _sample_pair(self, key) -> PairSample:
@@ -378,13 +354,6 @@ class DynamicGeoSpar:
         self._store[key] = entry = self._draw_pair(
             tree.subtree_ids(by_tok[key >> SHIFT]),
             tree.subtree_ids(by_tok[key & MASK]))
-        return entry
-
-    def _drop_sample(self, key) -> PairSample:
-        """Take the sample under `key` out of the store and its edges out
-        of H, and return it."""
-        entry = self._store.pop(key)
-        self._clear(entry.edges)
         return entry
 
     # -- update ---------------------------------------------------------------
@@ -411,15 +380,16 @@ class DynamicGeoSpar:
         d2_new = np.sum((pts - z) ** 2, axis=1)
         report = UpdateReport(pairs_touched=len(keys))
         # Pairs go in key order, which fixes the order of RNG draws.  Every
-        # draw waits for the flush, and a pair's direct H writes touch only
-        # its own edges, so the pairs can go one at a time.  old/new:
+        # draw waits for the flush, and a pair's direct edits touch only
+        # its own sample, so the pairs can go one at a time.  old/new:
         # whether each side holds the moved point before/after the move;
         # old is None for a new pair.  (i, j) was (is) whole unless j is on
-        # the other side of a sample that held (holds) i.
+        # the other side of a sample that held (holds) i.  gone/came: the
+        # (edges, weights) blocks the move takes out and puts in.
         store, live, by_tok = self._store, self.pairs.pairs, tree.by_tok
         was_whole, is_whole = np.ones(self.n, bool), np.ones(self.n, bool)
         was_whole[i] = is_whole[i] = False
-        born, dropped = [], []
+        born, dropped, gone, came = [], [], [], []
         for key in sorted(keys):
             entry = store.get(key)
             ta, tb = key >> SHIFT, key & MASK
@@ -428,7 +398,7 @@ class DynamicGeoSpar:
                 was_whole[entry.b if old[0] else entry.a] = False
             if key not in live:
                 if entry is not None:
-                    dropped.append(self._drop_sample(key))
+                    dropped.append(store.pop(key))
                 report.pairs_removed += 1
                 continue
             new = (ta in new_path, tb in new_path)
@@ -437,7 +407,9 @@ class DynamicGeoSpar:
                 # sampled edges for the move's batched evaluation
                 if entry is not None:
                     idx = np.flatnonzero(entry.through(i))
-                    self._queue_edges(entry, entry.edges[idx], idx)
+                    edges = entry.edges[idx]
+                    gone.append((edges, entry.raw[idx] * entry.scale))
+                    self._queued.append((entry, edges, idx))
                     if any(new):
                         is_whole[entry.b if new[0] else entry.a] = False
                 report.pairs_reweighted += 1
@@ -459,15 +431,16 @@ class DynamicGeoSpar:
                 else:
                     report.pairs_extended += 1
             else:
-                self._clear(entry.release(i, old))
+                released, raw = entry.release(i, old)
+                gone.append((released, raw * entry.scale))
                 # a sampled pair stays sampled while 4s <= 3|X||Y|
                 if 4 * s > 3 * total:
-                    dropped.append(self._drop_sample(key))
+                    dropped.append(store.pop(key))
                     entry = None
                     report.pairs_rematerialized += 1
                 else:
                     entry.join(i, new)
-                    self._resample_pair(entry, s, total, new, i)
+                    self._resample_pair(entry, s, total, new, i, gone, came)
                     report.pairs_resampled += 1
             if entry is not None and any(new):
                 is_whole[entry.b if new[0] else entry.a] = False
@@ -479,32 +452,30 @@ class DynamicGeoSpar:
         freed = {e for x in dropped for e in _cells(x.a, x.b, i)}
         gained = np.fromiter(taken - freed, np.int64)
         lost = np.fromiter(freed - taken, np.int64)
-        whole_before = np.concatenate([pack(i, js_old), gained])
-        whole_after = np.concatenate([pack(i, js_new), lost])
-        settled, (w_before, w_after) = self._flush_queued(
+        queued, (w_before, w_after) = self._flush_queued(
             np.concatenate([d2_old[js_old], self._sqdist(gained)]),
             np.concatenate([d2_new[js_new], self._sqdist(lost)]))
-        for keys, w in settled:
-            for key, x in zip(keys, w):
-                self._set_edge(key, x)
-        report.churn = self._log_net_change(
-            dict(zip(whole_before.tolist(), w_before.tolist())),
-            dict(zip(whole_after.tolist(), w_after.tolist())))
+        gone += [(x.edges, x.raw * x.scale) for x in dropped]
+        gone.append((np.concatenate([pack(i, js_old), gained]), w_before))
+        came += [queued, (np.concatenate([pack(i, js_new), lost]), w_after)]
+        report.churn = self._log_net_change(gone, came)
         report.edges_changed = len(self._diff) - diff_mark
         return report
 
     def _resample_pair(self, entry: PairSample, s: int, total: int,
-                       new: tuple, pid: int):
+                       new: tuple, pid: int, gone: list, came: list):
         """Turn a kept sample whose sides gained or lost the moved point
         into a uniform s-sample of its total cells; the departed point's
-        edges are already released."""
-        evicted, added = sampling.resample(entry, pid, *new, s, self.rng)
-        self._clear(evicted)
+        edges are already released.  The evicted edges go to `gone`; a
+        rescale puts the kept edges in `gone` at the old scale and in
+        `came` at the new one."""
+        evicted, raw, added = sampling.resample(entry, pid, *new, s, self.rng)
+        gone.append((evicted, raw * entry.scale))
         if abs(entry.scale * s / total - 1.0) > SCALE_BAND * self.eps:
-            scale = entry.scale = total / s
-            for e, w in zip(entry.edges.tolist(), (entry.raw * scale).tolist()):
-                self._set_edge(e, w)
-        self._queue_edges(entry, added)
+            gone.append((entry.edges, entry.raw * entry.scale))
+            entry.scale = total / s
+            came.append((entry.edges, entry.raw * entry.scale))
+        self._queued.append((entry, added, None))
 
     # -- read-out interfaces ----------------------------------------------------
 
@@ -516,19 +487,19 @@ class DynamicGeoSpar:
         return out
 
     def _edges(self):
-        """Every edge of the sparsifier as id arrays i < j and weights: H's,
-        then the whole edges, every cell outside the samples' side lists,
-        weighed at the current points."""
+        """Every edge of the sparsifier as id arrays i < j and weights: the
+        samples' edges at raw * scale, then the whole edges, every cell
+        outside the samples' side lists, weighed at the current points."""
+        samples = self._store.values()
         whole = np.triu(np.ones((self.n, self.n), dtype=bool), 1)
-        for x in self._store.values():
+        for x in samples:
             whole[np.ix_(x.a, x.b)] = whole[np.ix_(x.b, x.a)] = False
         ia, ib = np.nonzero(whole)
-        h = self._h
-        keys = np.fromiter(h, np.int64, len(h))
+        keys = _cat([x.edges for x in samples])
         return (np.concatenate([keys >> SHIFT, ia]),
                 np.concatenate([keys & MASK, ib]),
-                np.concatenate([np.fromiter(h.values(), np.float64, len(h)),
-                                self._weights(ia << SHIFT | ib)]))
+                _cat([x.raw * x.scale for x in samples]
+                     + [self._weights(ia << SHIFT | ib)], np.float64))
 
     def get_laplacian(self) -> np.ndarray:
         return laplacian_from_edges(self.n, np.column_stack(self._edges()))
@@ -550,7 +521,8 @@ class DynamicGeoSpar:
         pair's cells, listed from the tree, weighed anew at the current
         points in one kernel evaluation.  `fold_store() == edge_map()`
         checks the tree's pair cover against the samples' side lists and
-        their complement, and H against the samples."""
+        their complement; it reads each sampled edge from its sample, as
+        `edge_map` does."""
         store, tree, by_tok = self._store, self.tree, self.tree.by_tok
         if not store.keys() <= self.pairs.pairs:
             raise AssertionError("a sample outlived its WSPD pair")

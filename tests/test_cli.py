@@ -56,6 +56,16 @@ class TestPointsIo:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "TraceError" and "bad.csv:2" in err["message"]
 
+    @pytest.mark.parametrize("header", ["# dim=two n=3", "# dim=2 n=3.0"],
+                             ids=["dim", "n"])
+    def test_malformed_header_is_usage_error(self, tmp_path, capsys, header):
+        (tmp_path / "bad.csv").write_text(f"{header}\n1.0,2.0\n3.0,4.0\n")
+        with pytest.raises(TraceError, match="bad.csv:1"):
+            read_points_csv(tmp_path / "bad.csv")
+        assert run(["build", "--points", tmp_path / "bad.csv"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "TraceError" and "bad.csv:1" in err["message"]
+
     def test_header_count_mismatch(self, tmp_path):
         (tmp_path / "bad.csv").write_text("# dim=2 n=3\n1.0,2.0\n3.0,4.0\n")
         with pytest.raises(TraceError, match="n=3"):
@@ -141,6 +151,32 @@ class TestReplay:
         err = json.loads(capsys.readouterr().err)
         assert "line 1" in err["message"]
 
+    @pytest.mark.parametrize("line", [[1, 2], "move", 5, None],
+                             ids=["list", "string", "number", "null"])
+    def test_non_object_line_is_usage_error(self, workdir, capsys, line):
+        tmp_path, _ = workdir
+        lines = [json.dumps({"op": "move", "i": 0, "z": [1, 1, 1, 1]}),
+                 json.dumps(line)]
+        (tmp_path / "t.jsonl").write_text("\n".join(lines) + "\n")
+        rc = run(["replay", "--points", tmp_path / "pts.csv",
+                  "--trace", tmp_path / "t.jsonl",
+                  "--config", tmp_path / "cfg.txt"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "TraceError" and "t.jsonl:2" in err["message"]
+
+    def test_bool_move_index_is_usage_error(self, workdir, capsys):
+        # JSON true is a Python bool, which is an int: it would move point 1
+        tmp_path, pts = workdir
+        (tmp_path / "t.jsonl").write_text(
+            json.dumps({"op": "move", "i": True, "z": pts[1].tolist()}) + "\n")
+        rc = run(["replay", "--points", tmp_path / "pts.csv",
+                  "--trace", tmp_path / "t.jsonl",
+                  "--config", tmp_path / "cfg.txt"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "TraceError" and "line 1" in err["message"]
+
     @pytest.mark.parametrize("op", ["mulv", "solveb"])
     @pytest.mark.parametrize("index", [-1, 32])
     def test_sparse_vector_index_preflight(self, workdir, capsys, op, index):
@@ -157,8 +193,10 @@ class TestReplay:
 
     @pytest.mark.parametrize("op", ["mulv", "solveb"])
     @pytest.mark.parametrize("entry", [
-        [1], [1, "x"], [1, 2.0, 3.0], 5, [1, None], [1, True], [1, "1.0"]],
-        ids=["short", "string", "long", "scalar", "null", "bool", "text"])
+        [1], [1, "x"], [1, 2.0, 3.0], 5, [1, None], [1, True], [1, "1.0"],
+        [True, 1.0]],
+        ids=["short", "string", "long", "scalar", "null", "bool", "text",
+             "bool-index"])
     def test_sparse_vector_entry_preflight(self, workdir, capsys, op, entry):
         tmp_path, _ = workdir
         lines = [json.dumps({"op": op, "nz": [[0, 1.0]]}),

@@ -6,7 +6,8 @@ change A x B -> A' x B' runs as single-point steps that remove a departed
 id from its list and append an arriving one.  A sample holds packed
 edges; `pairs` decodes them to (min id, max id) in order, which is
 (a-side id, b-side id) here, since every a-side id below is smaller than
-every b-side id.
+every b-side id.  Each edge's raw weight here is its packed value, so a
+weight names the edge it belongs to.
 """
 
 import statistics
@@ -32,14 +33,16 @@ def rand_sample(a, b, s, rng):
     builds a sampled pair."""
     a, b = sorted(a), sorted(b)
     edges = draw_sample(a, b, s, rng)
-    return PairSample(a, b, 1.0, edges, np.ones(len(edges)))
+    return PairSample(a, b, 1.0, edges, edges.astype(np.float64))
 
 
 def resample_fast(sample, a, b, a2, b2, s, rng):
     """Carry `sample` of A x B over to A' x B' in single-point steps, as a
     run of moves would: release the departed ids first, then append each
     arriving id to its side and resample (once with no arriving id when
-    none arrives).  Edits `sample` in place; returns the churn."""
+    none arrives).  Checks that each resample returns the raw weights the
+    sample held for the edges it evicts.  Edits `sample` in place;
+    returns the churn."""
     before = set(pairs(sample))
     for pid in sorted((a - a2) | (b - b2)):
         sample.release(pid, (pid in a, pid in b))
@@ -48,8 +51,11 @@ def resample_fast(sample, a, b, a2, b2, s, rng):
     for pid, sides in arrivals or [(None, (False, False))]:
         sample.join(pid, sides)
         s_out = min(s, len(sample.a) * len(sample.b))
-        _, added = resample(sample, pid, *sides, s_out, rng)
-        sample.append(added, np.ones(len(added)))
+        held = dict(zip(sample.edges.tolist(), sample.raw.tolist()))
+        evicted, evicted_raw, added = resample(sample, pid, *sides, s_out,
+                                               rng)
+        assert evicted_raw.tolist() == [held[e] for e in evicted.tolist()]
+        sample.append(added, added.astype(np.float64))
     return len(before.symmetric_difference(pairs(sample)))
 
 

@@ -24,7 +24,7 @@ def test_sparse_probe_smoke():
     assert rep["sampled_pairs"] > 0
     assert 0.0 < rep["fill_min"] <= rep["fill_max"] <= 0.75
     assert 0.0 < rep["edge_ratio"] < 1.0
-    assert rep["fold_exact"] is True
+    assert rep["fold_exact"] is True and rep["replay_exact"] is True
     assert rep["spectral"]["passed"] is True
     assert 0.0 < rep["setup_rss_mb"] <= rep["peak_rss_mb"]
 
@@ -37,6 +37,7 @@ def test_sparse_probe_dense_without_spectral():
     assert rep["sampled_pairs"] == 0
     assert rep["fill_min"] is None and rep["fill_max"] is None
     assert rep["edge_ratio"] == 1.0 and rep["fold_exact"] is True
+    assert rep["replay_exact"] is True
     assert 0.0 < rep["setup_rss_mb"] <= rep["peak_rss_mb"]
 
 
@@ -49,14 +50,30 @@ def _module():
 
 def test_sparse_probe_exits_1_when_fold_differs(monkeypatch, capsys):
     mod = _module()
-    monkeypatch.setattr(mod, "probe", lambda *args: {"fold_exact": False})
+    rep = {"fold_exact": False, "replay_exact": True}
+    monkeypatch.setattr(mod, "probe", lambda *args: rep)
     assert mod.main(["--n", "64"]) == 1
-    assert json.loads(capsys.readouterr().out) == {"fold_exact": False}
+    assert json.loads(capsys.readouterr().out) == rep
+
+
+def test_sparse_probe_exits_1_when_replay_differs(monkeypatch, capsys):
+    mod = _module()
+    rep = {"fold_exact": True, "replay_exact": False}
+    monkeypatch.setattr(mod, "probe", lambda *args: rep)
+    assert mod.main(["--n", "64"]) == 1
+    assert json.loads(capsys.readouterr().out) == rep
+
+
+def test_replay_adds_each_entry_and_drops_zeros():
+    mod = _module()
+    edges = {(0, 1): 0.5, (1, 2): 0.25}
+    logs = [[(0, 1, -0.5), (0, 2, 0.75)], [(1, 2, -0.25), (1, 2, 0.125)]]
+    assert mod.replay(edges, logs) == {(0, 2): 0.75, (1, 2): 0.125}
 
 
 def test_sparse_probe_exits_1_past_three_quarters_fill(monkeypatch):
     mod = _module()
     for fill_max, code in ((None, 0), (0.75, 0), (0.7501, 1)):
         monkeypatch.setattr(mod, "probe", lambda *args: {
-            "fold_exact": True, "fill_max": fill_max})
+            "fold_exact": True, "replay_exact": True, "fill_max": fill_max})
         assert mod.main(["--n", "64"]) == code

@@ -93,9 +93,8 @@ class TestInitialize:
         assert edge == (0, 1)
         assert w == gaussian_kernel().eval_sqdist(
             np.sum((ps.points[0] - ps.points[1]) ** 2))
-        # the one pair is whole: a key with no stored sample, and no edge
-        # of H
-        assert g._store == {} and g._h == {} and len(g.pairs) == 1
+        # the one pair is whole: a key with no stored sample
+        assert g._store == {} and len(g.pairs) == 1
 
     def test_fold_equals_h_exactly(self):
         g, _ = make_dgs(seed=1)
@@ -296,8 +295,8 @@ class TestUpdate:
         assert np.array_equal(lap, lap2)
 
     def test_get_laplacian_matches_fold_over_seeds(self):
-        # H lists its edges in the order of their writes and fold_store in
-        # the pairs' order; the Laplacian depends on neither, bit for bit
+        # edge_map lists the samples' edges in store order and fold_store
+        # in the pairs' order; the Laplacian depends on neither, bit for bit
         for seed in range(8):
             g, rng = make_dgs(seed=seed, n=32)
             for _ in range(3):
@@ -331,7 +330,7 @@ class TestMovePaysForChange:
 
     def test_kernel_weighs_exactly_the_churn(self, monkeypatch):
         g, rng = make_dgs(seed=41, n=128)
-        assert g._store == {} and g._h == {}
+        assert g._store == {}
         g.kernel = counted = _CountingKernel(g.kernel)
         walks = []
         real = quadtree.CompressedQuadTree.subtree_ids
@@ -723,7 +722,7 @@ def _assert_point_index(g):
     """Every sample's id lists hold exactly its two nodes' ids, once each;
     it holds s distinct cells of its biclique, at most three quarters of
     them, each with one raw weight.  The store holds samples of live pairs
-    only, and H holds exactly the samples' edges."""
+    only."""
     assert g._store.keys() <= g.pairs.pairs
     tree = g.tree
     for key, entry in g._store.items():
@@ -737,8 +736,6 @@ def _assert_point_index(g):
         edges = entry.edges.tolist()
         assert len(set(edges)) == len(edges) == len(entry.raw)
         assert set(edges) <= {edge(i, j) for i in entry.a for j in entry.b}
-    assert g._h.keys() == {e for x in g._store.values()
-                           for e in x.edges.tolist()}
     assert g.fold_store() == g.edge_map()
 
 
@@ -1006,21 +1003,19 @@ class TestStopKeys:
 
 
 class TestFlatStorage:
-    """H and the samples keep no per-edge object the garbage collector
-    would track and scan: H's keys are packed Python ints, a sample's edges
-    and raw weights are two numpy arrays, and its sides are lists of ints.
-    A whole pair is its WSPD key alone.  The diff log holds Python ints."""
+    """The samples keep no per-edge object the garbage collector would
+    track and scan: a sample's edges and raw weights are two numpy arrays,
+    and its sides are lists of ints.  A whole pair is its WSPD key alone.
+    The diff log holds Python ints and floats."""
 
     @staticmethod
     def _assert_untracked(g):
-        assert not gc.is_tracked(g._h)
-        assert all(type(k) is int and type(w) is float
-                   for k, w in g._h.items())
         assert all(type(i) is int and type(j) is int and type(w) is float
                    for i, j, w in g.get_diff())
         for e in g._store.values():
             assert isinstance(e.edges, np.ndarray) and e.edges.dtype == np.int64
             assert isinstance(e.raw, np.ndarray) and e.raw.dtype == np.float64
+            assert not gc.is_tracked(e.edges) and not gc.is_tracked(e.raw)
             assert all(type(pid) is int for pid in e.a + e.b)
         h = g.edge_map()
         assert all(i < j for i, j in h)
@@ -1028,8 +1023,6 @@ class TestFlatStorage:
 
     @pytest.mark.parametrize("inputs", ["uniform", "clustered"])
     def test_no_per_edge_object_is_tracked(self, inputs):
-        # no gc.collect(): a fresh tuple key is tracked until a collection
-        # finds it holds only ints, so a tuple-keyed H would be tracked here
         if inputs == "uniform":
             g, rng = make_dgs(seed=43, n=64)
             moves = [(int(rng.integers(0, g.n)), random_unit_move(rng))
